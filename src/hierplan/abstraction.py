@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from functools import reduce
+from itertools import islice
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from .core import Assignment, Option, StateSpace, execute_option
+from .core import Assignment, Option, StateSpace, default_step_bound
 from .errors import (
     InapplicableAction,
     InvalidSeed,
@@ -33,6 +35,8 @@ from .errors import (
     NoFactoredStructure,
     NoSubgoalStructure,
     PartitionExplosion,
+    StepBoundExceeded,
+    UndefinedPolicy,
 )
 from .symbols import GroundingSet
 
@@ -112,11 +116,55 @@ class PartitionedOption:
 
 
 def _terminal_map(option: Option, level) -> dict[int, int]:
-    """Terminal state for every initiation state, by exhaustive simulation."""
-    return {
-        s: execute_option(level, option, s).end
-        for s in option.initiation
-    }
+    """Terminal state for every initiation state, keyed in ascending start
+    order.
+
+    Execution is deterministic, so a state's terminal state, step count
+    and return follow from its policy successor's: each state's
+    continuation is simulated once per option and memoized. The result and
+    side effects are those of one ``execute_option`` per initiation state
+    in ascending order: the option's statistics are updated once per
+    start, in that order, and the first failing start raises the same
+    error (a policy cycle exceeds the step bound).
+    """
+    # a start may lie outside the level; every successor is a level state
+    width = max(level.num_states, option.initiation.bits.bit_length())
+    bound = default_step_bound(level)
+    stop = option.termination.bitstring(width)
+    policy = option.policy
+    end = [-1] * width  # -1: not yet known, -2: on the walk being followed
+    steps = [0] * width
+    ret = [0.0] * width
+    terminals: dict[int, int] = {}
+    for start in option.initiation:
+        s = start
+        walk: list[tuple[int, float]] = []
+        while end[s] < 0:
+            if end[s] == -2:
+                raise StepBoundExceeded(
+                    f"option {option.name!r} exceeded {bound} steps from state {start}"
+                )
+            if stop[s] == "1":
+                end[s] = s
+                break
+            action = policy.get(s)
+            if action is None:
+                raise UndefinedPolicy(
+                    f"option {option.name!r} has no action for state {s}"
+                )
+            end[s] = -2
+            nxt, r = level.step(s, action)
+            walk.append((s, r))
+            s = nxt
+        e, k, g = end[s], steps[s], ret[s]
+        for p, r in reversed(walk):
+            k += 1
+            g = r + g
+            end[p], steps[p], ret[p] = e, k, g
+        terminals[start] = e
+        option.reward_stats.update(g)
+        option.duration_stats.update(k)
+    return terminals
 
 
 def compute_effect_set(option: Option, level) -> EffectSet:
@@ -129,10 +177,70 @@ def compute_effect_set(option: Option, level) -> EffectSet:
     )
 
 
-def _classify_pairs(
-    space: StateSpace, pairs: Sequence[tuple[int, int]]
-) -> OptionClass:
-    """Classify a set of (start, terminal) pairs.
+_MANY = object()  # a variable that ends at more than one value
+
+
+class _Summary(NamedTuple):
+    """What classification reads from a set of (start, terminal) pairs.
+
+    Merging the summaries of two pair sets gives the summary of their
+    union, so classifying a union never revisits the pairs.
+    """
+
+    # distinct terminal states; only "exactly one" matters, so at most two
+    terminals: tuple[int, ...]
+    changed: frozenset[int]  # indexes of variables some start changes
+    values: tuple[Any, ...]  # per variable: its one terminal value, or _MANY
+
+    def merge(self, other: _Summary) -> _Summary:
+        terminals = self.terminals
+        for t in other.terminals:
+            if len(terminals) < 2 and t not in terminals:
+                terminals += (t,)
+        values = tuple(
+            a if a is not _MANY and a == b else _MANY
+            for a, b in zip(self.values, other.values)
+        )
+        return _Summary(terminals, self.changed | other.changed, values)
+
+
+def _summarize_groups(
+    space: StateSpace, terminals: Mapping[int, int]
+) -> dict[tuple, tuple[list[tuple[int, int]], _Summary]]:
+    """Group the (start, terminal) pairs and summarize each group.
+
+    Over a factored space the key lists (variable index, terminal value)
+    for each changed variable, in name order; otherwise it is the
+    terminal state. Pairs keep the order of ``terminals``.
+    """
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    if not space.is_factored:
+        for s, t in terminals.items():
+            groups.setdefault((t,), []).append((s, t))
+        return {
+            key: (pairs, _Summary(key, frozenset(), ()))
+            for key, pairs in groups.items()
+        }
+    names = space.variable_names()
+    assignments = space.assignments
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    for s, t in terminals.items():
+        sa, ta = assignments[s], assignments[t]
+        key = tuple([(i, ta[i]) for i in by_name if sa[i] != ta[i]])
+        groups.setdefault(key, []).append((s, t))
+    out = {}
+    for key, pairs in groups.items():
+        distinct = dict.fromkeys(t for _, t in pairs)
+        columns = zip(*(assignments[t] for t in distinct))
+        values = tuple(col[0] if len(set(col)) == 1 else _MANY for col in columns)
+        changed = frozenset(i for i, _ in key)
+        summary = _Summary(tuple(islice(distinct, 2)), changed, values)
+        out[key] = (pairs, summary)
+    return out
+
+
+def _classify(space: StateSpace, summary: _Summary) -> OptionClass:
+    """Classify the (start, terminal) pairs a summary describes.
 
     Over an unfactored space only a constant terminal classifies. Over a
     factored space the candidate mask is the set of variables changed by
@@ -144,50 +252,32 @@ def _classify_pairs(
     classify as an abstract subgoal that leaves the unmasked variables
     alone.
     """
-    terminals = {t for _, t in pairs}
+    one_terminal = len(summary.terminals) == 1
     if not space.is_factored:
-        if len(terminals) == 1:
+        if one_terminal:
             return Subgoal()
         return Unclassifiable("terminal depends on start and space is not factored")
     names = space.variable_names()
-    changed = set()
-    for s, t in pairs:
-        sa, ta = space.assignment(s), space.assignment(t)
-        changed.update(n for n, sv, tv in zip(names, sa, ta) if sv != tv)
-    if len(terminals) == 1 and len(changed) in (0, len(names)):
+    if one_terminal and len(summary.changed) in (0, len(names)):
         return Subgoal()
-    for var in changed:
-        i = names.index(var)
-        values = {space.assignment(t)[i] for _, t in pairs}
-        if len(values) > 1:
-            return Unclassifiable(f"terminal value of {var!r} depends on start")
-    return AbstractSubgoal(frozenset(changed))
+    for i in sorted(summary.changed):
+        if summary.values[i] is _MANY:
+            return Unclassifiable(f"terminal value of {names[i]!r} depends on start")
+    return AbstractSubgoal(frozenset(names[i] for i in summary.changed))
 
 
 def classify_option(option: Option, level) -> OptionClass:
     """Classify the whole (unpartitioned) option."""
-    terminals = _terminal_map(option, level)
-    return _classify_pairs(level.space, sorted(terminals.items()))
-
-
-def _raw_group_key(space: StateSpace, start: int, terminal: int):
-    names = space.variable_names()
-    sa, ta = space.assignment(start), space.assignment(terminal)
-    changed = tuple(sorted(n for n, sv, tv in zip(names, sa, ta) if sv != tv))
-    values = tuple(ta[names.index(n)] for n in changed)
-    return changed, values
-
-
-def _merge_key(group: tuple[tuple[str, ...], tuple[Any, ...]]):
-    changed, values = group
-    return (-len(changed), changed, repr(values))
+    groups = _summarize_groups(level.space, _terminal_map(option, level))
+    return _classify(
+        level.space, reduce(_Summary.merge, (s for _, s in groups.values()))
+    )
 
 
 def partition_option(
     option: Option,
     level,
     part_limit: int = DEFAULT_PART_LIMIT,
-    _terminals: Mapping[int, int] | None = None,
 ) -> PartitionedOption:
     """Split the initiation set into the fewest groups this greedy pass
     finds such that each group individually classifies.
@@ -200,30 +290,32 @@ def partition_option(
     subgoal. Deterministic by construction.
     """
     space: StateSpace = level.space
-    terminals = dict(_terminals) if _terminals is not None else _terminal_map(option, level)
-
-    part_pairs: list[list[tuple[int, int]]]
+    groups = _summarize_groups(space, _terminal_map(option, level))
+    part_pairs: list[list[tuple[int, int]]] = []
+    summaries: list[_Summary] = []
     if not space.is_factored:
-        by_terminal: dict[int, list[tuple[int, int]]] = {}
-        for s in sorted(terminals):
-            by_terminal.setdefault(terminals[s], []).append((s, terminals[s]))
-        part_pairs = [by_terminal[t] for t in sorted(by_terminal)]
+        for key in sorted(groups):
+            pairs, summary = groups[key]
+            part_pairs.append(pairs)
+            summaries.append(summary)
     else:
-        groups: dict[tuple, list[tuple[int, int]]] = {}
-        for s in sorted(terminals):
-            groups.setdefault(_raw_group_key(space, s, terminals[s]), []).append(
-                (s, terminals[s])
-            )
-        part_pairs = []
-        for key in sorted(groups, key=_merge_key):
-            pairs = groups[key]
-            for existing in part_pairs:
-                merged = _classify_pairs(space, existing + pairs)
-                if not isinstance(merged, Unclassifiable):
-                    existing.extend(pairs)
+        names = space.variable_names()
+
+        def merge_order(key):
+            changed = tuple(names[i] for i, _ in key)
+            return (-len(changed), changed, repr(tuple(v for _, v in key)))
+
+        for key in sorted(groups, key=merge_order):
+            pairs, summary = groups[key]
+            for k, existing in enumerate(summaries):
+                merged = existing.merge(summary)
+                if not isinstance(_classify(space, merged), Unclassifiable):
+                    part_pairs[k].extend(pairs)
+                    summaries[k] = merged
                     break
             else:
                 part_pairs.append(list(pairs))
+                summaries.append(summary)
 
     if len(part_pairs) > part_limit:
         raise PartitionExplosion(
@@ -234,8 +326,8 @@ def partition_option(
     lvl = option.level_index
     parts = []
     multi = len(part_pairs) > 1
-    for k, pairs in enumerate(part_pairs):
-        cls = _classify_pairs(space, pairs)
+    for k, (pairs, summary) in enumerate(zip(part_pairs, summaries)):
+        cls = _classify(space, summary)
         assert not isinstance(cls, Unclassifiable), "grouping must classify"
         part_id = f"{option.name}#{k}" if multi else option.name
         effect = GroundingSet.of(lvl, {t for _, t in pairs})
@@ -376,15 +468,11 @@ class AbstractLevel:
 
 
 def _partition_all(
-    options: Sequence[Option],
-    level,
-    part_limit: int,
-    terminal_maps: Mapping[str, Mapping[int, int]] | None = None,
+    options: Sequence[Option], level, part_limit: int
 ) -> list[OptionPart]:
     parts: list[OptionPart] = []
     for o in options:
-        tmap = terminal_maps.get(o.name) if terminal_maps else None
-        parts.extend(partition_option(o, level, part_limit, _terminals=tmap).parts)
+        parts.extend(partition_option(o, level, part_limit).parts)
     return parts
 
 

@@ -59,7 +59,18 @@ def with_domain_options(f):
     return f
 
 
-@click.group()
+class _Commands(click.Group):
+    """Reports a library error as one ``error:`` line and exit code 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except HierplanError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Commands)
 def cli() -> None:
     """Abstraction hierarchies over discrete MDPs: build them, answer
     plan queries top-down, refine to base actions, benchmark."""
@@ -183,12 +194,8 @@ def export_pddl_cmd(domain_file, option_sets, reward_mode, level_index, out_dir,
 
 
 def main() -> None:
-    """Entry point that maps library errors to exit code 1."""
-    try:
-        cli.main(standalone_mode=True)
-    except HierplanError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    """Console entry point."""
+    cli()
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .errors import (
     NotInInitiationSet,
     StepBoundExceeded,
     UndefinedPolicy,
+    UnknownName,
 )
 from .symbols import GroundingSet
 
@@ -96,7 +97,7 @@ class StateSpace:
         cols = []
         for var, allowed in constraints.items():
             if var not in names:
-                raise KeyError(f"unknown variable {var!r}")
+                raise UnknownName(f"unknown variable {var!r}")
             if not isinstance(allowed, (list, tuple, set, frozenset)):
                 allowed = (allowed,)
             cols.append((names.index(var), tuple(allowed)))

@@ -25,6 +25,16 @@ class UndefinedPolicy(HierplanError):
     """An option policy has no entry for a state reached during execution."""
 
 
+class UnknownName(HierplanError, KeyError):
+    """Input names a variable, depot or other entity that does not exist.
+
+    Also a ``KeyError``, so callers that catch the lookup failure keep
+    working.
+    """
+
+    __str__ = Exception.__str__  # KeyError would quote the message
+
+
 class LevelMismatch(HierplanError):
     """Set operation between grounding sets of different levels."""
 

@@ -89,14 +89,20 @@ class GroundingSet:
     def __contains__(self, index: int) -> bool:
         return index >= 0 and (self.bits >> index) & 1 == 1
 
+    def bitstring(self, width: int = 0) -> str:
+        """Membership as ``"1"``/``"0"`` characters, index 0 first, padded
+        with ``"0"`` to at least ``width``. Indexing it tests membership in
+        constant time, where ``in`` shifts the whole int."""
+        return bin(self.bits)[:1:-1].ljust(width, "0")
+
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        i = 0
-        while bits:
-            if bits & 1:
-                yield i
-            bits >>= 1
-            i += 1
+        # one pass over the binary digits; shifting the int one bit at a
+        # time would be quadratic in the width
+        digits = self.bitstring()
+        i = digits.find("1")
+        while i >= 0:
+            yield i
+            i = digits.find("1", i + 1)
 
     def __len__(self) -> int:
         return self.bits.bit_count()

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .abstraction import RewardMode
 from .core import BaseMDP, Option, StateSpace, Variable
+from .errors import UnknownName
 from .hierarchy import Hierarchy, PlanQuery
 from .symbols import GroundingSet
 
@@ -61,7 +62,12 @@ class TaxiLayout:
         return 0 <= c[0] < self.width and 0 <= c[1] < self.height
 
     def depot_cell(self, name: str) -> Cell:
-        return dict(self.depots)[name]
+        cells = dict(self.depots)
+        if name not in cells:
+            raise UnknownName(
+                f"unknown depot {name!r} (known: {', '.join(cells)})"
+            )
+        return cells[name]
 
     def depot_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.depots)

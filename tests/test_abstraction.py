@@ -1,6 +1,8 @@
 """Effect sets, option classification and partitioning, and the two
 abstract-level constructions."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from hierplan import (
     StateSpace,
     Subgoal,
     Unclassifiable,
+    Variable,
     assign_rewards,
     build_factored_abstraction,
     build_plan_graph,
@@ -23,13 +26,21 @@ from hierplan import (
     partition_option,
 )
 from hierplan.errors import (
+    InapplicableAction,
     InvalidSeed,
     MissingStatistics,
     NoSubgoalStructure,
     PartitionExplosion,
+    StepBoundExceeded,
+    UndefinedPolicy,
 )
-from hierplan import build_taxi
-from hierplan.taxi import depot_seed_states, taxi_options_level1, taxi_options_level2
+from hierplan import build_taxi, build_taxi_hierarchy
+from hierplan.taxi import (
+    TaxiLayout,
+    depot_seed_states,
+    taxi_options_level1,
+    taxi_options_level2,
+)
 
 from conftest import DEPOTS, state_of
 
@@ -67,6 +78,126 @@ class TestEffectSets:
         assert set(effect.states) == {s_star}
 
 
+class TestTerminalMaps:
+    """The memoized terminal maps behind effect sets and partitions agree
+    with one ``execute_option`` per initiation state."""
+
+    @staticmethod
+    def fresh_levels(h):
+        """(level, fresh options over it) for both taxi option sets."""
+        return [
+            (h.level(0), lambda: taxi_options_level1(h.base)),
+            (h.level(1), lambda: taxi_options_level2(h)),
+        ]
+
+    def test_effects_and_parts_match_per_start_execution(self, taxi_hierarchy):
+        for level, fresh in self.fresh_levels(taxi_hierarchy):
+            for option in fresh():
+                ends = {
+                    s: execute_option(level, option, s, record_stats=False).end
+                    for s in option.initiation
+                }
+                effect = compute_effect_set(option, level)
+                assert set(effect.states) == set(ends.values())
+                for part in partition_option(option, level).parts:
+                    part_ends = {ends[s] for s in part.initiation}
+                    assert set(part.effect) == part_ends
+                    if part.terminal_state is not None:
+                        assert part_ends == {part.terminal_state}
+
+    def test_statistics_match_per_start_execution(self, taxi_hierarchy):
+        for level, fresh in self.fresh_levels(taxi_hierarchy):
+            for memo, per_start in zip(fresh(), fresh()):
+                compute_effect_set(memo, level)
+                for s in per_start.initiation:
+                    execute_option(level, per_start, s)
+                assert memo.reward_stats.count == per_start.reward_stats.count
+                assert memo.duration_stats.count == per_start.duration_stats.count
+                assert memo.duration_stats.mean == per_start.duration_stats.mean
+                # returns are summed from the end of the walk backwards
+                assert memo.reward_stats.mean == pytest.approx(
+                    per_start.reward_stats.mean, rel=1e-12
+                )
+
+    # 0 reaches the terminal state 4 in one step; 1 -> 2 -> 3 -> 2 loops;
+    # "stuck" applies nowhere
+    CHAIN = {(0, "go"): 4, (1, "go"): 2, (2, "go"): 3, (3, "go"): 2}
+
+    @pytest.mark.parametrize(
+        "policy, error",
+        [
+            ({0: "go", 1: "go", 2: "go", 3: "go"}, StepBoundExceeded),
+            ({0: "go", 1: "go", 2: "go"}, UndefinedPolicy),
+            ({0: "go", 1: "go", 2: "stuck"}, InapplicableAction),
+        ],
+    )
+    def test_first_failing_start_raises_as_per_start_execution(self, policy, error):
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=5),
+            actions=("go", "stuck"),
+            transition=self.CHAIN,
+            reward={(s, a, t): -1.0 for (s, a), t in self.CHAIN.items()},
+        )
+        option = Option(
+            name="broken",
+            initiation=GroundingSet.of(0, {0, 1, 2}),
+            termination=GroundingSet.of(0, {4}),
+            policy=policy,
+        )
+        # start 0 succeeds; start 1 is the first to fail
+        execute_option(mdp, option, 0, record_stats=False)
+        with pytest.raises(error) as per_start:
+            execute_option(mdp, option, 1, record_stats=False)
+        with pytest.raises(error, match=re.escape(str(per_start.value))):
+            compute_effect_set(option, mdp)
+        if error is StepBoundExceeded:
+            assert "from state 1" in str(per_start.value)
+        # statistics were recorded for start 0 only, as per-start runs do
+        assert option.duration_stats.count == 1
+        assert option.duration_stats.mean == 1.0
+
+    def test_statistics_recorded_once_per_start_in_ascending_order(self, taxi_mdp):
+        class Recorder:
+            def __init__(self):
+                self.seen = []
+
+            def update(self, value):
+                self.seen.append(value)
+
+        drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
+        recorder = Recorder()
+        watched = Option(
+            name=drive.name,
+            initiation=drive.initiation,
+            termination=drive.termination,
+            policy=drive.policy,
+            duration_stats=recorder,
+        )
+        partition_option(watched, taxi_mdp)
+        assert recorder.seen == [
+            execute_option(taxi_mdp, drive, s, record_stats=False).steps
+            for s in sorted(drive.initiation)
+        ]
+
+    def test_open_8x8_grid_builds_and_validates(self):
+        layout = TaxiLayout(
+            width=8,
+            height=8,
+            depots=(
+                ("red", (0, 7)),
+                ("green", (7, 7)),
+                ("blue", (7, 0)),
+                ("yellow", (0, 0)),
+            ),
+        )
+        h = build_taxi_hierarchy(layout)
+        assert h.validate() == []
+        assert [h.num_states(j) for j in range(3)] == [4160, 20, 4]
+        assert len(h.base.transition) == 16768
+        assert [len(h.level(j).actions) for j in (1, 2)] == [10, 4]
+        assert [len(h.level(j).transitions) for j in (1, 2)] == [108, 12]
+
+
 class TestClassification:
     def test_passenger_to_red_is_subgoal(self, fresh_hierarchy):
         h = fresh_hierarchy
@@ -85,6 +216,20 @@ class TestClassification:
         cls = classify_option(restricted, taxi_mdp)
         assert isinstance(cls, AbstractSubgoal)
         assert cls.mask == {"taxi-x", "taxi-y"}
+
+    def test_zero_step_starts_are_identity_abstract_subgoal(self, taxi_mdp):
+        """Starts already in the termination set end where they began: no
+        variable changes, but the terminal state depends on the start."""
+        drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-red")
+        parked = Option(
+            name="drive-to-red-parked",
+            initiation=drive.termination,
+            termination=drive.termination,
+            policy=drive.policy,
+        )
+        assert classify_option(parked, taxi_mdp) == AbstractSubgoal(frozenset())
+        (part,) = partition_option(parked, taxi_mdp).parts
+        assert part.option_class == AbstractSubgoal(frozenset())
 
     def test_unrestricted_drive_is_unclassifiable(self, taxi_mdp):
         drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
@@ -172,6 +317,33 @@ class TestPartitioning:
             assert union.isdisjoint(p.initiation)
             union = union | p.initiation
         assert union == restricted.initiation
+
+    def test_distinct_full_mask_terminals_stay_separate_parts(self):
+        """Each start changes every variable, to different values: each
+        alone is a subgoal, together they do not classify."""
+        space = StateSpace(
+            level_index=0,
+            num_states=4,
+            variables=(Variable("a", (0, 1)), Variable("b", (0, 1))),
+            assignments=((0, 0), (1, 1), (0, 1), (1, 0)),
+        )
+        transition = {(0, "flip"): 1, (2, "flip"): 3}
+        mdp = BaseMDP(
+            space=space,
+            actions=("flip",),
+            transition=transition,
+            reward={(s, a, t): -1.0 for (s, a), t in transition.items()},
+        )
+        flip = Option(
+            name="flip",
+            initiation=GroundingSet.of(0, {0, 2}),
+            termination=GroundingSet.of(0, {1, 3}),
+            policy={0: "flip", 2: "flip"},
+        )
+        assert isinstance(classify_option(flip, mdp), Unclassifiable)
+        parts = partition_option(flip, mdp).parts
+        assert sorted(p.terminal_state for p in parts) == [1, 3]
+        assert all(isinstance(p.option_class, Subgoal) for p in parts)
 
     def test_partition_explosion(self):
         # a non-factored space where the option may stop in many states

@@ -203,3 +203,19 @@ class TestCLI:
         runner = CliRunner()
         result = runner.invoke(cli, ["export-pddl", "--level", "9"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "b_spec, message",
+        [
+            ('{"pass-at": "purple"}', "error: unknown depot 'purple'"),
+            ('{"colour": 1}', "error: unknown variable 'colour'"),
+        ],
+    )
+    def test_plan_unknown_name_prints_one_error_line(self, b_spec, message):
+        runner = CliRunner()
+        result = runner.invoke(
+            cli, ["plan", "--B", b_spec, "--G", '{"pass-at": "red"}']
+        )
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), result.output

@@ -1,6 +1,9 @@
 """Taxi domain facts: state counts, option sets, query expansion."""
 
+import pytest
+
 from hierplan import build_taxi, execute_option
+from hierplan.errors import HierplanError, UnknownName
 from hierplan.taxi import (
     DEFAULT_LAYOUT,
     TaxiLayout,
@@ -137,6 +140,13 @@ class TestQueryExpansion:
         g = expand_constraints(taxi_mdp, {"taxi-x": [0, 1], "in-taxi": False})
         assert all(taxi_mdp.space.value(s, "taxi-x") in (0, 1) for s in g)
         assert len(g) == 2 * 5 * 25
+
+    @pytest.mark.parametrize("spec", [{"pass-at": "purple"}, {"colour": 1}])
+    def test_unknown_names_raise_typed_key_errors(self, taxi_mdp, spec):
+        with pytest.raises(UnknownName) as err:
+            expand_constraints(taxi_mdp, spec)
+        assert isinstance(err.value, HierplanError)
+        assert isinstance(err.value, KeyError)
 
     def test_empty_constraint_is_everything(self, taxi_mdp):
         g = expand_constraints(taxi_mdp, {})
