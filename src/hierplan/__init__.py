@@ -23,7 +23,7 @@ from .abstraction import (
     compute_effect_set,
     partition_option,
 )
-from .bench import BenchmarkRow, FlatSMDP, flatten_options, run_benchmark
+from .bench import BenchmarkRow, flatten_options, run_benchmark
 from .core import (
     BaseMDP,
     ExecutionTrace,
@@ -52,7 +52,7 @@ from .planner import (
     planning_cost,
     refine,
 )
-from .symbols import GroundingSet, Symbol, SymbolTable, final_ground, ground
+from .symbols import GroundingSet
 from .taxi import (
     DEFAULT_LAYOUT,
     TaxiLayout,
@@ -73,7 +73,6 @@ __all__ = [
     "DEFAULT_LAYOUT",
     "EffectSet",
     "ExecutionTrace",
-    "FlatSMDP",
     "GroundingSet",
     "Hierarchy",
     "InstrumentationRecord",
@@ -88,8 +87,6 @@ __all__ = [
     "RunningMean",
     "StateSpace",
     "Subgoal",
-    "Symbol",
-    "SymbolTable",
     "TaxiLayout",
     "Unclassifiable",
     "Variable",
@@ -108,11 +105,9 @@ __all__ = [
     "execute_option",
     "execute_refined",
     "export_pddl",
-    "final_ground",
     "findplan",
     "findplan_value_iteration",
     "flatten_options",
-    "ground",
     "load_domain",
     "load_query",
     "one_step_preimage_options",

@@ -27,7 +27,13 @@ from functools import reduce
 from itertools import islice
 from typing import Any, Mapping, NamedTuple, Sequence
 
-from .core import Assignment, Option, StateSpace, default_step_bound
+from .core import (
+    Assignment,
+    Option,
+    StateSpace,
+    default_step_bound,
+    predecessor_index,
+)
 from .errors import (
     InapplicableAction,
     InvalidSeed,
@@ -407,16 +413,11 @@ class AbstractLevel:
         by_option: dict[str, list[OptionPart]] = {}
         for p in self.actions:
             by_option.setdefault(p.option_id, []).append(p)
-        preds: dict[int, list[tuple[int, str]]] = {}
-        for (s, a), t in self.transitions.items():
-            preds.setdefault(t, []).append((s, a))
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(
             self, "_by_option", {k: tuple(v) for k, v in by_option.items()}
         )
-        object.__setattr__(
-            self, "_predecessors", {t: tuple(v) for t, v in preds.items()}
-        )
+        object.__setattr__(self, "_predecessors", predecessor_index(self.transitions))
 
     @property
     def level_index(self) -> int:
@@ -432,9 +433,6 @@ class AbstractLevel:
 
     def part(self, part_id: str) -> OptionPart:
         return self._by_id[part_id]
-
-    def parts_of(self, option_id: str) -> tuple[OptionPart, ...]:
-        return self._by_option.get(option_id, ())
 
     def grounding_of(self, state: int) -> GroundingSet:
         return self.groundings[state]

@@ -6,7 +6,8 @@
   so their sum is the hierarchical total);
 * base + options: planning over the base MDP augmented with every option
   flattened to its base-level endpoint map (temporal abstraction without
-  state abstraction);
+  state abstraction), itself a `BaseMDP` with one extra action per
+  option;
 * flat: planning over the bare base MDP.
 
 Each mode runs ``repetitions`` times after one untimed warm-up; rows
@@ -19,7 +20,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .core import BaseMDP
@@ -27,79 +28,29 @@ from .hierarchy import Hierarchy, PlanQuery
 from .planner import answer_query, execute_refined, findplan
 
 
-@dataclass(frozen=True)
-class FlatSMDP:
-    """Base MDP plus flattened options, for planning without state
-    abstraction. Satisfies the same level protocol as BaseMDP."""
-
-    base: BaseMDP
-    extra_transitions: Mapping[tuple[int, str], int]
-    extra_rewards: Mapping[tuple[int, str], float]
-    extra_actions: tuple[str, ...]
-    _predecessors: dict[int, tuple[tuple[int, str], ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        preds: dict[int, list[tuple[int, str]]] = {}
-        for (s, a), t in self.base.transition.items():
-            preds.setdefault(t, []).append((s, a))
-        for (s, a), t in self.extra_transitions.items():
-            preds.setdefault(t, []).append((s, a))
-        object.__setattr__(
-            self, "_predecessors", {t: tuple(v) for t, v in preds.items()}
-        )
-
-    @property
-    def level_index(self) -> int:
-        return 0
-
-    @property
-    def num_states(self) -> int:
-        return self.base.num_states
-
-    @property
-    def action_ids(self) -> tuple[str, ...]:
-        return self.base.actions + self.extra_actions
-
-    def successor(self, state: int, action: str) -> int | None:
-        t = self.base.transition.get((state, action))
-        if t is not None:
-            return t
-        return self.extra_transitions.get((state, action))
-
-    def predecessor_edges(self, state: int) -> tuple[tuple[int, str], ...]:
-        return self._predecessors.get(state, ())
-
-    def reward_of(self, state: int, action: str, successor: int) -> float:
-        r = self.base.reward.get((state, action, successor))
-        if r is not None:
-            return r
-        return self.extra_rewards[(state, action)]
-
-
-def flatten_options(h: Hierarchy) -> FlatSMDP:
-    """Add every option of every level into the base MDP as a one-shot
-    action whose endpoints come from actual refined execution."""
-    transitions: dict[tuple[int, str], int] = {}
-    rewards: dict[tuple[int, str], float] = {}
+def flatten_options(h: Hierarchy) -> BaseMDP:
+    """The base MDP plus every option of every level as a one-shot action
+    named ``<option>@<level>``, whose endpoints and rewards come from
+    actual refined execution. Zero-step executions add no edge."""
+    transition = dict(h.base.transition)
+    reward = dict(h.base.reward)
     names: list[str] = []
     for j, options in enumerate(h.option_sets, start=1):
         for option in options:
             name = f"{option.name}@{j}"
             names.append(name)
-            base_init = h.final_ground(j - 1, option.initiation)
-            for x in base_init:
+            for x in h.final_ground(j - 1, option.initiation):
                 trace = execute_refined(h, j, option, x)
                 if trace.steps == 0:
                     continue
-                transitions[(x, name)] = trace.end
-                rewards[(x, name)] = trace.cumulative_reward
-    return FlatSMDP(
-        base=h.base,
-        extra_transitions=transitions,
-        extra_rewards=rewards,
-        extra_actions=tuple(names),
+                transition[(x, name)] = trace.end
+                reward[(x, name, trace.end)] = trace.cumulative_reward
+    return BaseMDP(
+        space=h.base.space,
+        actions=h.base.actions + tuple(names),
+        transition=transition,
+        reward=reward,
+        gamma=h.base.gamma,
     )
 
 
@@ -127,7 +78,7 @@ def run_benchmark(
     h: Hierarchy,
     queries: Mapping[str, PlanQuery],
     repetitions: int = 100,
-    smdp: FlatSMDP | None = None,
+    smdp: BaseMDP | None = None,
 ) -> list[BenchmarkRow]:
     """Time all three modes for each query; one warm-up run per mode is
     excluded, and the flattened SMDP is built once outside all timers."""

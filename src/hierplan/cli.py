@@ -16,7 +16,7 @@ from . import taxi as taxi_mod
 from .abstraction import RewardMode
 from .bench import rows_to_csv, rows_to_json, run_benchmark
 from .domain_io import expand_generic, load_domain, load_query
-from .errors import HierplanError
+from .errors import HierplanError, MalformedInput
 from .hierarchy import Hierarchy, PlanQuery
 from .pddl import export_pddl
 from .planner import answer_query, planning_cost, refine
@@ -35,6 +35,13 @@ def _build_hierarchy(domain_file: str | None, option_sets: tuple[str, ...],
             raise click.ClickException(f"domain file defines no option set {name!r}")
         h = h.add_level(named[name])
     return h, "file"
+
+
+def _json_arg(flag: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{flag} is not valid JSON: {exc}") from None
 
 
 def _expander(kind: str):
@@ -117,7 +124,8 @@ def plan(domain_file, option_sets, reward_mode, query_file, b_spec, g_spec,
         query = load_query(h.base, query_file, expand=expand)
     elif b_spec and g_spec:
         query = PlanQuery(
-            expand(h.base, json.loads(b_spec)), expand(h.base, json.loads(g_spec))
+            expand(h.base, _json_arg("--B", b_spec)),
+            expand(h.base, _json_arg("--G", g_spec)),
         )
     else:
         raise click.ClickException("need --query-file or both --B and --G")

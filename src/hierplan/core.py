@@ -118,6 +118,17 @@ class StateSpace:
         return f"s{state}"
 
 
+def predecessor_index(
+    transitions: Mapping[tuple[int, str], int],
+) -> dict[int, tuple[tuple[int, str], ...]]:
+    """For every target state, the ``(state, action)`` edges entering it,
+    in the transition map's order."""
+    preds: dict[int, list[tuple[int, str]]] = {}
+    for (s, a), t in transitions.items():
+        preds.setdefault(t, []).append((s, a))
+    return {t: tuple(v) for t, v in preds.items()}
+
+
 @dataclass
 class RunningMean:
     """Single-writer running mean; safe for concurrent reads only."""
@@ -151,14 +162,13 @@ class BaseMDP:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        preds: dict[int, list[tuple[int, str]]] = {}
+        declared = set(self.actions)
         for (s, a), t in self.transition.items():
             if not (0 <= s < self.space.num_states and 0 <= t < self.space.num_states):
                 raise ValueError(f"transition ({s}, {a!r}) -> {t} leaves the space")
-            preds.setdefault(t, []).append((s, a))
-        object.__setattr__(
-            self, "_predecessors", {t: tuple(v) for t, v in preds.items()}
-        )
+            if a not in declared:
+                raise UnknownName(f"transition ({s}, {a!r}) uses an undeclared action")
+        object.__setattr__(self, "_predecessors", predecessor_index(self.transition))
 
     @property
     def level_index(self) -> int:

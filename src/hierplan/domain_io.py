@@ -37,6 +37,7 @@ import json
 from pathlib import Path
 
 from .core import BaseMDP, Option, StateSpace, Variable
+from .errors import MalformedInput
 from .hierarchy import PlanQuery
 from .symbols import GroundingSet
 
@@ -44,7 +45,17 @@ from .symbols import GroundingSet
 def _read(source) -> dict:
     if isinstance(source, dict):
         return source
-    return json.loads(Path(source).read_text())
+    try:
+        return json.loads(Path(source).read_text())
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{source} is not valid JSON: {exc}") from None
+
+
+def _require(data: dict, key: str, what: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise MalformedInput(f"{what} has no {key!r} key") from None
 
 
 def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
@@ -54,7 +65,7 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
     variables = data.get("variables")
     if variables is not None:
         vars_t = tuple(Variable(n, tuple(dom)) for n, dom in variables)
-        assignments = tuple(tuple(a) for a in data["states"])
+        assignments = tuple(tuple(a) for a in _require(data, "states", "domain"))
         space = StateSpace(
             level_index=0,
             num_states=len(assignments),
@@ -65,31 +76,33 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
     else:
         space = StateSpace(
             level_index=0,
-            num_states=int(data["num_states"]),
+            num_states=int(_require(data, "num_states", "domain")),
             labels=tuple(data["labels"]) if "labels" in data else None,
         )
     transition: dict[tuple[int, str], int] = {}
     reward: dict[tuple[int, str, int], float] = {}
-    for entry in data["transitions"]:
-        s, a, t = entry[0], entry[1], entry[2]
-        r = float(entry[3]) if len(entry) > 3 else -1.0
-        transition[(int(s), a)] = int(t)
-        reward[(int(s), a, int(t))] = r
+    for entry in _require(data, "transitions", "domain"):
+        s, a, t = int(entry[0]), entry[1], int(entry[2])
+        if (s, a) in transition:
+            raise MalformedInput(f"transition ({s}, {a!r}) given twice")
+        transition[(s, a)] = t
+        reward[(s, a, t)] = float(entry[3]) if len(entry) > 3 else -1.0
     mdp = BaseMDP(
         space=space,
-        actions=tuple(data["actions"]),
+        actions=tuple(_require(data, "actions", "domain")),
         transition=transition,
         reward=reward,
         gamma=float(data.get("gamma", 1.0)),
     )
     option_sets: dict[str, list[Option]] = {}
     for set_name, entries in data.get("options", {}).items():
+        what = f"an option of set {set_name!r}"
         option_sets[set_name] = [
             Option(
-                name=e["name"],
-                initiation=GroundingSet.of(0, e["initiation"]),
-                termination=GroundingSet.of(0, e["termination"]),
-                policy={int(k): v for k, v in e["policy"].items()},
+                name=_require(e, "name", what),
+                initiation=GroundingSet.of(0, _require(e, "initiation", what)),
+                termination=GroundingSet.of(0, _require(e, "termination", what)),
+                policy={int(k): v for k, v in _require(e, "policy", what).items()},
             )
             for e in entries
         ]
@@ -110,4 +123,7 @@ def load_query(mdp: BaseMDP, source, expand=None) -> PlanQuery:
     expansion (the CLI passes the taxi-aware expander for taxi runs)."""
     data = _read(source)
     expander = expand if expand is not None else expand_generic
-    return PlanQuery(expander(mdp, data["B"]), expander(mdp, data["G"]))
+    return PlanQuery(
+        expander(mdp, _require(data, "B", "query")),
+        expander(mdp, _require(data, "G", "query")),
+    )

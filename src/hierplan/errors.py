@@ -35,16 +35,17 @@ class UnknownName(HierplanError, KeyError):
     __str__ = Exception.__str__  # KeyError would quote the message
 
 
+class MalformedInput(HierplanError):
+    """A domain, option set or query is not well-formed: invalid JSON, a
+    missing key or a transition given twice."""
+
+
 class LevelMismatch(HierplanError):
     """Set operation between grounding sets of different levels."""
 
 
 class LevelOutOfRange(HierplanError):
     """Level index outside the hierarchy's range."""
-
-
-class DuplicateSymbol(HierplanError):
-    """Symbol name already defined in the level's symbol table."""
 
 
 class EmptyOptionSet(HierplanError):
@@ -88,7 +89,3 @@ class RefinementFault(HierplanError):
     Indicates a broken hierarchy invariant (unsound image or
     applicability), not a recoverable condition.
     """
-
-
-class NotFactored(HierplanError):
-    """PDDL export requested for a level that does not exist."""

@@ -32,8 +32,13 @@ from .abstraction import (
     build_plan_graph,
 )
 from .core import BaseMDP, Option, execute_option
-from .errors import EmptyOptionSet, LevelOutOfRange, NoFactoredStructure
-from .symbols import GroundingSet, final_ground as _final_ground, ground as _ground
+from .errors import (
+    EmptyOptionSet,
+    LevelMismatch,
+    LevelOutOfRange,
+    NoFactoredStructure,
+)
+from .symbols import GroundingSet
 
 
 @dataclass(frozen=True)
@@ -120,11 +125,33 @@ class Hierarchy:
             raise LevelOutOfRange(f"level {j} not in 0..{self.num_levels}")
         return self._base_groundings[j - 1][state]
 
-    def ground(self, j: int, states: GroundingSet) -> GroundingSet:
-        return _ground(self, j, states)
+    def ground(self, j: int, states: GroundingSet | int) -> GroundingSet:
+        """Grounding one level down: the level-``j-1`` states a level-``j``
+        state (or a set of them, by union) refers to."""
+        if not 1 <= j <= self.num_levels:
+            raise LevelOutOfRange(f"level {j} not in 1..{self.num_levels}")
+        if isinstance(states, int):
+            return self.grounding_of(j, states)
+        if states.level_index != j:
+            raise LevelMismatch(f"expected level {j}, got {states.level_index}")
+        out = GroundingSet.empty(j - 1)
+        for s in states:
+            out = out | self.grounding_of(j, s)
+        return out
 
     def final_ground(self, j: int, states: GroundingSet) -> GroundingSet:
-        return _final_ground(self, j, states)
+        """Grounding composed all the way to the base MDP (identity at
+        level 0)."""
+        if not 0 <= j <= self.num_levels:
+            raise LevelOutOfRange(f"level {j} not in 0..{self.num_levels}")
+        if states.level_index != j:
+            raise LevelMismatch(f"expected level {j}, got {states.level_index}")
+        if j == 0:
+            return states
+        out = GroundingSet.empty(0)
+        for s in states:
+            out = out | self.final_grounding_of(j, s)
+        return out
 
     # -- construction -------------------------------------------------------
 

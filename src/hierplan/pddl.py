@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .abstraction import AbstractLevel, Construction, OptionPart
 from .core import StateSpace
-from .errors import NotFactored
+from .errors import LevelOutOfRange, UnknownName
 from .hierarchy import Hierarchy
 
 
@@ -71,13 +71,13 @@ def export_pddl(
     last state; both can be overridden with explicit state ids.
     """
     if not 1 <= level_index <= h.num_levels:
-        raise NotFactored(f"no abstract level {level_index} to export")
+        raise LevelOutOfRange(f"no abstract level {level_index} to export")
     level: AbstractLevel = h.level(level_index)
     init = init_state if init_state is not None else 0
     goal = goal_state if goal_state is not None else level.num_states - 1
     for s in (init, goal):
         if not 0 <= s < level.num_states:
-            raise NotFactored(f"state {s} outside level {level_index}")
+            raise UnknownName(f"no state {s} at level {level_index}")
     if level.construction is Construction.FACTORED:
         return _export_factored(h, level, domain_name, problem_name, init, goal)
     return _export_plan_graph(level, domain_name, problem_name, init, goal)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .abstraction import AbstractLevel
 from .core import ExecutionTrace, Option, execute_option
@@ -124,55 +123,39 @@ def planning_cost(record: InstrumentationRecord) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_starts(h: Hierarchy, j: int, starts: GroundingSet):
-    members = []
-    covered = GroundingSet.empty(0)
-    ops = 0
-    for s in range(h.num_states(j)):
-        g0 = h.final_grounding_of(j, s)
-        ops += 1
-        if not g0.isdisjoint(starts):
-            members.append(s)
-            covered = covered | g0
-    if not starts.issubset(covered):
-        return None, ops
-    return GroundingSet.of(j, members), ops
-
-
-def _candidate_goals(h: Hierarchy, j: int, goals: GroundingSet):
-    members = []
-    ops = 0
-    for s in range(h.num_states(j)):
-        ops += 1
-        if h.final_grounding_of(j, s).issubset(goals):
-            members.append(s)
-    if not members:
-        return None, ops
-    return GroundingSet.of(j, members), ops
-
-
 def candidate_starts(h: Hierarchy, j: int, starts: GroundingSet) -> GroundingSet:
     """Maximal start candidate at level ``j``: every state whose base
     grounding meets ``starts``. Valid only if the union of those
     groundings covers ``starts``; otherwise no usable start set exists at
-    this level and NoMatch is raised."""
+    this level and NoMatch is raised. Makes exactly ``num_states(j)``
+    grounding-set tests."""
     if not 0 <= j <= h.num_levels:
         raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
-    result, _ = _candidate_starts(h, j, starts)
-    if result is None:
+    members = []
+    covered = GroundingSet.empty(0)
+    for s in range(h.num_states(j)):
+        g0 = h.final_grounding_of(j, s)
+        if not g0.isdisjoint(starts):
+            members.append(s)
+            covered = covered | g0
+    if not starts.issubset(covered):
         raise NoMatch(f"start set not covered at level {j}")
-    return result
+    return GroundingSet.of(j, members)
 
 
 def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     """Maximal goal candidate at level ``j``: every state whose base
-    grounding lies inside ``goals``. NoMatch when there is none."""
+    grounding lies inside ``goals``. NoMatch when there is none. Makes
+    exactly ``num_states(j)`` grounding-set tests."""
     if not 0 <= j <= h.num_levels:
         raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
-    result, _ = _candidate_goals(h, j, goals)
-    if result is None:
+    members = []
+    for s in range(h.num_states(j)):
+        if h.final_grounding_of(j, s).issubset(goals):
+            members.append(s)
+    if not members:
         raise NoMatch(f"no state grounds inside the goal set at level {j}")
-    return result
+    return GroundingSet.of(j, members)
 
 
 def plan_match(h: Hierarchy, pair: MatchPair, query: PlanQuery) -> bool:
@@ -193,15 +176,28 @@ def plan_match(h: Hierarchy, pair: MatchPair, query: PlanQuery) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _findplan_ops(level, starts: GroundingSet, goals: GroundingSet):
-    """Backward breadth-first reachability from ``goals``.
+def _charge(record: InstrumentationRecord | None, j: int, ops: int) -> None:
+    """Add a plan search's edge examinations at level ``j`` to ``record``."""
+    if record is not None:
+        record.plan_ops[j] = ops
+        record.total_ops += ops
 
-    Returns (plan, ops) where ops counts edge examinations; plan is None
-    unless every start state can reach a goal. The full backward closure
-    of the goal set is computed, so the policy covers every state that
-    can reach a goal, not just the requested starts. Policy extraction
-    keeps the first action (in the level's declared order) that steps one
-    level closer, which makes plans deterministic.
+
+def findplan(
+    level,
+    starts: GroundingSet,
+    goals: GroundingSet,
+    record: InstrumentationRecord | None = None,
+) -> Plan | None:
+    """Feasibility planning: a policy reaching ``goals`` from every state
+    in ``starts``, or None when some start cannot reach any goal.
+
+    Backward breadth-first reachability from ``goals``. The full backward
+    closure of the goal set is computed, so the policy covers every state
+    that can reach a goal, not just the requested starts. Policy
+    extraction keeps the first action (in the level's declared order)
+    that steps one level closer, which makes plans deterministic. The
+    edge examinations are added to ``record`` when one is given.
     """
     dist: dict[int, int] = {g: 0 for g in goals}
     frontier = sorted(goals)
@@ -216,7 +212,8 @@ def _findplan_ops(level, starts: GroundingSet, goals: GroundingSet):
                     nxt.append(pred)
         frontier = sorted(nxt)
     if any(s not in dist for s in starts):
-        return None, ops
+        _charge(record, level.level_index, ops)
+        return None
     policy: dict[int, str] = {}
     successors: dict[tuple[int, str], int] = {}
     for s, d in dist.items():
@@ -229,28 +226,31 @@ def _findplan_ops(level, starts: GroundingSet, goals: GroundingSet):
                 policy[s] = action
                 successors[(s, action)] = t
                 break
-    return (
-        Plan(
-            level_index=level.level_index,
-            policy=policy,
-            starts=starts,
-            goals=goals,
-            _successors=successors,
-        ),
-        ops,
+    _charge(record, level.level_index, ops)
+    return Plan(
+        level_index=level.level_index,
+        policy=policy,
+        starts=starts,
+        goals=goals,
+        _successors=successors,
     )
 
 
-def findplan(level, starts: GroundingSet, goals: GroundingSet) -> Plan | None:
-    """Feasibility planning: a policy reaching ``goals`` from every state
-    in ``starts``, or None when some start cannot reach any goal."""
-    plan, _ = _findplan_ops(level, starts, goals)
-    return plan
+def findplan_value_iteration(
+    level,
+    starts: GroundingSet,
+    goals: GroundingSet,
+    max_sweeps: int | None = None,
+    record: InstrumentationRecord | None = None,
+) -> Plan | None:
+    """Reward-optimal variant: value iteration with the level's rewards
+    and discount, goals absorbing at value zero.
 
-
-def _findplan_vi_ops(
-    level, starts: GroundingSet, goals: GroundingSet, max_sweeps: int | None = None
-):
+    With the uniform -1 penalty and no discounting this coincides with
+    shortest paths. Feasibility criteria in callers should prefer
+    `findplan`; this exists for reward-sensitive plan extraction. The
+    edge examinations are added to ``record`` when one is given.
+    """
     gamma = getattr(level, "gamma", 1.0)
     sweeps = max_sweeps if max_sweeps is not None else level.num_states + 1
     value: dict[int, float] = {g: 0.0 for g in goals}
@@ -279,32 +279,16 @@ def _findplan_vi_ops(
                 changed = True
         if not changed:
             break
+    _charge(record, level.level_index, ops)
     if any(s not in value for s in starts):
-        return None, ops
-    policy = {s: a for s, (a, _) in best.items()}
-    successors = {(s, a): t for s, (a, t) in best.items()}
-    plan = Plan(
+        return None
+    return Plan(
         level_index=level.level_index,
-        policy=policy,
+        policy={s: a for s, (a, _) in best.items()},
         starts=starts,
         goals=goals,
-        _successors=successors,
+        _successors={(s, a): t for s, (a, t) in best.items()},
     )
-    return plan, ops
-
-
-def findplan_value_iteration(
-    level, starts: GroundingSet, goals: GroundingSet, max_sweeps: int | None = None
-) -> Plan | None:
-    """Reward-optimal variant: value iteration with the level's rewards
-    and discount, goals absorbing at value zero.
-
-    With the uniform -1 penalty and no discounting this coincides with
-    shortest paths. Feasibility criteria in callers should prefer
-    `findplan`; this exists for reward-sensitive plan extraction.
-    """
-    plan, _ = _findplan_vi_ops(level, starts, goals, max_sweeps)
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +323,15 @@ def answer_query(
         raise LevelOutOfRange(f"level {top} not in 0..{h.num_levels}")
     if plan_mode not in ("reachability", "value-iteration"):
         raise ValueError(f"unknown plan mode {plan_mode!r}")
+    search = findplan if plan_mode == "reachability" else findplan_value_iteration
     record = InstrumentationRecord(search_top=top)
     clock = time.perf_counter()
     for j in range(top, -1, -1):
-        starts, ops_b = _candidate_starts(h, j, query.starts)
-        goals, ops_g = _candidate_goals(h, j, query.goals)
-        record.match_ops[j] = ops_b + ops_g
-        record.total_ops += ops_b + ops_g
+        starts = _match(candidate_starts, h, j, query.starts)
+        goals = _match(candidate_goals, h, j, query.goals)
+        # each candidate tests every state of the level once
+        record.match_ops[j] = 2 * h.num_states(j)
+        record.total_ops += record.match_ops[j]
         now = time.perf_counter()
         record.match_seconds += now - clock
         clock = now
@@ -353,13 +339,7 @@ def answer_query(
             continue
         if record.first_match_level is None:
             record.first_match_level = j
-        level = h.level(j)
-        if plan_mode == "reachability":
-            plan, ops_p = _findplan_ops(level, starts, goals)
-        else:
-            plan, ops_p = _findplan_vi_ops(level, starts, goals)
-        record.plan_ops[j] = ops_p
-        record.total_ops += ops_p
+        plan = search(h.level(j), starts, goals, record=record)
         now = time.perf_counter()
         record.plan_seconds += now - clock
         clock = now
@@ -369,15 +349,27 @@ def answer_query(
     return None
 
 
+def _match(candidates, h: Hierarchy, j: int, states: GroundingSet) -> GroundingSet | None:
+    try:
+        return candidates(h, j, states)
+    except NoMatch:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # refinement to base actions
 # ---------------------------------------------------------------------------
 
 
-def _localize(h: Hierarchy, j: int, candidates: Iterable[int], base_state: int) -> int:
-    for s in sorted(candidates):
-        if base_state in h.final_grounding_of(j, s):
-            return s
+def _localize(h: Hierarchy, j: int, candidates: GroundingSet, base_state: int) -> int:
+    """The lowest candidate level-``j`` state grounding ``base_state``."""
+    if j == 0:
+        if base_state in candidates:
+            return base_state
+    else:
+        for s in candidates:
+            if base_state in h.final_grounding_of(j, s):
+                return s
     raise RefinementFault(
         f"base state {base_state} not grounded by any candidate at level {j}"
     )
@@ -439,17 +431,18 @@ def execute_refined(
 
     ``level_of_option`` is the level whose action set the option belongs
     to (so the option's own policy runs over ``level_of_option - 1``).
-    The base start must be grounded by some initiation state.
+    The base start must be grounded by some initiation state. The cursor
+    at each level below is localized once, then advanced with the level's
+    own transition map (never re-localized), which is exactly the
+    no-backtracking refinement the hierarchy's soundness invariants
+    guarantee. Any mismatch surfaces as RefinementFault.
     """
     if level_of_option < 1:
         raise LevelOutOfRange("options live at levels 1 and above")
-    if level_of_option == 1:
-        return execute_option(h.base, option, base_start)
     j = level_of_option - 1
-    top = _localize(h, j, option.initiation, base_start)
     cursor = [0] * level_of_option
     cursor[0] = base_start
-    cursor[j] = top
+    cursor[j] = _localize(h, j, option.initiation, base_start)
     for i in range(j, 1, -1):
         cursor[i - 1] = _localize(h, i - 1, h.grounding_of(i, cursor[i]), base_start)
     segments: list[ExecutionTrace] = []
@@ -467,63 +460,19 @@ def execute_refined(
 
 
 def refine(h: Hierarchy, plan: Plan, start: int) -> ExecutionTrace:
-    """Execute a plan from one base state, recursively unrolling each
-    selected option's policy down to primitive actions.
+    """Execute a plan from one base state down to primitive actions.
 
-    The abstract cursor at each level is advanced with the level's own
-    transition map (never re-localized), which is exactly the
-    no-backtracking refinement the hierarchy's soundness invariants
-    guarantee. Any mismatch surfaces as RefinementFault.
+    A plan at level ``j`` is an option over level ``j``: its starts are
+    the initiation set, its goals the termination set and its policy the
+    option's policy. Refining it is executing that option as an action of
+    level ``j + 1``.
     """
-    j = plan.level_index
-    if j == 0:
-        if start not in plan.starts:
-            raise RefinementFault(f"state {start} is not a plan start")
-        state = start
-        visited = [state]
-        total = 0.0
-        guard = h.base.num_states + 1
-        while state not in plan.goals:
-            action = plan.policy.get(state)
-            if action is None or len(visited) > guard:
-                raise RefinementFault(f"policy ran out at base state {state}")
-            state, r = h.base.step(state, action)
-            visited.append(state)
-            total += r
-        return ExecutionTrace(start, state, len(visited) - 1, total, tuple(visited))
-
-    if start not in h.final_ground(j, plan.starts):
-        raise RefinementFault(
-            f"base state {start} is outside the plan's grounded start set"
-        )
-    cursor = [0] * j
-    cursor[0] = start
-    top_state = _localize(h, j, plan.starts, start)
-    chain = top_state
-    for i in range(j, 1, -1):
-        chain = _localize(h, i - 1, h.grounding_of(i, chain), start)
-        cursor[i - 1] = chain
-    level = h.level(j)
-    segments: list[ExecutionTrace] = []
-    state = top_state
-    steps = 0
-    while state not in plan.goals:
-        part_id = plan.policy.get(state)
-        if part_id is None or steps > level.num_states:
-            raise RefinementFault(f"plan policy ran out at level {j} state {state}")
-        _run_option(h, j, level.part(part_id).option, cursor, segments)
-        nxt = level.successor(state, part_id)
-        if nxt is None:
-            raise RefinementFault(
-                f"transition missing for ({state}, {part_id}) at level {j}"
-            )
-        state = nxt
-        steps += 1
-    visited = [start]
-    total = 0.0
-    for seg in segments:
-        if seg.visited[0] != visited[-1]:
-            raise RefinementFault("discontinuous base trace")
-        visited.extend(seg.visited[1:])
-        total += seg.cumulative_reward
-    return ExecutionTrace(start, visited[-1], len(visited) - 1, total, tuple(visited))
+    if plan.starts.is_empty():
+        raise RefinementFault("plan has no start states")
+    option = Option(
+        name=f"plan@{plan.level_index}",
+        initiation=plan.starts,
+        termination=plan.goals,
+        policy=plan.policy,
+    )
+    return execute_refined(h, plan.level_index + 1, option, start)

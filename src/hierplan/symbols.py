@@ -1,4 +1,5 @@
-"""Symbols as named state sets, with exact set algebra over dense bitsets.
+"""Grounding sets: the state sets symbols denote, with exact set algebra
+over dense bitsets.
 
 A grounding set is the extensional meaning of a symbol: the set of states
 (at one hierarchy level) the symbol refers to. Logical operations on
@@ -9,10 +10,10 @@ dense state indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DuplicateSymbol, LevelMismatch, LevelOutOfRange
+from .errors import LevelMismatch
 
 
 def _mask_of(indices: Iterable[int]) -> int:
@@ -114,82 +115,3 @@ class GroundingSet:
         members = list(self)
         shown = members if len(members) <= 8 else members[:8] + ["..."]
         return f"GroundingSet(level={self.level_index}, {{{', '.join(map(str, shown))}}})"
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """A name whose meaning is a grounding set."""
-
-    name: str
-    grounding: GroundingSet
-
-
-@dataclass
-class SymbolTable:
-    """Per-level registry of symbols; names are unique within a table."""
-
-    level_index: int
-    _symbols: dict[str, Symbol] = field(default_factory=dict)
-
-    def define(self, name: str, grounding: GroundingSet) -> Symbol:
-        if name in self._symbols:
-            raise DuplicateSymbol(name)
-        if grounding.level_index != self.level_index:
-            raise LevelMismatch(
-                f"table at level {self.level_index}, grounding at "
-                f"level {grounding.level_index}"
-            )
-        sym = Symbol(name, grounding)
-        self._symbols[name] = sym
-        return sym
-
-    def __getitem__(self, name: str) -> Symbol:
-        return self._symbols[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._symbols
-
-    def __iter__(self) -> Iterator[Symbol]:
-        return iter(self._symbols.values())
-
-    def __len__(self) -> int:
-        return len(self._symbols)
-
-
-def ground(hierarchy, level_index: int, states: GroundingSet | int) -> GroundingSet:
-    """Grounding one level down: the lower-level states a state (or a set
-    of states, by union) refers to.
-
-    ``states`` may be a single state index or a grounding set at
-    ``level_index``.
-    """
-    n = hierarchy.num_levels
-    if not 1 <= level_index <= n:
-        raise LevelOutOfRange(f"level {level_index} not in 1..{n}")
-    if isinstance(states, int):
-        return hierarchy.grounding_of(level_index, states)
-    if states.level_index != level_index:
-        raise LevelMismatch(
-            f"expected level {level_index}, got {states.level_index}"
-        )
-    out = GroundingSet.empty(level_index - 1)
-    for s in states:
-        out = out | hierarchy.grounding_of(level_index, s)
-    return out
-
-
-def final_ground(hierarchy, level_index: int, states: GroundingSet) -> GroundingSet:
-    """Grounding composed all the way to the base MDP (identity at level 0)."""
-    n = hierarchy.num_levels
-    if not 0 <= level_index <= n:
-        raise LevelOutOfRange(f"level {level_index} not in 0..{n}")
-    if states.level_index != level_index:
-        raise LevelMismatch(
-            f"expected level {level_index}, got {states.level_index}"
-        )
-    if level_index == 0:
-        return states
-    out = GroundingSet.empty(0)
-    for s in states:
-        out = out | hierarchy.final_grounding_of(level_index, s)
-    return out

@@ -34,11 +34,18 @@ class TestRows:
 
 class TestFlattenedSMDP:
     def test_option_endpoints_real(self, taxi_hierarchy):
+        base = taxi_hierarchy.base
         smdp = flatten_options(taxi_hierarchy)
-        assert any(a.startswith("drive-to-") for a in smdp.extra_actions)
-        assert any(a.startswith("passenger-to-") for a in smdp.extra_actions)
-        space = taxi_hierarchy.base.space
-        for (s, a), t in list(smdp.extra_transitions.items())[:50]:
+        assert smdp.actions[: len(base.actions)] == base.actions
+        extra_actions = smdp.actions[len(base.actions):]
+        assert any(a.startswith("drive-to-") for a in extra_actions)
+        assert any(a.startswith("passenger-to-") for a in extra_actions)
+        extra_edges = {
+            (s, a): t for (s, a), t in smdp.transition.items() if a in extra_actions
+        }
+        assert len(smdp.transition) == len(base.transition) + len(extra_edges)
+        space = base.space
+        for (s, a), t in list(extra_edges.items())[:50]:
             if a.startswith("drive-to-red"):
                 asg = space.assignment(t)
                 assert (asg[0], asg[1]) == (0, 4)

@@ -1,12 +1,14 @@
 """JSON domain loading and the command-line surface."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
 from hierplan import Hierarchy, answer_query, load_domain, load_query
 from hierplan.cli import cli
+from hierplan.errors import MalformedInput, UnknownName
 
 CHAIN_DOMAIN = {
     "name": "chain",
@@ -59,6 +61,36 @@ class TestDomainIO:
         mdp, _ = load_domain(chain_file)
         q = load_query(mdp, {"B": {"states": [0]}, "G": {"states": [2, 3]}})
         assert set(q.starts) == {0} and set(q.goals) == {2, 3}
+
+    def test_undeclared_action_rejected(self):
+        """BFS would walk the undeclared ``jump`` edge, but policy
+        extraction sees only declared actions, so the plan could not be
+        refined from its own start."""
+        with pytest.raises(UnknownName):
+            load_domain(
+                {
+                    "actions": ["fwd"],
+                    "num_states": 3,
+                    "transitions": [[0, "jump", 1], [1, "fwd", 2]],
+                }
+            )
+
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            (
+                {"actions": ["fwd"], "num_states": 3,
+                 "transitions": [[0, "fwd", 1], [0, "fwd", 2, -5]]},
+                "transition (0, 'fwd') given twice",
+            ),
+            ({"actions": ["fwd"], "num_states": 3}, "'transitions'"),
+            ({"num_states": 3, "transitions": []}, "'actions'"),
+            ({"actions": ["fwd"], "transitions": []}, "'num_states'"),
+        ],
+    )
+    def test_malformed_domain_rejected(self, domain, message):
+        with pytest.raises(MalformedInput, match=re.escape(message)):
+            load_domain(domain)
 
     def test_chain_hierarchy_plans_at_level1(self, chain_file):
         mdp, option_sets = load_domain(chain_file)
@@ -217,5 +249,36 @@ class TestCLI:
             cli, ["plan", "--B", b_spec, "--G", '{"pass-at": "red"}']
         )
         assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), result.output
+
+    def test_plan_malformed_json_prints_one_error_line(self):
+        runner = CliRunner()
+        result = runner.invoke(cli, ["plan", "--B", "{bad", "--G", "{}"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --B is not valid JSON")
+
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            ({"actions": ["fwd"], "num_states": 2}, "error: domain has no 'transitions'"),
+            (
+                {"actions": ["fwd"], "num_states": 2,
+                 "transitions": [[0, "fwd", 1], [0, "fwd", 0]]},
+                "error: transition (0, 'fwd') given twice",
+            ),
+        ],
+    )
+    def test_malformed_domain_file_prints_one_error_line(
+        self, tmp_path, domain, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(domain))
+        runner = CliRunner()
+        result = runner.invoke(cli, ["build", "--domain-file", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message), result.output

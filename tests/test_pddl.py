@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from hierplan import Hierarchy, export_pddl
-from hierplan.errors import NotFactored
+from hierplan.errors import LevelOutOfRange, UnknownName
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -99,12 +99,16 @@ class TestPlanGraphExport:
         assert domain.count("(:action") == 12  # one per plan-graph edge
 
     def test_missing_level_raises(self, taxi_hierarchy, taxi_mdp):
-        with pytest.raises(NotFactored):
+        with pytest.raises(LevelOutOfRange):
             export_pddl(taxi_hierarchy, 3)
-        with pytest.raises(NotFactored):
+        with pytest.raises(LevelOutOfRange):
             export_pddl(taxi_hierarchy, 0)
-        with pytest.raises(NotFactored):
+        with pytest.raises(LevelOutOfRange):
             export_pddl(Hierarchy(base=taxi_mdp), 1)
+
+    def test_missing_state_raises(self, taxi_hierarchy):
+        with pytest.raises(UnknownName):
+            export_pddl(taxi_hierarchy, 1, goal_state=20)
 
 
 class TestGolden:

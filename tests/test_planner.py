@@ -5,6 +5,7 @@ import pytest
 
 from hierplan import (
     GroundingSet,
+    Hierarchy,
     MatchPair,
     PlanQuery,
     answer_query,
@@ -13,6 +14,7 @@ from hierplan import (
     execute_refined,
     findplan,
     findplan_value_iteration,
+    load_domain,
     plan_match,
     planning_cost,
     refine,
@@ -304,11 +306,38 @@ class TestRefinement:
             state, _ = taxi_hierarchy.base.step(state, a)
         assert state == trace.end
 
-    def test_refine_outside_grounded_starts_faults(self, taxi_hierarchy, queries):
-        answer = answer_query(taxi_hierarchy, queries["Q1"])
+    @pytest.mark.parametrize("name, level", [("Q1", 2), ("Q2", 1), ("Q3", 0)])
+    def test_refine_outside_grounded_starts_faults(
+        self, taxi_hierarchy, queries, name, level
+    ):
+        answer = answer_query(taxi_hierarchy, queries[name])
+        assert answer.level_index == level
         stranger = state_of(taxi_hierarchy.base, 2, 2, 1, 1)
         with pytest.raises(RefinementFault):
             refine(taxi_hierarchy, answer.plan, stranger)
+
+    def test_refine_plan_without_starts_faults(self, taxi_hierarchy, queries):
+        q = queries["Q3"]
+        plan = findplan(taxi_hierarchy.base, GroundingSet.empty(0), q.goals)
+        with pytest.raises(RefinementFault):
+            refine(taxi_hierarchy, plan, next(iter(q.starts)))
+
+    def test_value_iteration_positive_loop_faults(self):
+        """A reward-positive self-loop draws the value-iteration policy
+        away from the goal; refinement must fault, not loop."""
+        mdp, _ = load_domain(
+            {
+                "actions": ["fwd", "stay"],
+                "num_states": 3,
+                "transitions": [[0, "fwd", 1], [1, "fwd", 2], [0, "stay", 0, 1.0]],
+            }
+        )
+        h = Hierarchy(base=mdp)
+        q = PlanQuery(GroundingSet.of(0, {0}), GroundingSet.of(0, {2}))
+        answer = answer_query(h, q, plan_mode="value-iteration")
+        assert answer.plan.policy[0] == "stay"
+        with pytest.raises(RefinementFault):
+            refine(h, answer.plan, 0)
 
     def test_trace_reward_counts_base_steps(self, taxi_hierarchy, queries):
         q = queries["Q1"]
@@ -324,6 +353,14 @@ class TestRefinement:
         trace = execute_refined(h, 2, ferry, start)
         end = h.base.space.assignment(trace.end)
         assert end == (4, 4, 4, 4, False)
+
+    def test_execute_refined_outside_initiation_faults(self, taxi_hierarchy):
+        h = taxi_hierarchy
+        pick_up = [o for o in h.option_sets[0] if o.name == "pick-up"][0]
+        start = state_of(h.base, 2, 2, 1, 1)  # taxi away from the passenger
+        assert start not in pick_up.initiation
+        with pytest.raises(RefinementFault):
+            execute_refined(h, 1, pick_up, start)
 
 
 class TestInstrumentation:

@@ -1,12 +1,11 @@
-"""Set algebra of grounding sets, symbols, and the grounding operators."""
+"""Set algebra of grounding sets and the hierarchy's grounding operators."""
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hierplan import GroundingSet, Symbol, SymbolTable
-from hierplan.errors import DuplicateSymbol, LevelMismatch, LevelOutOfRange
-from hierplan.symbols import final_ground, ground
+from hierplan import GroundingSet
+from hierplan.errors import LevelMismatch, LevelOutOfRange
 
 # wider than the 20,880 states of a 12x12 taxi grid; includes the empty set
 indices = st.sets(st.integers(min_value=0, max_value=25_000))
@@ -63,45 +62,24 @@ class TestSetAlgebra:
             gs({1}, level=2).issubset(gs({1}, level=1))
 
 
-class TestSymbolTable:
-    def test_duplicate_name_rejected(self):
-        table = SymbolTable(level_index=1)
-        table.define("at-depot", gs({1, 2}, level=1))
-        with pytest.raises(DuplicateSymbol):
-            table.define("at-depot", gs({3}, level=1))
-
-    def test_level_checked(self):
-        table = SymbolTable(level_index=1)
-        with pytest.raises(LevelMismatch):
-            table.define("wrong", gs({1}, level=0))
-
-    def test_lookup(self):
-        table = SymbolTable(level_index=0)
-        sym = table.define("start", gs({0}))
-        assert table["start"] is sym
-        assert "start" in table
-        assert isinstance(sym, Symbol)
-        assert len(table) == 1
-
-
 class TestGroundingOperators:
     def test_identity_at_base(self, taxi_hierarchy):
         some = GroundingSet.of(0, {3, 17, 401})
-        assert final_ground(taxi_hierarchy, 0, some) == some
+        assert taxi_hierarchy.final_ground(0, some) == some
 
     def test_level_out_of_range(self, taxi_hierarchy):
         with pytest.raises(LevelOutOfRange):
-            ground(taxi_hierarchy, 0, GroundingSet.of(0, {1}))
+            taxi_hierarchy.ground(0, GroundingSet.of(0, {1}))
         with pytest.raises(LevelOutOfRange):
-            ground(taxi_hierarchy, 5, GroundingSet.of(5, {0}))
+            taxi_hierarchy.ground(5, GroundingSet.of(5, {0}))
         with pytest.raises(LevelOutOfRange):
-            final_ground(taxi_hierarchy, 3, GroundingSet.of(3, {0}))
+            taxi_hierarchy.final_ground(3, GroundingSet.of(3, {0}))
 
     def test_level1_grounds_to_singletons(self, taxi_hierarchy):
         h = taxi_hierarchy
         space1 = h.level(1).space
         for s in space1.states:
-            g = ground(h, 1, s)
+            g = h.ground(1, s)
             assert len(g) == 1
             base_state = next(iter(g))
             assert h.base.space.assignment(base_state) == space1.assignment(s)
@@ -109,7 +87,7 @@ class TestGroundingOperators:
     def test_level1_final_ground_all_20_distinct(self, taxi_hierarchy):
         h = taxi_hierarchy
         everything = GroundingSet.of(1, h.level(1).space.states)
-        base = final_ground(h, 1, everything)
+        base = h.final_ground(1, everything)
         assert len(base) == 20
 
     def test_level2_passenger_node_grounds_to_five(self, taxi_hierarchy):
@@ -117,7 +95,7 @@ class TestGroundingOperators:
         space1 = h.level(1).space
         labels = h.level(2).space.labels
         node = labels.index("passenger-to-blue")
-        g = ground(h, 2, node)
+        g = h.ground(2, node)
         assert len(g) == 5
         riding = [s for s in g if space1.value(s, "in-taxi")]
         outside = [s for s in g if not space1.value(s, "in-taxi")]
@@ -129,7 +107,7 @@ class TestGroundingOperators:
         h = taxi_hierarchy
         labels = h.level(2).space.labels
         node = labels.index("passenger-to-blue")
-        base = final_ground(h, 2, GroundingSet.single(2, node))
+        base = h.final_ground(2, GroundingSet.single(2, node))
         assert len(base) == 5
         space0 = h.base.space
         riding = [s for s in base if space0.value(s, "in-taxi")]
@@ -147,7 +125,7 @@ class TestGroundingOperators:
 
         h = taxi_hierarchy
         node = h.level(2).space.labels.index("passenger-to-blue")
-        base = final_ground(h, 2, GroundingSet.single(2, node))
+        base = h.final_ground(2, GroundingSet.single(2, node))
         expected = expand_constraints(
             h.base, {"pass-at": "blue", "taxi-at": "any-depot"}
         )
@@ -157,19 +135,19 @@ class TestGroundingOperators:
         h = taxi_hierarchy
         a = GroundingSet.of(2, {0, 1})
         b = GroundingSet.of(2, {2, 3})
-        assert ground(h, 2, a | b) == ground(h, 2, a) | ground(h, 2, b)
+        assert h.ground(2, a | b) == h.ground(2, a) | h.ground(2, b)
 
     def test_final_ground_composes(self, taxi_hierarchy):
         h = taxi_hierarchy
         for s in range(h.num_states(2)):
             one = GroundingSet.single(2, s)
-            assert final_ground(h, 2, one) == final_ground(h, 1, ground(h, 2, one))
+            assert h.final_ground(2, one) == h.final_ground(1, h.ground(2, one))
 
     def test_final_ground_monotone(self, taxi_hierarchy):
         h = taxi_hierarchy
         small = GroundingSet.of(2, {1})
         big = GroundingSet.of(2, {1, 2, 3})
-        assert final_ground(h, 2, small).issubset(final_ground(h, 2, big))
+        assert h.final_ground(2, small).issubset(h.final_ground(2, big))
 
     def test_taxi_level1_intersection_example(self, taxi_hierarchy):
         space1 = taxi_hierarchy.level(1).space
@@ -235,8 +213,8 @@ class TestOverlappingGroundings:
     def test_overlap_tolerated(self):
         h = self.make_overlapping()
         both = GroundingSet.of(1, {0, 1})
-        assert set(final_ground(h, 1, both)) == {0, 1, 2, 3}
-        overlap = ground(h, 1, 0) & ground(h, 1, 1)
+        assert set(h.final_ground(1, both)) == {0, 1, 2, 3}
+        overlap = h.ground(1, 0) & h.ground(1, 1)
         assert set(overlap) == {1, 2}
 
     def test_overlap_not_a_violation(self):
