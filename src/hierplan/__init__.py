@@ -28,7 +28,6 @@ from .core import (
     BaseMDP,
     ExecutionTrace,
     Option,
-    RunningMean,
     StateSpace,
     Variable,
     execute_option,
@@ -84,7 +83,6 @@ __all__ = [
     "PlanAnswer",
     "PlanQuery",
     "RewardMode",
-    "RunningMean",
     "StateSpace",
     "Subgoal",
     "TaxiLayout",

@@ -37,7 +37,6 @@ from .core import (
 from .errors import (
     InapplicableAction,
     InvalidSeed,
-    MissingStatistics,
     NoFactoredStructure,
     NoSubgoalStructure,
     PartitionExplosion,
@@ -97,8 +96,10 @@ class OptionPart:
     that individually passes a classification test.
 
     The part shares the parent option's policy; only the initiation set
-    shrinks. For subgoal parts ``terminal_state`` is set; for abstract
-    subgoal parts ``mask``/``effect_values`` describe the variable update.
+    shrinks. ``mean_return`` is the parent option's mean return over its
+    whole initiation set, zero-step starts included. For subgoal parts
+    ``terminal_state`` is set; for abstract subgoal parts
+    ``mask``/``effect_values`` describe the variable update.
     """
 
     part_id: str
@@ -106,6 +107,7 @@ class OptionPart:
     initiation: GroundingSet
     option_class: OptionClass
     effect: GroundingSet
+    mean_return: float
     terminal_state: int | None = None
     mask: frozenset[str] = frozenset()
     effect_values: tuple[tuple[str, Any], ...] = ()
@@ -121,17 +123,17 @@ class PartitionedOption:
     parts: tuple[OptionPart, ...]
 
 
-def _terminal_map(option: Option, level) -> dict[int, int]:
+def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
     """Terminal state for every initiation state, keyed in ascending start
-    order.
+    order, and the option's mean return over those starts.
 
     Execution is deterministic, so a state's terminal state, step count
     and return follow from its policy successor's: each state's
-    continuation is simulated once per option and memoized. The result and
-    side effects are those of one ``execute_option`` per initiation state
-    in ascending order: the option's statistics are updated once per
-    start, in that order, and the first failing start raises the same
-    error (a policy cycle exceeds the step bound).
+    continuation is simulated once per option and memoized. The result is
+    that of one ``execute_option`` per initiation state in ascending
+    order: the mean is updated incrementally once per start, in that
+    order, and the first failing start raises the same error (a policy
+    cycle exceeds the step bound).
     """
     # a start may lie outside the level; every successor is a level state
     width = max(level.num_states, option.initiation.bits.bit_length())
@@ -142,6 +144,7 @@ def _terminal_map(option: Option, level) -> dict[int, int]:
     steps = [0] * width
     ret = [0.0] * width
     terminals: dict[int, int] = {}
+    mean = 0.0
     for start in option.initiation:
         s = start
         walk: list[tuple[int, float]] = []
@@ -168,15 +171,14 @@ def _terminal_map(option: Option, level) -> dict[int, int]:
             g = r + g
             end[p], steps[p], ret[p] = e, k, g
         terminals[start] = e
-        option.reward_stats.update(g)
-        option.duration_stats.update(k)
-    return terminals
+        mean += (g - mean) / len(terminals)
+    return terminals, mean
 
 
 def compute_effect_set(option: Option, level) -> EffectSet:
     """The option's effect set: simulate from every initiation state and
     collect the terminal states."""
-    terminals = _terminal_map(option, level)
+    terminals, _ = _terminal_map(option, level)
     return EffectSet(
         option.name,
         GroundingSet.of(option.level_index, set(terminals.values())),
@@ -274,17 +276,13 @@ def _classify(space: StateSpace, summary: _Summary) -> OptionClass:
 
 def classify_option(option: Option, level) -> OptionClass:
     """Classify the whole (unpartitioned) option."""
-    groups = _summarize_groups(level.space, _terminal_map(option, level))
+    groups = _summarize_groups(level.space, _terminal_map(option, level)[0])
     return _classify(
         level.space, reduce(_Summary.merge, (s for _, s in groups.values()))
     )
 
 
-def partition_option(
-    option: Option,
-    level,
-    part_limit: int = DEFAULT_PART_LIMIT,
-) -> PartitionedOption:
+def partition_option(option: Option, level) -> PartitionedOption:
     """Split the initiation set into the fewest groups this greedy pass
     finds such that each group individually classifies.
 
@@ -293,10 +291,12 @@ def partition_option(
     folded, largest changed-set first, into the first accumulated part
     the combined pairs still classify with. Over an unfactored space the
     grouping key is the terminal state itself, so every part is a
-    subgoal. Deterministic by construction.
+    subgoal. Deterministic by construction. More than
+    ``DEFAULT_PART_LIMIT`` parts raise PartitionExplosion.
     """
     space: StateSpace = level.space
-    groups = _summarize_groups(space, _terminal_map(option, level))
+    terminals, mean_return = _terminal_map(option, level)
+    groups = _summarize_groups(space, terminals)
     part_pairs: list[list[tuple[int, int]]] = []
     summaries: list[_Summary] = []
     if not space.is_factored:
@@ -323,10 +323,10 @@ def partition_option(
                 part_pairs.append(list(pairs))
                 summaries.append(summary)
 
-    if len(part_pairs) > part_limit:
+    if len(part_pairs) > DEFAULT_PART_LIMIT:
         raise PartitionExplosion(
             f"option {option.name!r} split into {len(part_pairs)} parts "
-            f"(limit {part_limit})"
+            f"(limit {DEFAULT_PART_LIMIT})"
         )
 
     lvl = option.level_index
@@ -358,6 +358,7 @@ def partition_option(
                 initiation=GroundingSet.of(lvl, [s for s, _ in pairs]),
                 option_class=cls,
                 effect=effect,
+                mean_return=mean_return,
                 terminal_state=terminal,
                 mask=mask,
                 effect_values=values,
@@ -454,7 +455,7 @@ class AbstractLevel:
     def predecessor_edges(self, state: int) -> tuple[tuple[int, str], ...]:
         return self._predecessors.get(state, ())
 
-    def reward_of(self, state: int, action_id: str, successor: int) -> float:
+    def reward_of(self, state: int, action_id: str) -> float:
         return self.rewards[action_id]
 
     def step(self, state: int, action_id: str) -> tuple[int, float]:
@@ -465,19 +466,16 @@ class AbstractLevel:
         return self.transitions[(state, part_id)], self.rewards[part_id]
 
 
-def _partition_all(
-    options: Sequence[Option], level, part_limit: int
-) -> list[OptionPart]:
+def _partition_all(options: Sequence[Option], level) -> list[OptionPart]:
     parts: list[OptionPart] = []
     for o in options:
-        parts.extend(partition_option(o, level, part_limit).parts)
+        parts.extend(partition_option(o, level).parts)
     return parts
 
 
 def build_plan_graph(
     options: Sequence[Option],
     level,
-    part_limit: int = DEFAULT_PART_LIMIT,
     _parts: Sequence[OptionPart] | None = None,
 ) -> AbstractLevel:
     """Abstract level whose states are the subgoal parts of ``options``.
@@ -486,9 +484,7 @@ def build_plan_graph(
     effect set is inside part ``j``'s initiation set. Node groundings are
     the initiation-profile widening of the effect sets.
     """
-    parts = list(_parts) if _parts is not None else _partition_all(
-        options, level, part_limit
-    )
+    parts = list(_parts) if _parts is not None else _partition_all(options, level)
     bad = [p.part_id for p in parts if not isinstance(p.option_class, Subgoal)]
     if bad:
         raise NoSubgoalStructure(
@@ -528,7 +524,7 @@ def build_plan_graph(
         rewards={p.part_id: -1.0 for p in parts},
         groundings=dict(enumerate(widened)),
         construction=Construction.PLAN_GRAPH,
-        gamma=getattr(level, "gamma", 1.0),
+        gamma=level.gamma,
     )
     return lvl_obj
 
@@ -537,7 +533,6 @@ def build_factored_abstraction(
     options: Sequence[Option],
     level,
     seed_states: GroundingSet,
-    part_limit: int = DEFAULT_PART_LIMIT,
     _parts: Sequence[OptionPart] | None = None,
 ) -> AbstractLevel:
     """Abstract level over the lower space's variables, closed from the
@@ -554,9 +549,7 @@ def build_factored_abstraction(
     for s in seed_states:
         if not 0 <= s < space.num_states:
             raise InvalidSeed(f"seed state {s} outside level {space.level_index}")
-    parts = list(_parts) if _parts is not None else _partition_all(
-        options, level, part_limit
-    )
+    parts = list(_parts) if _parts is not None else _partition_all(options, level)
     bad = [p.part_id for p in parts if isinstance(p.option_class, Unclassifiable)]
     if bad:
         raise NoFactoredStructure(f"unclassifiable parts: {', '.join(bad)}")
@@ -614,22 +607,15 @@ def build_factored_abstraction(
         rewards={p.part_id: -1.0 for p in parts},
         groundings=groundings,
         construction=Construction.FACTORED,
-        gamma=getattr(level, "gamma", 1.0),
+        gamma=level.gamma,
     )
 
 
 def assign_rewards(level: AbstractLevel, mode: RewardMode) -> AbstractLevel:
-    """Set every transition reward to -1, or to the empirical mean reward
-    of the part's parent option."""
+    """Set every transition reward to -1, or to the mean return of the
+    part's parent option, fixed when the part was built."""
     if mode is RewardMode.UNIFORM_PENALTY:
         rewards = {p.part_id: -1.0 for p in level.actions}
     else:
-        rewards = {}
-        for p in level.actions:
-            stats = p.option.reward_stats
-            if stats.count == 0:
-                raise MissingStatistics(
-                    f"option {p.option_id!r} has no recorded executions"
-                )
-            rewards[p.part_id] = stats.mean
+        rewards = {p.part_id: p.mean_return for p in level.actions}
     return replace(level, rewards=rewards)

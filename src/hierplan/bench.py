@@ -44,7 +44,7 @@ def flatten_options(h: Hierarchy) -> BaseMDP:
                 if trace.steps == 0:
                     continue
                 transition[(x, name)] = trace.end
-                reward[(x, name, trace.end)] = trace.cumulative_reward
+                reward[(x, name)] = trace.cumulative_reward
     return BaseMDP(
         space=h.base.space,
         actions=h.base.actions + tuple(names),
@@ -78,13 +78,12 @@ def run_benchmark(
     h: Hierarchy,
     queries: Mapping[str, PlanQuery],
     repetitions: int = 100,
-    smdp: BaseMDP | None = None,
 ) -> list[BenchmarkRow]:
     """Time all three modes for each query; one warm-up run per mode is
     excluded, and the flattened SMDP is built once outside all timers."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    flat_plus = smdp if smdp is not None else flatten_options(h)
+    flat_plus = flatten_options(h)
     rows: list[BenchmarkRow] = []
     for name, query in queries.items():
         answer = answer_query(h, query)

@@ -3,9 +3,9 @@
 States are dense integer indices into a `StateSpace`. Transitions are
 partial deterministic maps: an action missing from the map is inapplicable
 in that state, not a zero-probability event. Options carry explicit
-initiation and termination sets plus a policy over the level below; the
-only mutable pieces anywhere are the per-option running reward and
-duration statistics, which accumulate across executions.
+initiation and termination sets plus a policy over the level below.
+Everything here is plain data fixed at construction: executing an option
+changes nothing, so the same inputs always give the same hierarchy.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Any, Mapping, NamedTuple
 
 from .errors import (
     InapplicableAction,
+    MalformedInput,
     NotInInitiationSet,
     StepBoundExceeded,
     UndefinedPolicy,
@@ -50,22 +51,24 @@ class StateSpace:
 
     def __post_init__(self) -> None:
         if self.num_states < 1:
-            raise ValueError("a state space needs at least one state")
+            raise MalformedInput("a state space needs at least one state")
         if (self.variables is None) != (self.assignments is None):
-            raise ValueError("factored spaces need both variables and assignments")
+            raise MalformedInput("factored spaces need both variables and assignments")
         if self.assignments is not None:
             if len(self.assignments) != self.num_states:
-                raise ValueError("one assignment per state required")
+                raise MalformedInput("one assignment per state required")
             index: dict[Assignment, int] = {}
             for sid, asg in enumerate(self.assignments):
                 if len(asg) != len(self.variables or ()):
-                    raise ValueError(f"assignment arity mismatch at state {sid}")
+                    raise MalformedInput(f"assignment arity mismatch at state {sid}")
                 if asg in index:
-                    raise ValueError(f"duplicate assignment for states {index[asg]} and {sid}")
+                    raise MalformedInput(
+                        f"duplicate assignment for states {index[asg]} and {sid}"
+                    )
                 index[asg] = sid
             object.__setattr__(self, "_index", index)
         if self.labels is not None and len(self.labels) != self.num_states:
-            raise ValueError("one label per state required")
+            raise MalformedInput("one label per state required")
 
     @property
     def is_factored(self) -> bool:
@@ -129,31 +132,19 @@ def predecessor_index(
     return {t: tuple(v) for t, v in preds.items()}
 
 
-@dataclass
-class RunningMean:
-    """Single-writer running mean; safe for concurrent reads only."""
-
-    count: int = 0
-    mean: float = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        self.mean += (value - self.mean) / self.count
-
-
 @dataclass(frozen=True)
 class BaseMDP:
     """Deterministic discrete MDP with a partial transition map.
 
     ``transition[(s, a)]`` is the successor of applying ``a`` in ``s``;
-    absence means the action is inapplicable there. Rewards are keyed by
-    the full ``(s, a, s')`` triple.
+    absence means the action is inapplicable there. ``reward[(s, a)]`` is
+    that step's reward, so both tables have the same keys.
     """
 
     space: StateSpace
     actions: tuple[str, ...]
     transition: Mapping[tuple[int, str], int]
-    reward: Mapping[tuple[int, str, int], float]
+    reward: Mapping[tuple[int, str], float]
     gamma: float = 1.0
     _predecessors: dict[int, tuple[tuple[int, str], ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -161,13 +152,15 @@ class BaseMDP:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+            raise MalformedInput(f"gamma must be in (0, 1], got {self.gamma}")
         declared = set(self.actions)
         for (s, a), t in self.transition.items():
             if not (0 <= s < self.space.num_states and 0 <= t < self.space.num_states):
-                raise ValueError(f"transition ({s}, {a!r}) -> {t} leaves the space")
+                raise MalformedInput(f"transition ({s}, {a!r}) -> {t} leaves the space")
             if a not in declared:
                 raise UnknownName(f"transition ({s}, {a!r}) uses an undeclared action")
+        if self.reward.keys() != self.transition.keys():
+            raise MalformedInput("reward and transition tables have different keys")
         object.__setattr__(self, "_predecessors", predecessor_index(self.transition))
 
     @property
@@ -188,8 +181,8 @@ class BaseMDP:
     def predecessor_edges(self, state: int) -> tuple[tuple[int, str], ...]:
         return self._predecessors.get(state, ())
 
-    def reward_of(self, state: int, action: str, successor: int) -> float:
-        return self.reward[(state, action, successor)]
+    def reward_of(self, state: int, action: str) -> float:
+        return self.reward[(state, action)]
 
     def applicable(self, state: int) -> list[str]:
         return [a for a in self.actions if (state, a) in self.transition]
@@ -199,7 +192,7 @@ class BaseMDP:
         nxt = self.transition.get((state, action))
         if nxt is None:
             raise InapplicableAction(f"action {action!r} in state {state}")
-        return nxt, self.reward[(state, action, nxt)]
+        return nxt, self.reward[(state, action)]
 
 
 @dataclass(frozen=True)
@@ -218,14 +211,12 @@ class Option:
     initiation: GroundingSet
     termination: GroundingSet
     policy: Mapping[int, str]
-    reward_stats: RunningMean = field(default_factory=RunningMean, compare=False)
-    duration_stats: RunningMean = field(default_factory=RunningMean, compare=False)
 
     def __post_init__(self) -> None:
         if self.initiation.is_empty():
-            raise ValueError(f"option {self.name!r} has an empty initiation set")
+            raise MalformedInput(f"option {self.name!r} has an empty initiation set")
         if self.initiation.level_index != self.termination.level_index:
-            raise ValueError(f"option {self.name!r} mixes levels")
+            raise MalformedInput(f"option {self.name!r} mixes levels")
 
     @property
     def level_index(self) -> int:
@@ -259,18 +250,19 @@ def default_step_bound(level) -> int:
     return 10 * level.num_states
 
 
-def execute_option(level, option: Option, start: int, step_bound: int | None = None,
+def execute_option(level, option: Option, start: int, *,
                    record_stats: bool = True) -> ExecutionTrace:
     """Run ``option`` from ``start`` until its termination set is reached.
 
     ``level`` is any object with a ``step(state, action_id)`` method and a
-    ``num_states`` attribute (a BaseMDP or an abstract level). The
-    option's running reward/duration statistics are updated on success
-    unless ``record_stats`` is false.
+    ``num_states`` attribute (a BaseMDP or an abstract level). Execution
+    fails with StepBoundExceeded after ``default_step_bound(level)``
+    steps. ``record_stats`` does nothing: it is accepted only so that
+    existing callers keep working, since execution records nothing.
     """
     if start not in option.initiation:
         raise NotInInitiationSet(f"option {option.name!r} from state {start}")
-    bound = step_bound if step_bound is not None else default_step_bound(level)
+    bound = default_step_bound(level)
     state = start
     visited = [start]
     total = 0.0
@@ -287,11 +279,7 @@ def execute_option(level, option: Option, start: int, step_bound: int | None = N
             raise StepBoundExceeded(
                 f"option {option.name!r} exceeded {bound} steps from state {start}"
             )
-    trace = ExecutionTrace(start, state, steps, total, tuple(visited))
-    if record_stats:
-        option.reward_stats.update(total)
-        option.duration_stats.update(steps)
-    return trace
+    return ExecutionTrace(start, state, steps, total, tuple(visited))
 
 
 def one_step_preimage_options(mdp: BaseMDP) -> list[Option]:

@@ -80,13 +80,19 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
             labels=tuple(data["labels"]) if "labels" in data else None,
         )
     transition: dict[tuple[int, str], int] = {}
-    reward: dict[tuple[int, str, int], float] = {}
+    reward: dict[tuple[int, str], float] = {}
     for entry in _require(data, "transitions", "domain"):
-        s, a, t = int(entry[0]), entry[1], int(entry[2])
+        try:
+            s, a, t = int(entry[0]), entry[1], int(entry[2])
+            r = float(entry[3]) if len(entry) > 3 else -1.0
+        except (IndexError, KeyError, TypeError, ValueError):
+            raise MalformedInput(
+                f"transition {entry!r} is not [state, action, state(, reward)]"
+            ) from None
         if (s, a) in transition:
             raise MalformedInput(f"transition ({s}, {a!r}) given twice")
         transition[(s, a)] = t
-        reward[(s, a, t)] = float(entry[3]) if len(entry) > 3 else -1.0
+        reward[(s, a)] = r
     mdp = BaseMDP(
         space=space,
         actions=tuple(_require(data, "actions", "domain")),

@@ -37,7 +37,9 @@ class UnknownName(HierplanError, KeyError):
 
 class MalformedInput(HierplanError):
     """A domain, option set or query is not well-formed: invalid JSON, a
-    missing key or a transition given twice."""
+    missing key, a short or repeated transition, a reward table that does
+    not match the transitions, a state outside the space or an empty
+    set."""
 
 
 class LevelMismatch(HierplanError):
@@ -62,16 +64,12 @@ class NoFactoredStructure(HierplanError):
 
 
 class PartitionExplosion(HierplanError):
-    """Option partitioning produced more parts than the configured limit."""
+    """Option partitioning produced more parts than
+    ``abstraction.DEFAULT_PART_LIMIT``."""
 
 
 class InvalidSeed(HierplanError):
     """Closure seed state is not a valid state of the lower level."""
-
-
-class MissingStatistics(HierplanError):
-    """Empirical reward assignment requested for an option that was never
-    executed."""
 
 
 class NoMatch(HierplanError):

@@ -11,7 +11,11 @@ option execution.
 
 Hierarchies are immutable; `add_level` returns a new value, and the
 base-level groundings of every state are precomputed so that concurrent
-reads never race a lazy cache.
+reads never race a lazy cache. Options and abstract rewards are plain
+data fixed at construction (an empirical reward is the option's mean
+return over its initiation set, computed while partitioning), so
+planning, refinement and validation never change a hierarchy, and
+rebuilding from the same option sets gives the same hierarchy.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .abstraction import (
-    DEFAULT_PART_LIMIT,
     AbstractLevel,
     RewardMode,
     Subgoal,
@@ -36,6 +39,7 @@ from .errors import (
     EmptyOptionSet,
     LevelMismatch,
     LevelOutOfRange,
+    MalformedInput,
     NoFactoredStructure,
 )
 from .symbols import GroundingSet
@@ -51,9 +55,9 @@ class PlanQuery:
 
     def __post_init__(self) -> None:
         if self.starts.level_index != 0 or self.goals.level_index != 0:
-            raise ValueError("plan queries are posed over base states")
+            raise MalformedInput("plan queries are posed over base states")
         if self.starts.is_empty() or self.goals.is_empty():
-            raise ValueError("plan queries need non-empty start and goal sets")
+            raise MalformedInput("plan queries need non-empty start and goal sets")
 
 
 @dataclass(frozen=True)
@@ -159,16 +163,14 @@ class Hierarchy:
         self,
         options: Sequence[Option],
         seeds: GroundingSet | None = None,
-        reward_mode: RewardMode | None = None,
-        part_limit: int = DEFAULT_PART_LIMIT,
     ) -> Hierarchy:
         """Build the next abstract level from ``options`` over the current
         top level.
 
         Options are partitioned and classified; if every part is a subgoal
         the new level is a plan graph, otherwise (over a factored space)
-        the factored closure from ``seeds`` is built. Rewards follow
-        ``reward_mode`` (default: the hierarchy's mode).
+        the factored closure from ``seeds`` is built. Rewards follow the
+        hierarchy's ``reward_mode``.
         """
         if not options:
             raise EmptyOptionSet("add_level needs at least one option")
@@ -179,8 +181,7 @@ class Hierarchy:
                     f"option {o.name!r} is over level {o.level_index}, "
                     f"expected {top.level_index}"
                 )
-        mode = reward_mode if reward_mode is not None else self.reward_mode
-        parts = _partition_all(options, top, part_limit)
+        parts = _partition_all(options, top)
         if all(isinstance(p.option_class, Subgoal) for p in parts):
             level = build_plan_graph(options, top, _parts=parts)
         elif top.space.is_factored:
@@ -200,7 +201,7 @@ class Hierarchy:
             raise NoFactoredStructure(
                 "options are not all subgoal and the lower space is not factored"
             )
-        level = assign_rewards(level, mode)
+        level = assign_rewards(level, self.reward_mode)
         return Hierarchy(
             base=self.base,
             levels_above=self.levels_above + (level,),
@@ -253,9 +254,7 @@ class Hierarchy:
                     continue
                 target = level.grounding_of(t)
                 for x in g:
-                    end = execute_option(
-                        below, part.option, x, record_stats=False
-                    ).end
+                    end = execute_option(below, part.option, x).end
                     if end not in target:
                         out.append(
                             Violation(

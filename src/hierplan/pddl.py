@@ -57,15 +57,18 @@ def _initiation_profile(space: StateSpace, part: OptionPart):
     return seen, exact
 
 
+DOMAIN_NAME = "abstract-level"
+PROBLEM_NAME = "abstract-problem"
+
+
 def export_pddl(
     h: Hierarchy,
     level_index: int,
-    domain_name: str = "abstract-level",
-    problem_name: str = "abstract-problem",
     init_state: int | None = None,
     goal_state: int | None = None,
 ) -> tuple[str, str]:
-    """Domain and problem text for one abstract level.
+    """Domain and problem text for one abstract level, named
+    ``DOMAIN_NAME`` and ``PROBLEM_NAME``.
 
     The problem's initial state defaults to state 0 and its goal to the
     last state; both can be overridden with explicit state ids.
@@ -79,17 +82,12 @@ def export_pddl(
         if not 0 <= s < level.num_states:
             raise UnknownName(f"no state {s} at level {level_index}")
     if level.construction is Construction.FACTORED:
-        return _export_factored(h, level, domain_name, problem_name, init, goal)
-    return _export_plan_graph(level, domain_name, problem_name, init, goal)
+        return _export_factored(h, level, init, goal)
+    return _export_plan_graph(level, init, goal)
 
 
 def _export_factored(
-    h: Hierarchy,
-    level: AbstractLevel,
-    domain_name: str,
-    problem_name: str,
-    init: int,
-    goal: int,
+    h: Hierarchy, level: AbstractLevel, init: int, goal: int
 ) -> tuple[str, str]:
     below_space: StateSpace = h.level(level.level_index - 1).space
     space = level.space
@@ -126,7 +124,7 @@ def _export_factored(
 
     domain = "\n".join(
         [
-            f"(define (domain {domain_name})",
+            f"(define (domain {DOMAIN_NAME})",
             "  (:requirements :strips)",
             "  (:predicates",
             "\n".join(f"    ({p})" for p in predicates),
@@ -142,8 +140,8 @@ def _export_factored(
 
     problem = "\n".join(
         [
-            f"(define (problem {problem_name})",
-            f"  (:domain {domain_name})",
+            f"(define (problem {PROBLEM_NAME})",
+            f"  (:domain {DOMAIN_NAME})",
             "  (:init",
             "\n".join(f"    {p}" for p in state_props(init)),
             "  )",
@@ -157,13 +155,7 @@ def _export_factored(
     return domain, problem
 
 
-def _export_plan_graph(
-    level: AbstractLevel,
-    domain_name: str,
-    problem_name: str,
-    init: int,
-    goal: int,
-) -> tuple[str, str]:
+def _export_plan_graph(level: AbstractLevel, init: int, goal: int) -> tuple[str, str]:
     node = [f"at-{_sanitize(level.space.label(s))}" for s in level.space.states]
     actions = []
     for (s, part_id), t in sorted(level.transitions.items()):
@@ -179,7 +171,7 @@ def _export_plan_graph(
         )
     domain = "\n".join(
         [
-            f"(define (domain {domain_name})",
+            f"(define (domain {DOMAIN_NAME})",
             "  (:requirements :strips)",
             "  (:predicates",
             "\n".join(f"    ({p})" for p in node),
@@ -191,8 +183,8 @@ def _export_plan_graph(
     )
     problem = "\n".join(
         [
-            f"(define (problem {problem_name})",
-            f"  (:domain {domain_name})",
+            f"(define (problem {PROBLEM_NAME})",
+            f"  (:domain {DOMAIN_NAME})",
             f"  (:init\n    ({node[init]})\n  )",
             f"  (:goal (and ({node[goal]})))",
             ")",

@@ -51,14 +51,13 @@ class Plan:
     starts: GroundingSet
     goals: GroundingSet
 
-    def action_sequence(self, start: int, max_steps: int | None = None) -> list[str]:
+    def action_sequence(self, start: int) -> list[str]:
         """Actions taken following the policy from ``start`` to a goal."""
-        level_cap = max_steps if max_steps is not None else len(self.policy) + 1
         seq: list[str] = []
         state = start
         steps = 0
         while state not in self.goals:
-            if state not in self.policy or steps > level_cap:
+            if state not in self.policy or steps > len(self.policy) + 1:
                 raise RefinementFault(f"no policy path from state {start}")
             seq.append(self.policy[state])
             state = self._successors[(state, self.policy[state])]
@@ -240,23 +239,25 @@ def findplan_value_iteration(
     level,
     starts: GroundingSet,
     goals: GroundingSet,
-    max_sweeps: int | None = None,
     record: InstrumentationRecord | None = None,
 ) -> Plan | None:
     """Reward-optimal variant: value iteration with the level's rewards
-    and discount, goals absorbing at value zero.
+    and discount, goals absorbing at value zero, for at most
+    ``num_states + 1`` sweeps.
 
     With the uniform -1 penalty and no discounting this coincides with
     shortest paths. Feasibility criteria in callers should prefer
-    `findplan`; this exists for reward-sensitive plan extraction. The
-    edge examinations are added to ``record`` when one is given.
+    `findplan`; this exists for reward-sensitive plan extraction. Returns
+    None when some start has no value or when the extracted policy does
+    not lead every start to ``goals`` (a reward-positive cycle can draw
+    it away from the goal). The edge examinations are added to
+    ``record`` when one is given.
     """
-    gamma = getattr(level, "gamma", 1.0)
-    sweeps = max_sweeps if max_sweeps is not None else level.num_states + 1
+    gamma = level.gamma
     value: dict[int, float] = {g: 0.0 for g in goals}
     best: dict[int, tuple[str, int]] = {}
     ops = 0
-    for _ in range(sweeps):
+    for _ in range(level.num_states + 1):
         changed = False
         for s in range(level.num_states):
             if s in goals:
@@ -267,7 +268,7 @@ def findplan_value_iteration(
                 ops += 1
                 if t is None or t not in value:
                     continue
-                q = level.reward_of(s, action, t) + gamma * value[t]
+                q = level.reward_of(s, action) + gamma * value[t]
                 if candidate is None or q > candidate[0]:
                     candidate = (q, action, t)
             if candidate is None:
@@ -282,13 +283,19 @@ def findplan_value_iteration(
     _charge(record, level.level_index, ops)
     if any(s not in value for s in starts):
         return None
-    return Plan(
+    plan = Plan(
         level_index=level.level_index,
         policy={s: a for s, (a, _) in best.items()},
         starts=starts,
         goals=goals,
         _successors={(s, a): t for s, (a, t) in best.items()},
     )
+    try:
+        for s in starts:
+            plan.action_sequence(s)
+    except RefinementFault:
+        return None
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import LevelMismatch
+from .errors import LevelMismatch, MalformedInput
 
 
 def _mask_of(indices: Iterable[int]) -> int:
     mask = 0
     for i in indices:
         if i < 0:
-            raise ValueError(f"state index must be >= 0, got {i}")
+            raise MalformedInput(f"state index must be >= 0, got {i}")
         mask |= 1 << i
     return mask
 

@@ -33,14 +33,6 @@ MOVES: tuple[tuple[str, int, int], ...] = (
 )
 ACTIONS: tuple[str, ...] = tuple(m[0] for m in MOVES) + ("pick-up", "put-down")
 
-VARIABLES: tuple[Variable, ...] = (
-    Variable("taxi-x", tuple(range(5))),
-    Variable("taxi-y", tuple(range(5))),
-    Variable("pass-x", tuple(range(5))),
-    Variable("pass-y", tuple(range(5))),
-    Variable("in-taxi", (False, True)),
-)
-
 
 def _norm_wall(a: Cell, b: Cell) -> tuple[Cell, Cell]:
     return (a, b) if a <= b else (b, a)
@@ -100,13 +92,22 @@ DEFAULT_LAYOUT = TaxiLayout(
 )
 
 
-def build_taxi(layout: TaxiLayout = DEFAULT_LAYOUT, gamma: float = 1.0) -> BaseMDP:
-    """The 650-state deterministic taxi MDP.
+def build_taxi(layout: TaxiLayout = DEFAULT_LAYOUT) -> BaseMDP:
+    """The deterministic taxi MDP (650 states on the default 5x5 map).
 
     Pick-up applies when taxi and passenger share a cell with the
-    passenger outside; put-down applies while the passenger rides.
+    passenger outside; put-down applies while the passenger rides. The
+    coordinate variables range over the layout's columns and rows.
     """
-    cells = [(x, y) for x in range(layout.width) for y in range(layout.height)]
+    xs, ys = tuple(range(layout.width)), tuple(range(layout.height))
+    variables = (
+        Variable("taxi-x", xs),
+        Variable("taxi-y", ys),
+        Variable("pass-x", xs),
+        Variable("pass-y", ys),
+        Variable("in-taxi", (False, True)),
+    )
+    cells = [(x, y) for x in xs for y in ys]
     assignments: list[tuple] = []
     for tx, ty in cells:
         for px, py in cells:
@@ -116,7 +117,7 @@ def build_taxi(layout: TaxiLayout = DEFAULT_LAYOUT, gamma: float = 1.0) -> BaseM
     space = StateSpace(
         level_index=0,
         num_states=len(assignments),
-        variables=VARIABLES,
+        variables=variables,
         assignments=tuple(assignments),
     )
 
@@ -127,7 +128,6 @@ def build_taxi(layout: TaxiLayout = DEFAULT_LAYOUT, gamma: float = 1.0) -> BaseM
         return target
 
     transition: dict[tuple[int, str], int] = {}
-    reward: dict[tuple[int, str, int], float] = {}
     for sid, (tx, ty, px, py, riding) in enumerate(assignments):
         for name, dx, dy in MOVES:
             nx, ny = moved((tx, ty), dx, dy)
@@ -137,20 +137,17 @@ def build_taxi(layout: TaxiLayout = DEFAULT_LAYOUT, gamma: float = 1.0) -> BaseM
                 nxt = space.state_of((nx, ny, px, py, False))
             assert nxt is not None
             transition[(sid, name)] = nxt
-            reward[(sid, name, nxt)] = -1.0
         if not riding and (tx, ty) == (px, py):
             nxt = space.state_of((tx, ty, tx, ty, True))
             assert nxt is not None
             transition[(sid, "pick-up")] = nxt
-            reward[(sid, "pick-up", nxt)] = -1.0
         if riding:
             nxt = space.state_of((tx, ty, tx, ty, False))
             assert nxt is not None
             transition[(sid, "put-down")] = nxt
-            reward[(sid, "put-down", nxt)] = -1.0
-    return BaseMDP(
-        space=space, actions=ACTIONS, transition=transition, reward=reward, gamma=gamma
-    )
+    # every step costs -1; the reward table shares the transition keys
+    reward = dict.fromkeys(transition, -1.0)
+    return BaseMDP(space=space, actions=ACTIONS, transition=transition, reward=reward)
 
 
 def grid_distances(layout: TaxiLayout, target: Cell) -> dict[Cell, int]:

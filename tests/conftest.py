@@ -80,7 +80,7 @@ def queries(taxi_hierarchy):
 
 @pytest.fixture()
 def fresh_hierarchy():
-    """A hierarchy whose option statistics no other test has touched."""
+    """A hierarchy of its own, for tests that modify it in place."""
     return build_taxi_hierarchy()
 
 

@@ -28,13 +28,13 @@ from hierplan import (
 from hierplan.errors import (
     InapplicableAction,
     InvalidSeed,
-    MissingStatistics,
     NoSubgoalStructure,
     PartitionExplosion,
     StepBoundExceeded,
     UndefinedPolicy,
 )
 from hierplan import build_taxi, build_taxi_hierarchy
+from hierplan.abstraction import DEFAULT_PART_LIMIT
 from hierplan.taxi import (
     TaxiLayout,
     depot_seed_states,
@@ -94,7 +94,7 @@ class TestTerminalMaps:
         for level, fresh in self.fresh_levels(taxi_hierarchy):
             for option in fresh():
                 ends = {
-                    s: execute_option(level, option, s, record_stats=False).end
+                    s: execute_option(level, option, s).end
                     for s in option.initiation
                 }
                 effect = compute_effect_set(option, level)
@@ -106,18 +106,18 @@ class TestTerminalMaps:
                         assert part_ends == {part.terminal_state}
 
     def test_statistics_match_per_start_execution(self, taxi_hierarchy):
+        """Every part stores its option's mean return over the whole
+        initiation set, zero-step starts included."""
         for level, fresh in self.fresh_levels(taxi_hierarchy):
-            for memo, per_start in zip(fresh(), fresh()):
-                compute_effect_set(memo, level)
-                for s in per_start.initiation:
-                    execute_option(level, per_start, s)
-                assert memo.reward_stats.count == per_start.reward_stats.count
-                assert memo.duration_stats.count == per_start.duration_stats.count
-                assert memo.duration_stats.mean == per_start.duration_stats.mean
-                # returns are summed from the end of the walk backwards
-                assert memo.reward_stats.mean == pytest.approx(
-                    per_start.reward_stats.mean, rel=1e-12
-                )
+            for option in fresh():
+                returns = [
+                    execute_option(level, option, s).cumulative_reward
+                    for s in option.initiation
+                ]
+                expected = sum(returns) / len(returns)
+                for part in partition_option(option, level).parts:
+                    # returns are summed from the end of the walk backwards
+                    assert part.mean_return == pytest.approx(expected, rel=1e-12)
 
     # 0 reaches the terminal state 4 in one step; 1 -> 2 -> 3 -> 2 loops;
     # "stuck" applies nowhere
@@ -136,7 +136,7 @@ class TestTerminalMaps:
             space=StateSpace(level_index=0, num_states=5),
             actions=("go", "stuck"),
             transition=self.CHAIN,
-            reward={(s, a, t): -1.0 for (s, a), t in self.CHAIN.items()},
+            reward=dict.fromkeys(self.CHAIN, -1.0),
         )
         option = Option(
             name="broken",
@@ -145,39 +145,13 @@ class TestTerminalMaps:
             policy=policy,
         )
         # start 0 succeeds; start 1 is the first to fail
-        execute_option(mdp, option, 0, record_stats=False)
+        execute_option(mdp, option, 0)
         with pytest.raises(error) as per_start:
-            execute_option(mdp, option, 1, record_stats=False)
+            execute_option(mdp, option, 1)
         with pytest.raises(error, match=re.escape(str(per_start.value))):
             compute_effect_set(option, mdp)
         if error is StepBoundExceeded:
             assert "from state 1" in str(per_start.value)
-        # statistics were recorded for start 0 only, as per-start runs do
-        assert option.duration_stats.count == 1
-        assert option.duration_stats.mean == 1.0
-
-    def test_statistics_recorded_once_per_start_in_ascending_order(self, taxi_mdp):
-        class Recorder:
-            def __init__(self):
-                self.seen = []
-
-            def update(self, value):
-                self.seen.append(value)
-
-        drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
-        recorder = Recorder()
-        watched = Option(
-            name=drive.name,
-            initiation=drive.initiation,
-            termination=drive.termination,
-            policy=drive.policy,
-            duration_stats=recorder,
-        )
-        partition_option(watched, taxi_mdp)
-        assert recorder.seen == [
-            execute_option(taxi_mdp, drive, s, record_stats=False).steps
-            for s in sorted(drive.initiation)
-        ]
 
     def test_open_8x8_grid_builds_and_validates(self):
         layout = TaxiLayout(
@@ -332,7 +306,7 @@ class TestPartitioning:
             space=space,
             actions=("flip",),
             transition=transition,
-            reward={(s, a, t): -1.0 for (s, a), t in transition.items()},
+            reward=dict.fromkeys(transition, -1.0),
         )
         flip = Option(
             name="flip",
@@ -346,11 +320,12 @@ class TestPartitioning:
         assert all(isinstance(p.option_class, Subgoal) for p in parts)
 
     def test_partition_explosion(self):
-        # a non-factored space where the option may stop in many states
-        n = 12
+        # a non-factored space where the option stops in one more state
+        # than the part limit allows
+        n = DEFAULT_PART_LIMIT + 1
         space = StateSpace(level_index=0, num_states=n)
         transition = {(s, "halt"): s for s in range(n)}
-        reward = {(s, "halt", s): -1.0 for s in range(n)}
+        reward = dict.fromkeys(transition, -1.0)
         mdp = BaseMDP(space=space, actions=("halt",), transition=transition, reward=reward)
         scatter = Option(
             name="scatter",
@@ -359,7 +334,7 @@ class TestPartitioning:
             policy={},
         )
         with pytest.raises(PartitionExplosion):
-            partition_option(scatter, mdp, part_limit=4)
+            partition_option(scatter, mdp)
 
 
 class TestPlanGraph:
@@ -381,7 +356,7 @@ class TestPlanGraph:
             space=space,
             actions=("go",),
             transition={(0, "go"): 1, (1, "go"): 1, (2, "go"): 1},
-            reward={(0, "go", 1): -1.0, (1, "go", 1): -1.0, (2, "go", 1): -1.0},
+            reward={(0, "go"): -1.0, (1, "go"): -1.0, (2, "go"): -1.0},
         )
         homing = Option(
             name="homing",
@@ -396,12 +371,11 @@ class TestPlanGraph:
     def test_no_edge_when_superset_test_fails(self):
         space = StateSpace(level_index=0, num_states=4)
         transition = {(0, "a"): 1, (2, "b"): 3, (3, "b"): 3}
-        reward = {k + (v,): -1.0 for k, v in transition.items()}
         mdp = BaseMDP(
             space=space,
             actions=("a", "b"),
             transition=transition,
-            reward={(s, a, t): -1.0 for (s, a), t in transition.items()},
+            reward=dict.fromkeys(transition, -1.0),
         )
         first = Option(
             name="first",
@@ -484,7 +458,7 @@ class TestSoundness:
             assert g.issubset(part.initiation)
             target = level.grounding_of(t)
             for x in g:
-                end = execute_option(h.base, part.option, x, record_stats=False).end
+                end = execute_option(h.base, part.option, x).end
                 assert end in target
 
     def test_level2_transitions_sound(self, taxi_hierarchy):
@@ -497,7 +471,7 @@ class TestSoundness:
             assert g.issubset(part.initiation)
             target = level.grounding_of(t)
             for x in g:
-                end = execute_option(below, part.option, x, record_stats=False).end
+                end = execute_option(below, part.option, x).end
                 assert end in target
 
 
@@ -510,28 +484,19 @@ class TestRewardAssignment:
         drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
         a = state_of(taxi_mdp, 0, 0, 0, 4)      # distance 7 from blue
         b = state_of(taxi_mdp, 4, 0, 0, 4)      # distance 1 from blue
-        execute_option(taxi_mdp, drive, a)
-        execute_option(taxi_mdp, drive, b)
-        level = build_factored_abstraction(
-            [drive], taxi_mdp, depot_seed_states(taxi_mdp),
-            _parts=partition_option(drive, taxi_mdp).parts,
+        two_starts = Option(
+            name=drive.name,
+            initiation=GroundingSet.of(0, {a, b}),
+            termination=drive.termination,
+            policy=drive.policy,
         )
-        # partitioning above re-executed the option from all 650 starts;
-        # rebuild stats to the two hand-picked runs for a clean mean
-        drive.reward_stats.count = 2
-        drive.reward_stats.mean = (-7.0 + -1.0) / 2
+        parts = partition_option(two_starts, taxi_mdp).parts
+        assert [p.mean_return for p in parts] == [(-7.0 + -1.0) / 2]
+        level = build_factored_abstraction(
+            [two_starts], taxi_mdp, GroundingSet.of(0, {a, b}), _parts=parts
+        )
         level = assign_rewards(level, RewardMode.EMPIRICAL_MEAN)
         assert set(level.rewards.values()) == {-4.0}
-
-    def test_missing_statistics(self, taxi_mdp):
-        drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-red")
-        parts = partition_option(drive, taxi_mdp).parts
-        level = build_factored_abstraction(
-            [drive], taxi_mdp, depot_seed_states(taxi_mdp), _parts=parts
-        )
-        drive.reward_stats.count = 0
-        with pytest.raises(MissingStatistics):
-            assign_rewards(level, RewardMode.EMPIRICAL_MEAN)
 
     def test_empirical_hierarchy_rewards_are_negative_means(self):
         from hierplan import build_taxi_hierarchy

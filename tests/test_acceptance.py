@@ -148,7 +148,7 @@ def test_criterion_07_image_and_applicability_soundness(hierarchy):
                 continue
             target = level.grounding_of(t)
             for x in grounding:
-                end = execute_option(below, part.option, x, record_stats=False).end
+                end = execute_option(below, part.option, x).end
                 if end not in target:
                     violations += 1
     elapsed = time.perf_counter() - t0

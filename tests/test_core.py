@@ -2,9 +2,18 @@
 
 import pytest
 
-from hierplan import GroundingSet, Option, execute_option, one_step_preimage_options
+from hierplan import (
+    BaseMDP,
+    GroundingSet,
+    Option,
+    PlanQuery,
+    StateSpace,
+    execute_option,
+    one_step_preimage_options,
+)
 from hierplan.errors import (
     InapplicableAction,
+    MalformedInput,
     NotInInitiationSet,
     StepBoundExceeded,
     UndefinedPolicy,
@@ -114,7 +123,7 @@ class TestOptionExecution:
                 for act in taxi_mdp.actions
                 if taxi_mdp.transition.get((a, act)) == b
             )
-            total += taxi_mdp.reward[(a, action, b)]
+            total += taxi_mdp.reward[(a, action)]
         assert total == trace.cumulative_reward
 
     def test_all_options_close_over_all_initiation_states(self, taxi_mdp):
@@ -126,26 +135,6 @@ class TestOptionExecution:
                 assert trace.end in option.termination
                 assert trace.steps <= 10 * taxi_mdp.num_states
 
-    def test_stats_accumulate(self, taxi_mdp):
-        drive = [o for o in taxi_options_level1(taxi_mdp) if o.name == "drive-to-red"][0]
-        a = state_of(taxi_mdp, 0, 0, 0, 0)
-        b = state_of(taxi_mdp, 4, 4, 0, 0)
-        ta = execute_option(taxi_mdp, drive, a)
-        tb = execute_option(taxi_mdp, drive, b)
-        assert drive.reward_stats.count == 2
-        assert drive.reward_stats.mean == pytest.approx(
-            (ta.cumulative_reward + tb.cumulative_reward) / 2
-        )
-        assert drive.duration_stats.mean == pytest.approx((ta.steps + tb.steps) / 2)
-
-    def test_zero_step_execution_counts_in_stats(self, taxi_mdp):
-        drive = self.options(taxi_mdp)["drive-to-yellow"]
-        at_depot = state_of(taxi_mdp, 0, 0, 3, 3)
-        execute_option(taxi_mdp, drive, at_depot)
-        assert drive.reward_stats.count == 1
-        assert drive.reward_stats.mean == 0.0
-        assert drive.duration_stats.mean == 0.0
-
     def test_step_bound_exceeded_on_livelock(self, taxi_mdp):
         spin = Option(
             name="spin",
@@ -153,8 +142,8 @@ class TestOptionExecution:
             termination=GroundingSet.of(0, {649}),
             policy={s: "move-west" for s in range(650)},
         )
-        with pytest.raises(StepBoundExceeded):
-            execute_option(taxi_mdp, spin, 0, step_bound=25)
+        with pytest.raises(StepBoundExceeded, match="exceeded 6500 steps"):
+            execute_option(taxi_mdp, spin, 0)
 
     def test_undefined_policy_raises(self, taxi_mdp):
         partial = Option(
@@ -167,6 +156,36 @@ class TestOptionExecution:
             execute_option(taxi_mdp, partial, 0)
 
 
+THREE = StateSpace(level_index=0, num_states=3)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StateSpace(level_index=0, num_states=0),
+            lambda: BaseMDP(THREE, ("go",), {(0, "go"): 9}, {(0, "go"): -1.0}),
+            lambda: BaseMDP(THREE, ("go",), {(0, "go"): 1}, {(0, "go"): -1.0, (1, "go"): -1.0}),
+            lambda: BaseMDP(THREE, ("go",), {(0, "go"): 1}, {(0, "go"): -1.0}, gamma=0.0),
+            lambda: Option("o", GroundingSet.empty(0), GroundingSet.of(0, {1}), {}),
+            lambda: GroundingSet.of(0, [-1]),
+            lambda: PlanQuery(GroundingSet.empty(0), GroundingSet.of(0, {1})),
+        ],
+        ids=[
+            "no-states",
+            "target-outside",
+            "reward-keys",
+            "gamma",
+            "empty-initiation",
+            "negative-index",
+            "empty-starts",
+        ],
+    )
+    def test_rejected_with_typed_error(self, make):
+        with pytest.raises(MalformedInput):
+            make()
+
+
 class TestOneStepWrappers:
     def test_each_wrapper_is_single_step(self, taxi_mdp):
         wrappers = one_step_preimage_options(taxi_mdp)
@@ -175,6 +194,6 @@ class TestOneStepWrappers:
         for option in samples:
             target = next(iter(option.termination))
             for s in list(option.initiation)[:5]:
-                trace = execute_option(taxi_mdp, option, s, record_stats=False)
+                trace = execute_option(taxi_mdp, option, s)
                 assert trace.end == target
                 assert trace.steps <= 1

@@ -86,6 +86,10 @@ class TestDomainIO:
             ({"actions": ["fwd"], "num_states": 3}, "'transitions'"),
             ({"num_states": 3, "transitions": []}, "'actions'"),
             ({"actions": ["fwd"], "transitions": []}, "'num_states'"),
+            (
+                {"actions": ["fwd"], "num_states": 3, "transitions": [[0, "fwd"]]},
+                "transition [0, 'fwd'] is not [state, action, state(, reward)]",
+            ),
         ],
     )
     def test_malformed_domain_rejected(self, domain, message):
@@ -259,6 +263,46 @@ class TestCLI:
         assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: --B is not valid JSON")
+
+    @pytest.mark.parametrize(
+        "transitions, initiation, message",
+        [
+            ([[0, "fwd", 9]], [0], "error: transition (0, 'fwd') -> 9 leaves the space"),
+            ([[0, "fwd"]], [0], "error: transition [0, 'fwd'] is not"),
+            ([[0, "fwd", 1]], [], "error: option 'to-one' has an empty initiation set"),
+        ],
+        ids=["target-outside", "short-entry", "empty-initiation"],
+    )
+    def test_bad_domain_input_prints_one_error_line(
+        self, tmp_path, transitions, initiation, message
+    ):
+        option = {"name": "to-one", "initiation": initiation, "termination": [1],
+                  "policy": {"0": "fwd"}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "actions": ["fwd"], "num_states": 3, "transitions": transitions,
+            "options": {"l1": [option]},
+        }))
+        runner = CliRunner()
+        result = runner.invoke(
+            cli, ["build", "--domain-file", str(path), "--option-set", "l1"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), result.output
+
+    def test_plan_empty_start_set_prints_one_error_line(self):
+        runner = CliRunner()
+        result = runner.invoke(
+            cli, ["plan", "--B", '{"states": []}', "--G", '{"pass-at": "red"}']
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: plan queries need non-empty start and goal sets"
+        ), result.output
 
     @pytest.mark.parametrize(
         "domain, message",

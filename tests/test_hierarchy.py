@@ -9,6 +9,8 @@ from hierplan import (
     Hierarchy,
     RewardMode,
     answer_query,
+    build_taxi_hierarchy,
+    flatten_options,
     one_step_preimage_options,
     refine,
 )
@@ -68,6 +70,26 @@ class TestAddLevel:
             (to_base[s], to_base[t]) for (s, _), t in level.transitions.items()
         }
         assert abstract_edges == base_edges
+
+
+class TestRebuild:
+    def test_rebuild_after_use_is_identical(self, queries):
+        """Empirical rewards depend only on the hierarchy's inputs:
+        refining, flattening and validating leave nothing behind that a
+        rebuild from the same option sets would see."""
+        h = build_taxi_hierarchy(reward_mode=RewardMode.EMPIRICAL_MEAN)
+        q = queries["Q1"]
+        answer = answer_query(h, q)
+        for start in q.starts:
+            refine(h, answer.plan, start)
+        flatten_options(h)
+        assert h.validate() == []
+        rebuilt = (
+            Hierarchy(base=h.base, reward_mode=h.reward_mode)
+            .add_level(h.option_sets[0], seeds=depot_seed_states(h.base))
+            .add_level(h.option_sets[1])
+        )
+        assert rebuilt.to_json() == h.to_json()
 
 
 class TestValidate:

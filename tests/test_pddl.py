@@ -1,11 +1,13 @@
 """PDDL export: structure, balance, and golden stability."""
 
+import re
 from pathlib import Path
 
 import pytest
 
-from hierplan import Hierarchy, export_pddl
+from hierplan import Hierarchy, build_taxi_hierarchy, export_pddl
 from hierplan.errors import LevelOutOfRange, UnknownName
+from hierplan.taxi import TaxiLayout
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -89,6 +91,20 @@ class TestFactoredExport:
         for name, value in zip(space.variable_names(), space.assignment(3)):
             token = str(value).lower() if isinstance(value, bool) else str(value)
             assert f"({name}-{token})" in init_props
+
+    def test_open_8x8_propositions_are_declared(self):
+        layout = TaxiLayout(
+            width=8,
+            height=8,
+            depots=(("red", (0, 7)), ("green", (7, 7)), ("blue", (7, 0)), ("yellow", (0, 0))),
+        )
+        domain, problem = export_pddl(build_taxi_hierarchy(layout), 1)
+        head, _, actions = domain.partition("(:action")
+        atom = re.compile(r"\(([a-z][a-z-]*-(?:\d+|true|false))\)")
+        declared = set(atom.findall(head))
+        used = set(atom.findall(actions)) | set(atom.findall(problem))
+        assert {"taxi-x-7", "pass-y-7"} <= used
+        assert used <= declared
 
 
 class TestPlanGraphExport:

@@ -160,7 +160,7 @@ class TestFindplan:
             space=space,
             actions=("go",),
             transition={(0, "go"): 1},
-            reward={(0, "go", 1): -1.0},
+            reward={(0, "go"): -1.0},
         )
         plan = findplan(mdp, GroundingSet.of(0, {0, 2}), GroundingSet.of(0, {1}))
         assert plan is None
@@ -221,7 +221,7 @@ class TestAnswerQuery:
             space=space,
             actions=("go",),
             transition={(0, "go"): 1, (1, "go"): 1},
-            reward={(0, "go", 1): -1.0, (1, "go", 1): -1.0},
+            reward={(0, "go"): -1.0, (1, "go"): -1.0},
         )
         h = Hierarchy(base=mdp)
         q = PlanQuery(GroundingSet.of(0, {1}), GroundingSet.of(0, {0}))
@@ -239,7 +239,7 @@ class TestAnswerQuery:
             space=space,
             actions=("go",),
             transition=transition,
-            reward={(s, a, t): -1.0 for (s, a), t in transition.items()},
+            reward=dict.fromkeys(transition, -1.0),
         )
         early = Option(
             name="early",
@@ -269,6 +269,23 @@ class TestAnswerQuery:
         assert planning_cost(rec) == rec.total_ops
         trace = refine(h, answer.plan, 1)
         assert trace.end in q.goals
+
+    def test_value_iteration_positive_loop_returns_none(self):
+        """A reward-positive self-loop draws the value-iteration policy
+        away from the goal, so no plan may leave ``answer_query``;
+        reachability still finds the path."""
+        mdp, _ = load_domain(
+            {
+                "actions": ["fwd", "stay"],
+                "num_states": 3,
+                "transitions": [[0, "fwd", 1], [1, "fwd", 2], [0, "stay", 0, 1.0]],
+            }
+        )
+        h = Hierarchy(base=mdp)
+        q = PlanQuery(GroundingSet.of(0, {0}), GroundingSet.of(0, {2}))
+        assert findplan_value_iteration(mdp, q.starts, q.goals) is None
+        assert answer_query(h, q, plan_mode="value-iteration") is None
+        assert answer_query(h, q).plan.action_sequence(0) == ["fwd", "fwd"]
 
     def test_findplan_with_empty_goal_set_is_null(self, taxi_hierarchy):
         empty = GroundingSet.empty(0)
@@ -321,23 +338,6 @@ class TestRefinement:
         plan = findplan(taxi_hierarchy.base, GroundingSet.empty(0), q.goals)
         with pytest.raises(RefinementFault):
             refine(taxi_hierarchy, plan, next(iter(q.starts)))
-
-    def test_value_iteration_positive_loop_faults(self):
-        """A reward-positive self-loop draws the value-iteration policy
-        away from the goal; refinement must fault, not loop."""
-        mdp, _ = load_domain(
-            {
-                "actions": ["fwd", "stay"],
-                "num_states": 3,
-                "transitions": [[0, "fwd", 1], [1, "fwd", 2], [0, "stay", 0, 1.0]],
-            }
-        )
-        h = Hierarchy(base=mdp)
-        q = PlanQuery(GroundingSet.of(0, {0}), GroundingSet.of(0, {2}))
-        answer = answer_query(h, q, plan_mode="value-iteration")
-        assert answer.plan.policy[0] == "stay"
-        with pytest.raises(RefinementFault):
-            refine(h, answer.plan, 0)
 
     def test_trace_reward_counts_base_steps(self, taxi_hierarchy, queries):
         q = queries["Q1"]

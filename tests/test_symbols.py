@@ -176,12 +176,7 @@ class TestOverlappingGroundings:
             space=space0,
             actions=("go",),
             transition={(0, "go"): 1, (1, "go"): 2, (2, "go"): 3, (3, "go"): 3},
-            reward={
-                (0, "go", 1): -1.0,
-                (1, "go", 2): -1.0,
-                (2, "go", 3): -1.0,
-                (3, "go", 3): -1.0,
-            },
+            reward={(0, "go"): -1.0, (1, "go"): -1.0, (2, "go"): -1.0, (3, "go"): -1.0},
         )
         opt = Option(
             name="advance",
@@ -195,6 +190,7 @@ class TestOverlappingGroundings:
             initiation=opt.initiation,
             option_class=Subgoal(),
             effect=GroundingSet.of(0, {3}),
+            mean_return=-2.0,
             terminal_state=3,
         )
         level = AbstractLevel(

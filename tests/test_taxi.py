@@ -56,6 +56,17 @@ class TestDomain:
         nxt, _ = mdp.step(s, "move-east")  # no wall in the open grid
         assert mdp.space.assignment(nxt) == (1, 0, 4, 4, False)
 
+    def test_variable_domains_follow_layout(self):
+        mdp = build_taxi(TaxiLayout(width=6, height=3, depots=(("red", (0, 0)),)))
+        assert mdp.num_states == 18 * 18 + 18
+        assert [(v.name, v.domain) for v in mdp.space.variables] == [
+            ("taxi-x", tuple(range(6))),
+            ("taxi-y", tuple(range(3))),
+            ("pass-x", tuple(range(6))),
+            ("pass-y", tuple(range(3))),
+            ("in-taxi", (False, True)),
+        ]
+
 
 class TestOptionSets:
     def test_level1_has_six_options(self, taxi_mdp):
@@ -91,10 +102,10 @@ class TestOptionSets:
             o for o in taxi_options_level1(taxi_mdp) if o.name == "drive-to-green"
         )
         outside = state_of(taxi_mdp, 0, 0, 3, 0)
-        trace = execute_option(taxi_mdp, drive, outside, record_stats=False)
+        trace = execute_option(taxi_mdp, drive, outside)
         assert taxi_mdp.space.assignment(trace.end) == (4, 4, 3, 0, False)
         riding = state_of(taxi_mdp, 0, 0, 0, 0, True)
-        trace = execute_option(taxi_mdp, drive, riding, record_stats=False)
+        trace = execute_option(taxi_mdp, drive, riding)
         assert taxi_mdp.space.assignment(trace.end) == (4, 4, 4, 4, True)
 
     def test_ferry_leaves_passenger_outside_at_depot(self, fresh_hierarchy):
@@ -104,7 +115,7 @@ class TestOptionSets:
             o for o in taxi_options_level2(h) if o.name == "passenger-to-yellow"
         )
         for s in ferry.initiation:
-            trace = execute_option(level1, ferry, s, record_stats=False)
+            trace = execute_option(level1, ferry, s)
             assert level1.space.assignment(trace.end) == (0, 0, 0, 0, False)
 
 
