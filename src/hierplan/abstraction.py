@@ -29,14 +29,15 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .core import (
     Assignment,
+    BaseMDP,
     Option,
     StateSpace,
     default_step_bound,
-    predecessor_index,
 )
 from .errors import (
     InapplicableAction,
     InvalidSeed,
+    MalformedInput,
     NoFactoredStructure,
     NoSubgoalStructure,
     PartitionExplosion,
@@ -382,55 +383,57 @@ class Construction(enum.Enum):
     FACTORED = "factored"
 
 
-@dataclass(frozen=True)
-class AbstractLevel:
-    """One abstract MDP of a hierarchy.
+def part_reward(part: OptionPart, mode: RewardMode) -> float:
+    """The reward of every transition by ``part``: -1, or the mean return
+    of the part's parent option, fixed when the part was built."""
+    if mode is RewardMode.UNIFORM_PENALTY:
+        return -1.0
+    return part.mean_return
 
-    States carry groundings into the level below. An action is an option
-    part; a transition ``(s, part) -> s'`` exists only when ``s``'s
-    grounding lies inside the part's initiation set, and the image of the
-    grounding under the option is contained in ``s'``'s grounding.
+
+@dataclass(frozen=True, kw_only=True)
+class AbstractLevel(BaseMDP):
+    """One abstract MDP of a hierarchy: a `BaseMDP` whose actions are the
+    parts of the options over the level below.
+
+    ``actions`` holds the part ids in the order of ``parts``, and
+    ``transition`` and ``reward`` are keyed by ``(s, part_id)``, so the
+    base MDP's table checks guard abstract levels too. States carry
+    groundings into the level below. A transition ``(s, part_id) -> s'``
+    exists only when ``s``'s grounding lies inside the part's initiation
+    set, and the image of the grounding under the option is contained in
+    ``s'``'s grounding. ``step`` also accepts an option id, so an option
+    over this level can name the options below it.
     """
 
-    space: StateSpace
-    actions: tuple[OptionPart, ...]
-    transitions: Mapping[tuple[int, str], int]
-    rewards: Mapping[str, float]
+    parts: tuple[OptionPart, ...]
     groundings: Mapping[int, GroundingSet]
     construction: Construction
-    gamma: float = 1.0
     _by_id: dict[str, OptionPart] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     _by_option: dict[str, tuple[OptionPart, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _predecessors: dict[int, tuple[tuple[int, str], ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
-        by_id = {p.part_id: p for p in self.actions}
+        super().__post_init__()
+        by_id = {p.part_id: p for p in self.parts}
+        if tuple(by_id) != self.actions:
+            raise MalformedInput("an abstract level's actions must be its part ids")
         by_option: dict[str, list[OptionPart]] = {}
-        for p in self.actions:
+        for p in self.parts:
             by_option.setdefault(p.option_id, []).append(p)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(
             self, "_by_option", {k: tuple(v) for k, v in by_option.items()}
         )
-        object.__setattr__(self, "_predecessors", predecessor_index(self.transitions))
 
     @property
-    def level_index(self) -> int:
-        return self.space.level_index
-
-    @property
-    def num_states(self) -> int:
-        return self.space.num_states
-
-    @property
-    def action_ids(self) -> tuple[str, ...]:
-        return tuple(p.part_id for p in self.actions)
+    def transitions(self) -> Mapping[tuple[int, str], int]:
+        """The ``transition`` table under its old name, kept because the
+        benchmark code in ``perfbench/`` reads ``level.transitions``."""
+        return self.transition
 
     def part(self, part_id: str) -> OptionPart:
         return self._by_id[part_id]
@@ -442,28 +445,19 @@ class AbstractLevel:
         """Map an action or option id to the part id applicable in
         ``state``; parts of one option have disjoint initiations, so at
         most one applies."""
-        if action_id in self._by_id and (state, action_id) in self.transitions:
+        if action_id in self._by_id and (state, action_id) in self.transition:
             return action_id
         for p in self._by_option.get(action_id, ()):
-            if (state, p.part_id) in self.transitions:
+            if (state, p.part_id) in self.transition:
                 return p.part_id
         return None
 
-    def successor(self, state: int, action_id: str) -> int | None:
-        return self.transitions.get((state, action_id))
-
-    def predecessor_edges(self, state: int) -> tuple[tuple[int, str], ...]:
-        return self._predecessors.get(state, ())
-
-    def reward_of(self, state: int, action_id: str) -> float:
-        return self.rewards[action_id]
-
-    def step(self, state: int, action_id: str) -> tuple[int, float]:
-        """Apply an option (by part id or option id) as one abstract step."""
-        part_id = self.resolve_part(state, action_id)
+    def step(self, state: int, action: str) -> tuple[int, float]:
+        """Apply an option, by part id or option id, as one abstract step."""
+        part_id = self.resolve_part(state, action)
         if part_id is None:
-            raise InapplicableAction(f"option {action_id!r} in abstract state {state}")
-        return self.transitions[(state, part_id)], self.rewards[part_id]
+            raise InapplicableAction(f"option {action!r} in abstract state {state}")
+        return super().step(state, part_id)
 
 
 def _partition_all(options: Sequence[Option], level) -> list[OptionPart]:
@@ -506,27 +500,27 @@ def build_plan_graph(
         for p in parts
     ]
 
-    transitions: dict[tuple[int, str], int] = {}
+    transition: dict[tuple[int, str], int] = {}
     for i, pi in enumerate(parts):
         for j, pj in enumerate(parts):
             if pi.effect.issubset(pj.initiation):
-                transitions[(i, pj.part_id)] = j
+                transition[(i, pj.part_id)] = j
 
     space = StateSpace(
         level_index=lvl + 1,
         num_states=len(parts),
         labels=tuple(p.part_id for p in parts),
     )
-    lvl_obj = AbstractLevel(
+    return AbstractLevel(
         space=space,
-        actions=tuple(parts),
-        transitions=transitions,
-        rewards={p.part_id: -1.0 for p in parts},
+        actions=tuple(p.part_id for p in parts),
+        transition=transition,
+        reward=dict.fromkeys(transition, -1.0),
+        parts=tuple(parts),
         groundings=dict(enumerate(widened)),
         construction=Construction.PLAN_GRAPH,
         gamma=level.gamma,
     )
-    return lvl_obj
 
 
 def build_factored_abstraction(
@@ -576,7 +570,7 @@ def build_factored_abstraction(
         if asg not in order:
             order[asg] = len(order)
     queue = list(order)
-    transitions: dict[tuple[int, str], int] = {}
+    transition: dict[tuple[int, str], int] = {}
     while queue:
         asg = queue.pop(0)
         sid = order[asg]
@@ -588,7 +582,7 @@ def build_factored_abstraction(
             if nxt not in order:
                 order[nxt] = len(order)
                 queue.append(nxt)
-            transitions[(sid, part.part_id)] = order[nxt]
+            transition[(sid, part.part_id)] = order[nxt]
 
     assignments = tuple(order)
     new_space = StateSpace(
@@ -602,9 +596,10 @@ def build_factored_abstraction(
     }
     return AbstractLevel(
         space=new_space,
-        actions=tuple(parts),
-        transitions=transitions,
-        rewards={p.part_id: -1.0 for p in parts},
+        actions=tuple(p.part_id for p in parts),
+        transition=transition,
+        reward=dict.fromkeys(transition, -1.0),
+        parts=tuple(parts),
         groundings=groundings,
         construction=Construction.FACTORED,
         gamma=level.gamma,
@@ -612,10 +607,8 @@ def build_factored_abstraction(
 
 
 def assign_rewards(level: AbstractLevel, mode: RewardMode) -> AbstractLevel:
-    """Set every transition reward to -1, or to the mean return of the
-    part's parent option, fixed when the part was built."""
-    if mode is RewardMode.UNIFORM_PENALTY:
-        rewards = {p.part_id: -1.0 for p in level.actions}
-    else:
-        rewards = {p.part_id: p.mean_return for p in level.actions}
-    return replace(level, rewards=rewards)
+    """Set the reward of every transition by its part's `part_reward`."""
+    reward = {p.part_id: part_reward(p, mode) for p in level.parts}
+    return replace(
+        level, reward={key: reward[key[1]] for key in level.transition}
+    )

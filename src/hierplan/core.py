@@ -121,17 +121,6 @@ class StateSpace:
         return f"s{state}"
 
 
-def predecessor_index(
-    transitions: Mapping[tuple[int, str], int],
-) -> dict[int, tuple[tuple[int, str], ...]]:
-    """For every target state, the ``(state, action)`` edges entering it,
-    in the transition map's order."""
-    preds: dict[int, list[tuple[int, str]]] = {}
-    for (s, a), t in transitions.items():
-        preds.setdefault(t, []).append((s, a))
-    return {t: tuple(v) for t, v in preds.items()}
-
-
 @dataclass(frozen=True)
 class BaseMDP:
     """Deterministic discrete MDP with a partial transition map.
@@ -154,14 +143,19 @@ class BaseMDP:
         if not 0.0 < self.gamma <= 1.0:
             raise MalformedInput(f"gamma must be in (0, 1], got {self.gamma}")
         declared = set(self.actions)
+        # for every target state, the (state, action) edges entering it
+        preds: dict[int, list[tuple[int, str]]] = {}
         for (s, a), t in self.transition.items():
             if not (0 <= s < self.space.num_states and 0 <= t < self.space.num_states):
                 raise MalformedInput(f"transition ({s}, {a!r}) -> {t} leaves the space")
             if a not in declared:
                 raise UnknownName(f"transition ({s}, {a!r}) uses an undeclared action")
+            preds.setdefault(t, []).append((s, a))
         if self.reward.keys() != self.transition.keys():
             raise MalformedInput("reward and transition tables have different keys")
-        object.__setattr__(self, "_predecessors", predecessor_index(self.transition))
+        object.__setattr__(
+            self, "_predecessors", {t: tuple(v) for t, v in preds.items()}
+        )
 
     @property
     def level_index(self) -> int:
@@ -170,10 +164,6 @@ class BaseMDP:
     @property
     def num_states(self) -> int:
         return self.space.num_states
-
-    @property
-    def action_ids(self) -> tuple[str, ...]:
-        return self.actions
 
     def successor(self, state: int, action: str) -> int | None:
         return self.transition.get((state, action))
@@ -254,11 +244,14 @@ def execute_option(level, option: Option, start: int, *,
                    record_stats: bool = True) -> ExecutionTrace:
     """Run ``option`` from ``start`` until its termination set is reached.
 
-    ``level`` is any object with a ``step(state, action_id)`` method and a
-    ``num_states`` attribute (a BaseMDP or an abstract level). Execution
-    fails with StepBoundExceeded after ``default_step_bound(level)``
-    steps. ``record_stats`` does nothing: it is accepted only so that
-    existing callers keep working, since execution records nothing.
+    ``level`` is the level the option runs over: the base MDP or an
+    abstract level, whose ``step`` takes an option id as well as a part
+    id. Each policy action is one ``level.step``, so over an abstract
+    level a trace visits abstract states and sums abstract rewards.
+    Execution fails with StepBoundExceeded after
+    ``default_step_bound(level)`` steps. ``record_stats`` does nothing: it
+    is accepted only so that existing callers keep working, since
+    execution records nothing.
     """
     if start not in option.initiation:
         raise NotInInitiationSet(f"option {option.name!r} from state {start}")

@@ -58,26 +58,44 @@ def _require(data: dict, key: str, what: str):
         raise MalformedInput(f"{what} has no {key!r} key") from None
 
 
+def _parse(data: dict, key: str, what: str, convert):
+    """``convert(data[key])``; MalformedInput when the key is missing or
+    its value does not have the shape ``convert`` reads."""
+    value = _require(data, key, what)
+    try:
+        return convert(value)
+    except (AttributeError, TypeError, ValueError):
+        raise MalformedInput(f"{what} has a malformed {key!r}: {value!r}") from None
+
+
+def _base_states(ids) -> GroundingSet:
+    return GroundingSet.of(0, ids)
+
+
 def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
     """Build a BaseMDP (and any named option sets) from a JSON file or an
     already-parsed dict."""
-    data = _read(source)
-    variables = data.get("variables")
-    if variables is not None:
-        vars_t = tuple(Variable(n, tuple(dom)) for n, dom in variables)
-        assignments = tuple(tuple(a) for a in _require(data, "states", "domain"))
+    data = {"gamma": 1.0, **_read(source)}
+    labels = _parse(data, "labels", "domain", tuple) if "labels" in data else None
+    if data.get("variables") is not None:
+        assignments = _parse(data, "states", "domain", lambda v: tuple(map(tuple, v)))
         space = StateSpace(
             level_index=0,
             num_states=len(assignments),
-            variables=vars_t,
+            variables=_parse(
+                data,
+                "variables",
+                "domain",
+                lambda v: tuple(Variable(n, tuple(dom)) for n, dom in v),
+            ),
             assignments=assignments,
-            labels=tuple(data["labels"]) if "labels" in data else None,
+            labels=labels,
         )
     else:
         space = StateSpace(
             level_index=0,
-            num_states=int(_require(data, "num_states", "domain")),
-            labels=tuple(data["labels"]) if "labels" in data else None,
+            num_states=_parse(data, "num_states", "domain", int),
+            labels=labels,
         )
     transition: dict[tuple[int, str], int] = {}
     reward: dict[tuple[int, str], float] = {}
@@ -95,10 +113,10 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
         reward[(s, a)] = r
     mdp = BaseMDP(
         space=space,
-        actions=tuple(_require(data, "actions", "domain")),
+        actions=_parse(data, "actions", "domain", tuple),
         transition=transition,
         reward=reward,
-        gamma=float(data.get("gamma", 1.0)),
+        gamma=_parse(data, "gamma", "domain", float),
     )
     option_sets: dict[str, list[Option]] = {}
     for set_name, entries in data.get("options", {}).items():
@@ -106,9 +124,11 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
         option_sets[set_name] = [
             Option(
                 name=_require(e, "name", what),
-                initiation=GroundingSet.of(0, _require(e, "initiation", what)),
-                termination=GroundingSet.of(0, _require(e, "termination", what)),
-                policy={int(k): v for k, v in _require(e, "policy", what).items()},
+                initiation=_parse(e, "initiation", what, _base_states),
+                termination=_parse(e, "termination", what, _base_states),
+                policy=_parse(
+                    e, "policy", what, lambda p: {int(k): v for k, v in p.items()}
+                ),
             )
             for e in entries
         ]

@@ -33,6 +33,7 @@ from .abstraction import (
     assign_rewards,
     build_factored_abstraction,
     build_plan_graph,
+    part_reward,
 )
 from .core import BaseMDP, Option, execute_option
 from .errors import (
@@ -237,7 +238,7 @@ class Hierarchy:
             for o in self.option_sets[j - 1]:
                 if o.initiation.is_empty():
                     out.append(Violation(j, "empty-initiation", o.name))
-            for (s, pid), t in level.transitions.items():
+            for (s, pid), t in level.transition.items():
                 if not 0 <= t < level.num_states:
                     out.append(Violation(j, "transition-range", f"({s}, {pid})"))
                     continue
@@ -293,11 +294,13 @@ class Hierarchy:
                     "construction": level.construction.value,
                     "num_states": level.num_states,
                     "states": [level.space.label(s) for s in level.space.states],
-                    "actions": [p.part_id for p in level.actions],
+                    "actions": list(level.actions),
                     "transitions": sorted(
-                        [s, pid, t] for (s, pid), t in level.transitions.items()
+                        [s, pid, t] for (s, pid), t in level.transition.items()
                     ),
-                    "rewards": dict(sorted(level.rewards.items())),
+                    "rewards": {
+                        p.part_id: part_reward(p, self.reward_mode) for p in level.parts
+                    },
                     "groundings": {
                         str(s): sorted(level.grounding_of(s))
                         for s in level.space.states

@@ -97,7 +97,7 @@ def _export_factored(
     ]
 
     actions = []
-    for part in level.actions:
+    for part in level.parts:
         profile, exact = _initiation_profile(below_space, part)
         pre = []
         for n in names:
@@ -158,7 +158,7 @@ def _export_factored(
 def _export_plan_graph(level: AbstractLevel, init: int, goal: int) -> tuple[str, str]:
     node = [f"at-{_sanitize(level.space.label(s))}" for s in level.space.states]
     actions = []
-    for (s, part_id), t in sorted(level.transitions.items()):
+    for (s, part_id), t in sorted(level.transition.items()):
         actions.append(
             "\n".join(
                 [

@@ -16,9 +16,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .abstraction import AbstractLevel
 from .core import ExecutionTrace, Option, execute_option
 from .errors import (
+    HierplanError,
     InconsistentRecord,
     LevelOutOfRange,
     NoMatch,
@@ -218,7 +218,7 @@ def findplan(
     for s, d in dist.items():
         if d == 0:
             continue
-        for action in level.action_ids:
+        for action in level.actions:
             t = level.successor(s, action)
             ops += 1
             if t is not None and dist.get(t, -1) == d - 1:
@@ -263,7 +263,7 @@ def findplan_value_iteration(
             if s in goals:
                 continue
             candidate: tuple[float, str, int] | None = None
-            for action in level.action_ids:
+            for action in level.actions:
                 t = level.successor(s, action)
                 ops += 1
                 if t is None or t not in value:
@@ -391,44 +391,25 @@ def _run_option(
 ) -> None:
     """Execute one option (an action of level ``level_of_option``) down
     to base actions, advancing the concrete cursor at every level
-    below."""
-    if level_of_option == 1:
-        try:
-            segments.append(execute_option(h.base, option, cursor[0]))
-        except Exception as exc:
-            raise RefinementFault(str(exc)) from exc
-        cursor[0] = segments[-1].end
-        return
-    below: AbstractLevel = h.level(level_of_option - 1)
-    s = cursor[level_of_option - 1]
-    if s not in option.initiation:
-        raise RefinementFault(
-            f"option {option.name!r} invoked outside its initiation set "
-            f"(level {level_of_option - 1} state {s})"
-        )
-    guard = 10 * below.num_states
-    steps = 0
-    while s not in option.termination:
-        action_id = option.policy.get(s)
-        if action_id is None:
-            raise RefinementFault(
-                f"option {option.name!r} has no action for level "
-                f"{level_of_option - 1} state {s}"
-            )
-        part_id = below.resolve_part(s, action_id)
-        if part_id is None:
-            raise RefinementFault(
-                f"action {action_id!r} inapplicable at level "
-                f"{level_of_option - 1} state {s}"
-            )
-        _run_option(
-            h, level_of_option - 1, below.part(part_id).option, cursor, segments
-        )
-        s = below.transitions[(s, part_id)]
-        cursor[level_of_option - 1] = s
-        steps += 1
-        if steps > guard:
-            raise RefinementFault(f"option {option.name!r} did not terminate")
+    below.
+
+    The option runs over level ``level_of_option - 1`` with
+    `execute_option`. Above the base, each step of that trace applies a
+    part of that level, whose option is then run the same way one level
+    further down."""
+    j = level_of_option - 1
+    level = h.level(j)
+    try:
+        trace = execute_option(level, option, cursor[j])
+    except HierplanError as exc:
+        raise RefinementFault(str(exc)) from exc
+    if j == 0:
+        segments.append(trace)
+    else:
+        for s in trace.visited[:-1]:
+            part = level.part(level.resolve_part(s, option.policy[s]))
+            _run_option(h, j, part.option, cursor, segments)
+    cursor[j] = trace.end
 
 
 def execute_refined(

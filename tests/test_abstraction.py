@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierplan import (
+    AbstractLevel,
     AbstractSubgoal,
     BaseMDP,
+    Construction,
     GroundingSet,
     Option,
+    OptionPart,
     RewardMode,
     StateSpace,
     Subgoal,
@@ -28,10 +31,12 @@ from hierplan import (
 from hierplan.errors import (
     InapplicableAction,
     InvalidSeed,
+    MalformedInput,
     NoSubgoalStructure,
     PartitionExplosion,
     StepBoundExceeded,
     UndefinedPolicy,
+    UnknownName,
 )
 from hierplan import build_taxi, build_taxi_hierarchy
 from hierplan.abstraction import DEFAULT_PART_LIMIT
@@ -343,7 +348,7 @@ class TestPlanGraph:
         assert level.num_states == 4
         assert len(level.transitions) == 12
         for i in range(4):
-            for part in level.actions:
+            for part in level.parts:
                 j = level.space.labels.index(part.part_id)
                 if i == j:
                     assert (i, part.part_id) not in level.transitions
@@ -475,10 +480,82 @@ class TestSoundness:
                 assert end in target
 
 
+class TestAbstractLevelTables:
+    """An abstract level is a BaseMDP whose actions are part ids, so the
+    base MDP's table checks guard it too."""
+
+    @staticmethod
+    def make(**changes):
+        option = Option(
+            name="advance",
+            initiation=GroundingSet.of(0, {0, 1}),
+            termination=GroundingSet.of(0, {2}),
+            policy={0: "go", 1: "go"},
+        )
+        part = OptionPart(
+            part_id="advance#0",
+            option=option,
+            initiation=option.initiation,
+            option_class=Subgoal(),
+            effect=GroundingSet.of(0, {2}),
+            mean_return=-1.5,
+            terminal_state=2,
+        )
+        tables = dict(
+            space=StateSpace(level_index=1, num_states=2),
+            actions=("advance#0",),
+            transition={(0, "advance#0"): 1},
+            reward={(0, "advance#0"): -1.0},
+            parts=(part,),
+            groundings={0: GroundingSet.of(0, {0, 1}), 1: GroundingSet.of(0, {2})},
+            construction=Construction.PLAN_GRAPH,
+        )
+        return AbstractLevel(**{**tables, **changes})
+
+    def test_well_formed_level_steps_by_part_or_option_id(self):
+        level = self.make()
+        assert isinstance(level, BaseMDP)
+        assert level.step(0, "advance#0") == (1, -1.0)
+        assert level.step(0, "advance") == (1, -1.0)
+        assert level.predecessor_edges(1) == ((0, "advance#0"),)
+        with pytest.raises(InapplicableAction):
+            level.step(1, "advance")
+
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            (
+                {"transition": {(0, "advance#0"): 2}},
+                MalformedInput,
+                "transition (0, 'advance#0') -> 2 leaves the space",
+            ),
+            (
+                {"reward": {(1, "advance#0"): -1.0}},
+                MalformedInput,
+                "reward and transition tables have different keys",
+            ),
+            (
+                {"transition": {(0, "ghost"): 1}, "reward": {(0, "ghost"): -1.0}},
+                UnknownName,
+                "transition (0, 'ghost') uses an undeclared action",
+            ),
+            (
+                {"actions": ("advance#0", "ghost")},
+                MalformedInput,
+                "an abstract level's actions must be its part ids",
+            ),
+        ],
+        ids=["target-outside", "reward-keys", "undeclared-part", "actions-not-parts"],
+    )
+    def test_malformed_tables_rejected(self, changes, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            self.make(**changes)
+
+
 class TestRewardAssignment:
     def test_uniform_penalty(self, taxi_hierarchy):
         level = assign_rewards(taxi_hierarchy.level(1), RewardMode.UNIFORM_PENALTY)
-        assert set(level.rewards.values()) == {-1.0}
+        assert set(level.reward.values()) == {-1.0}
 
     def test_empirical_mean_is_arithmetic_mean(self, taxi_mdp):
         drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
@@ -496,18 +573,18 @@ class TestRewardAssignment:
             [two_starts], taxi_mdp, GroundingSet.of(0, {a, b}), _parts=parts
         )
         level = assign_rewards(level, RewardMode.EMPIRICAL_MEAN)
-        assert set(level.rewards.values()) == {-4.0}
+        assert set(level.reward.values()) == {-4.0}
 
     def test_empirical_hierarchy_rewards_are_negative_means(self):
         from hierplan import build_taxi_hierarchy
 
         h = build_taxi_hierarchy(reward_mode=RewardMode.EMPIRICAL_MEAN)
         for j in (1, 2):
-            for part_id, r in h.level(j).rewards.items():
+            for (_, part_id), r in h.level(j).reward.items():
                 assert r <= 0.0
         # ferrying costs several navigation steps on average at the base,
         # but abstract level-2 rewards come from level-1 step counts
         drive_parts = [
-            r for pid, r in h.level(1).rewards.items() if pid.startswith("drive-to-")
+            r for (_, pid), r in h.level(1).reward.items() if pid.startswith("drive-to-")
         ]
         assert all(r < -1.0 for r in drive_parts)

@@ -84,7 +84,7 @@ def test_criterion_04_q1_single_option_plan_and_full_graph(hierarchy, benchmark_
     assert len(level2.transitions) == 12
     for i in range(4):
         for j in range(4):
-            part = level2.actions[j]
+            part = level2.parts[j]
             if i != j:
                 assert level2.transitions[(i, part.part_id)] == j
     report("PASS 4: Q1 solved by the single option passenger-to-red; "

@@ -90,6 +90,26 @@ class TestDomainIO:
                 {"actions": ["fwd"], "num_states": 3, "transitions": [[0, "fwd"]]},
                 "transition [0, 'fwd'] is not [state, action, state(, reward)]",
             ),
+            (
+                {"actions": ["fwd"], "num_states": "three", "transitions": []},
+                "domain has a malformed 'num_states': 'three'",
+            ),
+            (
+                {**CHAIN_DOMAIN, "options": {"l1": [{
+                    "name": "o", "initiation": ["a"], "termination": [1],
+                    "policy": {"0": "fwd"}}]}},
+                "an option of set 'l1' has a malformed 'initiation': ['a']",
+            ),
+            (
+                {**CHAIN_DOMAIN, "options": {"l1": [{
+                    "name": "o", "initiation": [0], "termination": [1],
+                    "policy": {"zero": "fwd"}}]}},
+                "an option of set 'l1' has a malformed 'policy': {'zero': 'fwd'}",
+            ),
+            (
+                {**CHAIN_DOMAIN, "states": [0, 1]},
+                "domain has a malformed 'states': [0, 1]",
+            ),
         ],
     )
     def test_malformed_domain_rejected(self, domain, message):
@@ -265,23 +285,34 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("error: --B is not valid JSON")
 
     @pytest.mark.parametrize(
-        "transitions, initiation, message",
+        "domain_patch, option_patch, message",
         [
-            ([[0, "fwd", 9]], [0], "error: transition (0, 'fwd') -> 9 leaves the space"),
-            ([[0, "fwd"]], [0], "error: transition [0, 'fwd'] is not"),
-            ([[0, "fwd", 1]], [], "error: option 'to-one' has an empty initiation set"),
+            ({"transitions": [[0, "fwd", 9]]}, {},
+             "error: transition (0, 'fwd') -> 9 leaves the space"),
+            ({"transitions": [[0, "fwd"]]}, {}, "error: transition [0, 'fwd'] is not"),
+            ({}, {"initiation": []},
+             "error: option 'to-one' has an empty initiation set"),
+            ({"num_states": "three"}, {},
+             "error: domain has a malformed 'num_states': 'three'"),
+            ({}, {"initiation": ["a"]},
+             "error: an option of set 'l1' has a malformed 'initiation': ['a']"),
+            ({}, {"policy": {"zero": "fwd"}},
+             "error: an option of set 'l1' has a malformed 'policy': {'zero': 'fwd'}"),
+            ({"variables": [["pos", [0, 1, 2]]], "states": [0, 1]}, {},
+             "error: domain has a malformed 'states': [0, 1]"),
         ],
-        ids=["target-outside", "short-entry", "empty-initiation"],
+        ids=["target-outside", "short-entry", "empty-initiation", "num-states-text",
+             "initiation-text", "policy-key-text", "factored-states-flat"],
     )
     def test_bad_domain_input_prints_one_error_line(
-        self, tmp_path, transitions, initiation, message
+        self, tmp_path, domain_patch, option_patch, message
     ):
-        option = {"name": "to-one", "initiation": initiation, "termination": [1],
-                  "policy": {"0": "fwd"}}
+        option = {"name": "to-one", "initiation": [0], "termination": [1],
+                  "policy": {"0": "fwd"}, **option_patch}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
-            "actions": ["fwd"], "num_states": 3, "transitions": transitions,
-            "options": {"l1": [option]},
+            "actions": ["fwd"], "num_states": 3, "transitions": [[0, "fwd", 1]],
+            "options": {"l1": [option]}, **domain_patch,
         }))
         runner = CliRunner()
         result = runner.invoke(

@@ -3,18 +3,28 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierplan import (
+    BaseMDP,
     GroundingSet,
     Hierarchy,
+    PlanQuery,
     RewardMode,
+    StateSpace,
     answer_query,
     build_taxi_hierarchy,
     flatten_options,
     one_step_preimage_options,
     refine,
 )
-from hierplan.errors import EmptyOptionSet, LevelOutOfRange, NoFactoredStructure
+from hierplan.errors import (
+    EmptyOptionSet,
+    HierplanError,
+    LevelOutOfRange,
+    NoFactoredStructure,
+)
 from hierplan.taxi import depot_seed_states, taxi_options_level1
 
 from conftest import random_queries
@@ -114,7 +124,7 @@ class TestValidate:
         h = fresh_hierarchy
         level = h.level(2)
         # force an edge whose image lands outside the target grounding
-        part_id = level.actions[0].part_id
+        part_id = level.parts[0].part_id
         target = level.transitions[(1, part_id)]
         wrong = (target + 1) % level.num_states
         level.transitions[(1, part_id)] = wrong
@@ -188,3 +198,48 @@ class TestSnapshot:
     def test_reward_mode_recorded(self, taxi_mdp):
         h = Hierarchy(base=taxi_mdp, reward_mode=RewardMode.EMPIRICAL_MEAN)
         assert h.to_snapshot()["reward_mode"] == "empirical"
+
+
+@st.composite
+def random_domains(draw):
+    """A deterministic domain of 2-6 states with partial ``a``/``b``
+    transitions, a reward mode, and a query's start and goal sets."""
+    n = draw(st.integers(2, 6))
+    transition = {}
+    for s in range(n):
+        for a in ("a", "b"):
+            t = draw(st.none() | st.integers(0, n - 1))
+            if t is not None:
+                transition[(s, a)] = t
+    states = st.sets(st.integers(0, n - 1), min_size=1)
+    return n, transition, draw(st.sampled_from(RewardMode)), draw(states), draw(states)
+
+
+class TestRandomDomains:
+    @settings(max_examples=200, deadline=None)
+    @given(random_domains())
+    def test_build_is_sound_and_answers_refine_into_goals(self, domain):
+        n, transition, mode, starts, goals = domain
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=("a", "b"),
+            transition=transition,
+            reward=dict.fromkeys(transition, -1.0),
+        )
+        try:
+            h = Hierarchy(base=mdp, reward_mode=mode).add_level(
+                one_step_preimage_options(mdp)
+            )
+        except HierplanError:
+            return
+        assert h.validate() == []
+        query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
+        for plan_mode in ("reachability", "value-iteration"):
+            answer = answer_query(h, query, plan_mode=plan_mode)
+            if answer is None:
+                continue
+            for start in starts:
+                trace = refine(h, answer.plan, start)
+                assert trace.visited[0] == start and trace.end in goals
+                for here, there in zip(trace.visited, trace.visited[1:]):
+                    assert there in (transition.get((here, a)) for a in ("a", "b"))

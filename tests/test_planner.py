@@ -7,6 +7,7 @@ from hierplan import (
     GroundingSet,
     Hierarchy,
     MatchPair,
+    Option,
     PlanQuery,
     answer_query,
     candidate_goals,
@@ -353,6 +354,23 @@ class TestRefinement:
         trace = execute_refined(h, 2, ferry, start)
         end = h.base.space.assignment(trace.end)
         assert end == (4, 4, 4, 4, False)
+
+    def test_execute_refined_level2_ping_pong_faults(self, taxi_hierarchy):
+        """A level-2 option that drives the taxi red -> green -> red
+        forever never reaches its termination set; the step bound over
+        level 1 stops it."""
+        h = taxi_hierarchy
+        space = h.level(1).space
+        at_red = space.state_of((0, 4, 3, 0, False))
+        at_green = space.state_of((4, 4, 3, 0, False))
+        ping_pong = Option(
+            name="ping-pong",
+            initiation=GroundingSet.of(1, {at_red}),
+            termination=GroundingSet.of(1, {space.state_of((3, 0, 3, 0, True))}),
+            policy={at_red: "drive-to-green", at_green: "drive-to-red"},
+        )
+        with pytest.raises(RefinementFault, match="ping-pong"):
+            execute_refined(h, 2, ping_pong, state_of(h.base, 0, 4, 3, 0))
 
     def test_execute_refined_outside_initiation_faults(self, taxi_hierarchy):
         h = taxi_hierarchy

@@ -195,9 +195,10 @@ class TestOverlappingGroundings:
         )
         level = AbstractLevel(
             space=StateSpace(level_index=1, num_states=2, labels=("low", "high")),
-            actions=(part,),
-            transitions={(0, "advance"): 1},
-            rewards={"advance": -1.0},
+            actions=("advance",),
+            transition={(0, "advance"): 1},
+            reward={(0, "advance"): -1.0},
+            parts=(part,),
             groundings={
                 0: GroundingSet.of(0, {0, 1, 2}),
                 1: GroundingSet.of(0, {1, 2, 3}),  # overlaps its sibling
