@@ -48,6 +48,7 @@ from .planner import (
     findplan,
     findplan_value_iteration,
     plan_match,
+    plan_option,
     planning_cost,
     refine,
 )
@@ -112,6 +113,7 @@ __all__ = [
     "benchmark_queries",
     "partition_option",
     "plan_match",
+    "plan_option",
     "planning_cost",
     "refine",
     "run_benchmark",

@@ -37,11 +37,14 @@ def _build_hierarchy(domain_file: str | None, option_sets: tuple[str, ...],
     return h, "file"
 
 
-def _json_arg(flag: str, text: str):
+def _json_arg(flag: str, text: str) -> dict:
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{flag} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{flag} is not a JSON object: {text}")
+    return value
 
 
 def _expander(kind: str):

@@ -34,6 +34,7 @@ understands ``taxi-at`` / ``pass-at`` / ``any-depot`` sugar (see
 from __future__ import annotations
 
 import json
+from os import PathLike
 from pathlib import Path
 
 from .core import BaseMDP, Option, StateSpace, Variable
@@ -42,13 +43,25 @@ from .hierarchy import PlanQuery
 from .symbols import GroundingSet
 
 
+def _object(value) -> dict:
+    """``value`` itself; TypeError unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{value!r} is not an object")
+    return value
+
+
 def _read(source) -> dict:
-    if isinstance(source, dict):
-        return source
-    try:
-        return json.loads(Path(source).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{source} is not valid JSON: {exc}") from None
+    """The JSON object in the file at ``source``, or ``source`` itself
+    when it is already parsed."""
+    data = source
+    if isinstance(source, (str, PathLike)):
+        try:
+            data = json.loads(Path(source).read_text())
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"{source} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{source} does not hold a JSON object")
+    return data
 
 
 def _require(data: dict, key: str, what: str):
@@ -75,7 +88,7 @@ def _base_states(ids) -> GroundingSet:
 def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
     """Build a BaseMDP (and any named option sets) from a JSON file or an
     already-parsed dict."""
-    data = {"gamma": 1.0, **_read(source)}
+    data = {"gamma": 1.0, "options": {}, **_read(source)}
     labels = _parse(data, "labels", "domain", tuple) if "labels" in data else None
     if data.get("variables") is not None:
         assignments = _parse(data, "states", "domain", lambda v: tuple(map(tuple, v)))
@@ -99,7 +112,7 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
         )
     transition: dict[tuple[int, str], int] = {}
     reward: dict[tuple[int, str], float] = {}
-    for entry in _require(data, "transitions", "domain"):
+    for entry in _parse(data, "transitions", "domain", list):
         try:
             s, a, t = int(entry[0]), entry[1], int(entry[2])
             r = float(entry[3]) if len(entry) > 3 else -1.0
@@ -119,7 +132,12 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
         gamma=_parse(data, "gamma", "domain", float),
     )
     option_sets: dict[str, list[Option]] = {}
-    for set_name, entries in data.get("options", {}).items():
+    options = _parse(data, "options", "domain", _object)
+    for set_name in options:
+        entries = _parse(
+            options, set_name, "the 'options' object",
+            lambda v: [_object(e) for e in v],
+        )
         what = f"an option of set {set_name!r}"
         option_sets[set_name] = [
             Option(
@@ -150,6 +168,6 @@ def load_query(mdp: BaseMDP, source, expand=None) -> PlanQuery:
     data = _read(source)
     expander = expand if expand is not None else expand_generic
     return PlanQuery(
-        expander(mdp, _require(data, "B", "query")),
-        expander(mdp, _require(data, "G", "query")),
+        expander(mdp, _parse(data, "B", "query", _object)),
+        expander(mdp, _parse(data, "G", "query", _object)),
     )

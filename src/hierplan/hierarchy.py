@@ -28,7 +28,6 @@ from .abstraction import (
     AbstractLevel,
     RewardMode,
     Subgoal,
-    Unclassifiable,
     _partition_all,
     assign_rewards,
     build_factored_abstraction,
@@ -186,13 +185,6 @@ class Hierarchy:
         if all(isinstance(p.option_class, Subgoal) for p in parts):
             level = build_plan_graph(options, top, _parts=parts)
         elif top.space.is_factored:
-            if any(isinstance(p.option_class, Unclassifiable) for p in parts):
-                bad = [
-                    p.part_id
-                    for p in parts
-                    if isinstance(p.option_class, Unclassifiable)
-                ]
-                raise NoFactoredStructure(f"unclassifiable parts: {', '.join(bad)}")
             if seeds is None:
                 raise NoFactoredStructure(
                     "factored construction needs closure seed states"

@@ -21,6 +21,7 @@ from .errors import (
     HierplanError,
     InconsistentRecord,
     LevelOutOfRange,
+    MalformedInput,
     NoMatch,
     RefinementFault,
 )
@@ -64,6 +65,11 @@ class Plan:
             steps += 1
         return seq
 
+    def as_option(self, name: str) -> Option:
+        """The plan as an option over its level: its starts are the
+        initiation set, its goals the termination set."""
+        return Option(name, self.starts, self.goals, self.policy)
+
     # filled by findplan so action_sequence can walk without the level
     _successors: dict[tuple[int, str], int] = field(
         default_factory=dict, repr=False, compare=False
@@ -77,10 +83,12 @@ class InstrumentationRecord:
     ``match_ops[j]`` counts grounding-set tests performed building the
     candidate pair at level ``j`` (two per state: one start-overlap test,
     one goal-subset test). ``plan_ops[j]`` counts transition-edge
-    examinations by the plan search at ``j``. ``first_match_level`` and
-    ``solution_level`` are the highest matching level and the level the
-    returned plan lives at. Wall-clock time is split exhaustively between
-    the matching and planning phases.
+    examinations by the plan search at ``j``: for `findplan`, one per
+    predecessor edge of every state its backward pass settles; for
+    `findplan_value_iteration`, one per non-goal state and action per
+    sweep. ``first_match_level`` and ``solution_level`` are the highest
+    matching level and the level the returned plan lives at. Wall-clock
+    time is split exhaustively between the matching and planning phases.
     """
 
     search_top: int
@@ -191,48 +199,61 @@ def findplan(
     """Feasibility planning: a policy reaching ``goals`` from every state
     in ``starts``, or None when some start cannot reach any goal.
 
-    Backward breadth-first reachability from ``goals``. The full backward
+    One backward breadth-first pass from ``goals``. The full backward
     closure of the goal set is computed, so the policy covers every state
-    that can reach a goal, not just the requested starts. Policy
-    extraction keeps the first action (in the level's declared order)
-    that steps one level closer, which makes plans deterministic. The
-    edge examinations are added to ``record`` when one is given.
+    that can reach a goal, not just the requested starts. While the
+    states at depth ``d - 1`` are expanded, each state first reached at
+    depth ``d`` keeps the edge whose action comes first in
+    ``level.actions``: the first declared action that steps one closer,
+    which makes plans deterministic. The edge examinations (one per
+    predecessor edge of every settled state) are added to ``record`` when
+    one is given.
     """
-    dist: dict[int, int] = {g: 0 for g in goals}
+    rank = {a: i for i, a in enumerate(level.actions)}
+    dist: dict[int, int] = dict.fromkeys(goals, 0)
+    # state -> (action rank, action, successor) of its best edge so far
+    best: dict[int, tuple[int, str, int]] = {}
     frontier = sorted(goals)
+    depth = 0
     ops = 0
     while frontier:
+        depth += 1
         nxt: list[int] = []
         for t in frontier:
             for pred, action in level.predecessor_edges(t):
                 ops += 1
                 if pred not in dist:
-                    dist[pred] = dist[t] + 1
+                    dist[pred] = depth
                     nxt.append(pred)
+                    best[pred] = (rank[action], action, t)
+                elif dist[pred] == depth and rank[action] < best[pred][0]:
+                    best[pred] = (rank[action], action, t)
         frontier = sorted(nxt)
-    if any(s not in dist for s in starts):
-        _charge(record, level.level_index, ops)
-        return None
-    policy: dict[int, str] = {}
-    successors: dict[tuple[int, str], int] = {}
-    for s, d in dist.items():
-        if d == 0:
-            continue
-        for action in level.actions:
-            t = level.successor(s, action)
-            ops += 1
-            if t is not None and dist.get(t, -1) == d - 1:
-                policy[s] = action
-                successors[(s, action)] = t
-                break
     _charge(record, level.level_index, ops)
+    if any(s not in dist for s in starts):
+        return None
     return Plan(
         level_index=level.level_index,
-        policy=policy,
+        policy={s: a for s, (_, a, _) in best.items()},
         starts=starts,
         goals=goals,
-        _successors=successors,
+        _successors={(s, a): t for s, (_, a, t) in best.items()},
     )
+
+
+def plan_option(
+    name: str, level, initiation: GroundingSet, termination: GroundingSet
+) -> Option:
+    """An option over ``level`` planned by `findplan`: from every state
+    that can reach ``termination``, the first declared action that steps
+    one closer. MalformedInput when some initiation state cannot reach
+    ``termination``."""
+    plan = findplan(level, initiation, termination)
+    if plan is None:
+        raise MalformedInput(
+            f"option {name!r}: some initiation state cannot reach termination"
+        )
+    return plan.as_option(name)
 
 
 def findplan_value_iteration(
@@ -457,10 +478,5 @@ def refine(h: Hierarchy, plan: Plan, start: int) -> ExecutionTrace:
     """
     if plan.starts.is_empty():
         raise RefinementFault("plan has no start states")
-    option = Option(
-        name=f"plan@{plan.level_index}",
-        initiation=plan.starts,
-        termination=plan.goals,
-        policy=plan.policy,
-    )
+    option = plan.as_option(f"plan@{plan.level_index}")
     return execute_refined(h, plan.level_index + 1, option, start)

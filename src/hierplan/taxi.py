@@ -1,26 +1,28 @@
-"""The taxi gridworld: a 5x5 grid with walls, four named depots, and a
-passenger to ferry around.
+"""The taxi gridworld: a grid with named depots, optional interior walls
+and a passenger to ferry around.
 
 State variables are the taxi's cell, the passenger's cell, and whether
-the passenger rides in the taxi (in which case both share a cell), for
-650 states total: 25 x 25 passenger-outside combinations plus 25
+the passenger rides in the taxi (in which case both share a cell). A
+grid of ``n`` cells has ``n * n`` passenger-outside states plus ``n``
 co-located in-taxi states. Movement blocked by a wall or the grid edge
 self-loops; every step costs -1.
 
-The wall layout ships as data so alternative maps can be swapped in; the
-default is the classic four-depot map with three two-cell interior wall
-segments.
+The layout (size, walls, depots) is data, so other maps can be swapped
+in. The default is the classic 5x5 four-depot map with three two-cell
+interior wall segments, which has 650 states. The navigation and
+ferrying skills are planned with `plan_option` from their initiation and
+termination sets.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .abstraction import RewardMode
 from .core import BaseMDP, Option, StateSpace, Variable
-from .errors import UnknownName
+from .errors import MalformedInput, UnknownName
 from .hierarchy import Hierarchy, PlanQuery
+from .planner import plan_option
 from .symbols import GroundingSet
 
 Cell = tuple[int, int]
@@ -63,12 +65,6 @@ class TaxiLayout:
 
     def depot_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.depots)
-
-    def depot_of_cell(self, cell: Cell) -> str | None:
-        for name, c in self.depots:
-            if c == cell:
-                return name
-        return None
 
 
 DEFAULT_LAYOUT = TaxiLayout(
@@ -150,22 +146,6 @@ def build_taxi(layout: TaxiLayout = DEFAULT_LAYOUT) -> BaseMDP:
     return BaseMDP(space=space, actions=ACTIONS, transition=transition, reward=reward)
 
 
-def grid_distances(layout: TaxiLayout, target: Cell) -> dict[Cell, int]:
-    """Breadth-first distances to ``target`` over the walled grid."""
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        cell = queue.popleft()
-        for _, dx, dy in MOVES:
-            nxt = (cell[0] - dx, cell[1] - dy)
-            if not layout.in_bounds(nxt) or layout.blocked(cell, nxt):
-                continue
-            if nxt not in dist:
-                dist[nxt] = dist[cell] + 1
-                queue.append(nxt)
-    return dist
-
-
 def taxi_options_level1(
     mdp: BaseMDP, layout: TaxiLayout = DEFAULT_LAYOUT
 ) -> list[Option]:
@@ -173,39 +153,18 @@ def taxi_options_level1(
     pick-up and put-down.
 
     Navigation starts anywhere and stops when the taxi reaches the depot;
-    a riding passenger arrives with it. Pick-up starts whenever taxi and
-    passenger share a cell and stops once the passenger rides; put-down
-    starts anywhere and stops once the passenger is outside.
+    a riding passenger arrives with it. Its policy is planned by
+    `plan_option`. Pick-up starts whenever taxi and passenger share a
+    cell and stops once the passenger rides; put-down starts anywhere and
+    stops once the passenger is outside.
     """
     space = mdp.space
     everything = GroundingSet.of(0, space.states)
     options: list[Option] = []
     for depot in layout.depot_names():
-        cell = layout.depot_cell(depot)
-        dist = grid_distances(layout, cell)
-        policy: dict[int, str] = {}
-        for sid in space.states:
-            tx, ty, *_ = space.assignment(sid)
-            here = (tx, ty)
-            if here == cell:
-                continue
-            for name, dx, dy in MOVES:
-                nxt = (tx + dx, ty + dy)
-                if (
-                    layout.in_bounds(nxt)
-                    and not layout.blocked(here, nxt)
-                    and dist[nxt] == dist[here] - 1
-                ):
-                    policy[sid] = name
-                    break
-        options.append(
-            Option(
-                name=f"drive-to-{depot}",
-                initiation=everything,
-                termination=space.where(**{"taxi-x": cell[0], "taxi-y": cell[1]}),
-                policy=policy,
-            )
-        )
+        x, y = layout.depot_cell(depot)
+        at_depot = space.where(**{"taxi-x": x, "taxi-y": y})
+        options.append(plan_option(f"drive-to-{depot}", mdp, everything, at_depot))
     colocated = GroundingSet.of(
         0,
         [
@@ -241,47 +200,21 @@ def taxi_options_level2(
 
     Each option runs over the factored first level, starts whenever the
     passenger is not already at its depot, and ends with taxi and
-    passenger at the depot, passenger outside.
+    passenger at the depot, passenger outside. Its policy over the first
+    level's parts is planned by `plan_option`.
     """
     level = h.level(1)
     space = level.space
-    names = space.variable_names()
     options: list[Option] = []
     for depot in layout.depot_names():
-        cell = layout.depot_cell(depot)
-        pass_here = space.where(**{"pass-x": cell[0], "pass-y": cell[1]})
+        x, y = layout.depot_cell(depot)
+        pass_here = space.where(**{"pass-x": x, "pass-y": y})
         initiation = GroundingSet.of(1, space.states) - pass_here
         termination = space.where(
-            **{
-                "taxi-x": cell[0],
-                "taxi-y": cell[1],
-                "pass-x": cell[0],
-                "pass-y": cell[1],
-                "in-taxi": False,
-            }
+            **{"taxi-x": x, "taxi-y": y, "pass-x": x, "pass-y": y, "in-taxi": False}
         )
-        policy: dict[int, str] = {}
-        for sid in space.states:
-            asg = dict(zip(names, space.assignment(sid)))
-            taxi = (asg["taxi-x"], asg["taxi-y"])
-            passenger = (asg["pass-x"], asg["pass-y"])
-            if asg["in-taxi"]:
-                policy[sid] = "put-down" if taxi == cell else f"drive-to-{depot}"
-            elif passenger == cell:
-                continue  # initiation excludes these
-            elif taxi == passenger:
-                policy[sid] = "pick-up"
-            else:
-                target = layout.depot_of_cell(passenger)
-                if target is not None:
-                    policy[sid] = f"drive-to-{target}"
         options.append(
-            Option(
-                name=f"passenger-to-{depot}",
-                initiation=initiation,
-                termination=termination,
-                policy=policy,
-            )
+            plan_option(f"passenger-to-{depot}", level, initiation, termination)
         )
     return options
 
@@ -332,11 +265,17 @@ def expand_constraints(
         return GroundingSet.of(0, spec["states"])
     constraints: dict[str, object] = {}
 
-    def place(prefix: str, value) -> None:
+    def place(key: str, prefix: str, value) -> None:
         if isinstance(value, str):
             cell = layout.depot_cell(value)
         else:
-            cell = (int(value[0]), int(value[1]))
+            try:
+                x, y = value
+                cell = (int(x), int(y))
+            except (TypeError, ValueError):
+                raise MalformedInput(
+                    f"{key!r} must be a depot name or an [x, y] cell, got {value!r}"
+                ) from None
         constraints[f"{prefix}-x"] = cell[0]
         constraints[f"{prefix}-y"] = cell[1]
 
@@ -347,7 +286,7 @@ def expand_constraints(
             if value == "any-depot":
                 any_depot.append(prefix)
             else:
-                place(prefix, value)
+                place(key, prefix, value)
         elif key == "in-taxi":
             constraints["in-taxi"] = bool(value)
         else:

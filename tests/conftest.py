@@ -1,7 +1,7 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here (grid shortest paths, brute-force state enumeration,
-random query generation) are deliberately written from scratch rather
+random query and domain generation) are deliberately written from scratch rather
 than reusing library code, so tests check the implementation against an
 independent computation of the same quantity.
 """
@@ -11,8 +11,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from hierplan import PlanQuery, build_taxi, build_taxi_hierarchy, benchmark_queries
+from hierplan import (
+    PlanQuery,
+    RewardMode,
+    benchmark_queries,
+    build_taxi,
+    build_taxi_hierarchy,
+)
 from hierplan.taxi import expand_constraints
 
 DEPOTS = {"red": (0, 4), "green": (4, 4), "blue": (3, 0), "yellow": (0, 0)}
@@ -28,9 +35,10 @@ WALL_PAIRS = {
 }
 
 
-def oracle_grid_distance(a, b):
+def oracle_grid_distance(a, b, size=5, walls=WALL_PAIRS):
     """Shortest walk length between two cells, by plain frontier
-    expansion over the walled 5x5 grid."""
+    expansion over a ``size`` x ``size`` grid (by default the walled
+    5x5 map)."""
     if a == b:
         return 0
     frontier = {a}
@@ -42,9 +50,9 @@ def oracle_grid_distance(a, b):
         for x, y in frontier:
             for dx, dy in ((0, 1), (0, -1), (1, 0), (-1, 0)):
                 cell = (x + dx, y + dy)
-                if not (0 <= cell[0] < 5 and 0 <= cell[1] < 5):
+                if not (0 <= cell[0] < size and 0 <= cell[1] < size):
                     continue
-                if frozenset({(x, y), cell}) in WALL_PAIRS:
+                if frozenset({(x, y), cell}) in walls:
                     continue
                 if cell == b:
                     return steps
@@ -132,3 +140,18 @@ def random_queries(mdp, count: int, seed: int = 20250810):
         if q is not None:
             out.append(q)
     return out
+
+
+@st.composite
+def random_domains(draw):
+    """A deterministic domain of 2-6 states with partial ``a``/``b``
+    transitions, a reward mode, and a query's start and goal sets."""
+    n = draw(st.integers(2, 6))
+    transition = {}
+    for s in range(n):
+        for a in ("a", "b"):
+            t = draw(st.none() | st.integers(0, n - 1))
+            if t is not None:
+                transition[(s, a)] = t
+    states = st.sets(st.integers(0, n - 1), min_size=1)
+    return n, transition, draw(st.sampled_from(RewardMode)), draw(states), draw(states)

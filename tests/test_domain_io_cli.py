@@ -63,9 +63,9 @@ class TestDomainIO:
         assert set(q.starts) == {0} and set(q.goals) == {2, 3}
 
     def test_undeclared_action_rejected(self):
-        """BFS would walk the undeclared ``jump`` edge, but policy
-        extraction sees only declared actions, so the plan could not be
-        refined from its own start."""
+        """The planner ranks edges by their action's place in the
+        declared actions, so the undeclared ``jump`` edge is rejected
+        when the domain is loaded."""
         with pytest.raises(UnknownName):
             load_domain(
                 {
@@ -110,11 +110,35 @@ class TestDomainIO:
                 {**CHAIN_DOMAIN, "states": [0, 1]},
                 "domain has a malformed 'states': [0, 1]",
             ),
+            ([1, 2], "[1, 2] does not hold a JSON object"),
+            ({**CHAIN_DOMAIN, "options": []}, "domain has a malformed 'options': []"),
+            (
+                {**CHAIN_DOMAIN, "options": {"l1": 5}},
+                "the 'options' object has a malformed 'l1': 5",
+            ),
+            (
+                {**CHAIN_DOMAIN, "options": {"l1": [5]}},
+                "the 'options' object has a malformed 'l1': [5]",
+            ),
+            ({**CHAIN_DOMAIN, "transitions": 5}, "domain has a malformed 'transitions': 5"),
         ],
     )
     def test_malformed_domain_rejected(self, domain, message):
         with pytest.raises(MalformedInput, match=re.escape(message)):
             load_domain(domain)
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ({"B": 5, "G": {"pos": 3}}, "query has a malformed 'B': 5"),
+            ({"B": {"pos": 0}, "G": [3]}, "query has a malformed 'G': [3]"),
+            ([1, 2], "[1, 2] does not hold a JSON object"),
+        ],
+    )
+    def test_malformed_query_rejected(self, chain_file, query, message):
+        mdp, _ = load_domain(chain_file)
+        with pytest.raises(MalformedInput, match=re.escape(message)):
+            load_query(mdp, query)
 
     def test_chain_hierarchy_plans_at_level1(self, chain_file):
         mdp, option_sets = load_domain(chain_file)
@@ -265,6 +289,11 @@ class TestCLI:
         [
             ('{"pass-at": "purple"}', "error: unknown depot 'purple'"),
             ('{"colour": 1}', "error: unknown variable 'colour'"),
+            ("5", "error: --B is not a JSON object: 5"),
+            (
+                '{"pass-at": 5}',
+                "error: 'pass-at' must be a depot name or an [x, y] cell, got 5",
+            ),
         ],
     )
     def test_plan_unknown_name_prints_one_error_line(self, b_spec, message):
@@ -275,6 +304,18 @@ class TestCLI:
         assert result.exit_code == 1
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message), result.output
+
+    def test_plan_query_file_constraint_not_object_prints_one_error_line(
+        self, tmp_path
+    ):
+        query = tmp_path / "q.json"
+        query.write_text(json.dumps({"B": 5, "G": {"pass-at": "red"}}))
+        runner = CliRunner()
+        result = runner.invoke(cli, ["plan", "--query-file", str(query)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert lines == ["error: query has a malformed 'B': 5"], result.output
 
     def test_plan_malformed_json_prints_one_error_line(self):
         runner = CliRunner()
@@ -300,9 +341,17 @@ class TestCLI:
              "error: an option of set 'l1' has a malformed 'policy': {'zero': 'fwd'}"),
             ({"variables": [["pos", [0, 1, 2]]], "states": [0, 1]}, {},
              "error: domain has a malformed 'states': [0, 1]"),
+            ({"options": []}, {}, "error: domain has a malformed 'options': []"),
+            ({"options": {"l1": 5}}, {},
+             "error: the 'options' object has a malformed 'l1': 5"),
+            ({"options": {"l1": [5]}}, {},
+             "error: the 'options' object has a malformed 'l1': [5]"),
+            ({"transitions": 5}, {}, "error: domain has a malformed 'transitions': 5"),
         ],
         ids=["target-outside", "short-entry", "empty-initiation", "num-states-text",
-             "initiation-text", "policy-key-text", "factored-states-flat"],
+             "initiation-text", "policy-key-text", "factored-states-flat",
+             "options-list", "option-set-number", "option-entry-number",
+             "transitions-number"],
     )
     def test_bad_domain_input_prints_one_error_line(
         self, tmp_path, domain_patch, option_patch, message
@@ -344,6 +393,7 @@ class TestCLI:
                  "transitions": [[0, "fwd", 1], [0, "fwd", 0]]},
                 "error: transition (0, 'fwd') given twice",
             ),
+            ([1, 2], "error: {path} does not hold a JSON object"),
         ],
     )
     def test_malformed_domain_file_prints_one_error_line(
@@ -356,4 +406,5 @@ class TestCLI:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(message), result.output
+        assert len(lines) == 1, result.output
+        assert lines[0].startswith(message.format(path=path)), result.output

@@ -4,7 +4,6 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hierplan import (
     BaseMDP,
@@ -27,7 +26,7 @@ from hierplan.errors import (
 )
 from hierplan.taxi import depot_seed_states, taxi_options_level1
 
-from conftest import random_queries
+from conftest import random_domains, random_queries
 
 
 class TestAddLevel:
@@ -198,21 +197,6 @@ class TestSnapshot:
     def test_reward_mode_recorded(self, taxi_mdp):
         h = Hierarchy(base=taxi_mdp, reward_mode=RewardMode.EMPIRICAL_MEAN)
         assert h.to_snapshot()["reward_mode"] == "empirical"
-
-
-@st.composite
-def random_domains(draw):
-    """A deterministic domain of 2-6 states with partial ``a``/``b``
-    transitions, a reward mode, and a query's start and goal sets."""
-    n = draw(st.integers(2, 6))
-    transition = {}
-    for s in range(n):
-        for a in ("a", "b"):
-            t = draw(st.none() | st.integers(0, n - 1))
-            if t is not None:
-                transition[(s, a)] = t
-    states = st.sets(st.integers(0, n - 1), min_size=1)
-    return n, transition, draw(st.sampled_from(RewardMode)), draw(states), draw(states)
 
 
 class TestRandomDomains:

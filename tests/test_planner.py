@@ -2,28 +2,38 @@
 refinement, and cost instrumentation."""
 
 import pytest
+from hypothesis import given, settings
 
 from hierplan import (
+    BaseMDP,
     GroundingSet,
     Hierarchy,
     MatchPair,
     Option,
     PlanQuery,
+    StateSpace,
     answer_query,
     candidate_goals,
     candidate_starts,
+    execute_option,
     execute_refined,
     findplan,
     findplan_value_iteration,
     load_domain,
     plan_match,
+    plan_option,
     planning_cost,
     refine,
 )
-from hierplan.errors import InconsistentRecord, NoMatch, RefinementFault
+from hierplan.errors import (
+    InconsistentRecord,
+    MalformedInput,
+    NoMatch,
+    RefinementFault,
+)
 from hierplan.planner import InstrumentationRecord
 
-from conftest import random_queries, state_of
+from conftest import random_domains, random_queries, state_of
 
 
 def level2_node(h, depot):
@@ -179,6 +189,41 @@ class TestFindplan:
                     for a in seq:
                         state, _ = h.base.step(state, a)
                     assert state in q.goals
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_domains())
+    def test_policy_is_first_action_one_step_closer(self, domain):
+        n, transition, _, starts, goals = domain
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=("a", "b"),
+            transition=transition,
+            reward=dict.fromkeys(transition, -1.0),
+        )
+        # distances to the goals, one breadth-first layer of edges at a time
+        dist, layer, depth = dict.fromkeys(goals, 0), set(goals), 0
+        while layer:
+            depth += 1
+            layer = {s for (s, _), t in transition.items() if t in layer and s not in dist}
+            dist.update(dict.fromkeys(layer, depth))
+        b, g = GroundingSet.of(0, starts), GroundingSet.of(0, goals)
+        plan = findplan(mdp, b, g)
+        if any(s not in dist for s in starts):
+            assert plan is None
+            with pytest.raises(MalformedInput):
+                plan_option("o", mdp, b, g)
+            return
+        for s, d in dist.items():
+            if d >= 1:
+                closer = [
+                    a for a in ("a", "b")
+                    if dist.get(transition.get((s, a)), -1) == d - 1
+                ]
+                assert plan.policy[s] == closer[0]
+        option = plan_option("o", mdp, b, g)
+        for s in starts:
+            assert execute_option(mdp, option, s).steps == dist[s]
 
 
 class TestAnswerQuery:

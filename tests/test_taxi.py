@@ -8,12 +8,11 @@ from hierplan.taxi import (
     DEFAULT_LAYOUT,
     TaxiLayout,
     expand_constraints,
-    grid_distances,
     taxi_options_level1,
     taxi_options_level2,
 )
 
-from conftest import DEPOTS, oracle_grid_distance, state_of
+from conftest import DEPOTS, WALL_PAIRS, oracle_grid_distance, state_of
 
 
 class TestDomain:
@@ -33,13 +32,6 @@ class TestDomain:
         cells = [cell for _, cell in DEFAULT_LAYOUT.depots]
         assert len(set(cells)) == 4
         assert dict(DEFAULT_LAYOUT.depots) == DEPOTS
-
-    def test_grid_distances_match_oracle(self):
-        for depot, cell in DEPOTS.items():
-            dist = grid_distances(DEFAULT_LAYOUT, cell)
-            for x in range(5):
-                for y in range(5):
-                    assert dist[(x, y)] == oracle_grid_distance((x, y), cell)
 
     def test_known_depot_distances(self):
         # hand-checked walks on the default map
@@ -96,6 +88,35 @@ class TestOptionSets:
     def test_ferry_initiation_is_15_of_20(self, fresh_hierarchy):
         for o in taxi_options_level2(fresh_hierarchy):
             assert len(o.initiation) == 15
+
+    @pytest.mark.parametrize(
+        "layout, walls",
+        [
+            (DEFAULT_LAYOUT, WALL_PAIRS),
+            (
+                TaxiLayout(
+                    width=8,
+                    height=8,
+                    depots=(("red", (0, 7)), ("green", (7, 7)), ("blue", (7, 0)),
+                            ("yellow", (0, 0))),
+                ),
+                frozenset(),
+            ),
+        ],
+        ids=["walled-5x5", "open-8x8"],
+    )
+    def test_drive_options_take_grid_distance_steps(self, layout, walls):
+        mdp = build_taxi(layout)
+        for o in taxi_options_level1(mdp, layout):
+            if not o.name.startswith("drive-to-"):
+                continue
+            depot = layout.depot_cell(o.name.removeprefix("drive-to-"))
+            for s in mdp.space.states:
+                tx, ty, *_ = mdp.space.assignment(s)
+                trace = execute_option(mdp, o, s)
+                assert trace.steps == oracle_grid_distance(
+                    (tx, ty), depot, layout.width, walls
+                )
 
     def test_drive_moves_passenger_iff_riding(self, taxi_mdp):
         drive = next(
