@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .core import BaseMDP
+from .errors import MalformedInput
 from .hierarchy import Hierarchy, PlanQuery
 from .planner import answer_query, execute_refined, findplan
 
@@ -82,7 +83,7 @@ def run_benchmark(
     """Time all three modes for each query; one warm-up run per mode is
     excluded, and the flattened SMDP is built once outside all timers."""
     if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise MalformedInput(f"repetitions must be >= 1, got {repetitions}")
     flat_plus = flatten_options(h)
     rows: list[BenchmarkRow] = []
     for name, query in queries.items():

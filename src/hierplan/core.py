@@ -165,14 +165,8 @@ class BaseMDP:
     def num_states(self) -> int:
         return self.space.num_states
 
-    def successor(self, state: int, action: str) -> int | None:
-        return self.transition.get((state, action))
-
     def predecessor_edges(self, state: int) -> tuple[tuple[int, str], ...]:
         return self._predecessors.get(state, ())
-
-    def reward_of(self, state: int, action: str) -> float:
-        return self.reward[(state, action)]
 
     def applicable(self, state: int) -> list[str]:
         return [a for a in self.actions if (state, a) in self.transition]

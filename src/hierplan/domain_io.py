@@ -153,10 +153,21 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
     return mdp, option_sets
 
 
+def explicit_states(mdp: BaseMDP, ids) -> GroundingSet:
+    """A constraint's ``states`` value as base states; MalformedInput
+    unless it is a list of state ids of ``mdp``."""
+    states = mdp.space.states
+    if not isinstance(ids, list) or not all(type(s) is int and s in states for s in ids):
+        raise MalformedInput(
+            f"'states' must list state ids in 0..{len(states) - 1}, got {ids!r}"
+        )
+    return GroundingSet.of(0, ids)
+
+
 def expand_generic(mdp: BaseMDP, spec: dict) -> GroundingSet:
     """Constraint object to base states, without domain-specific sugar."""
     if "states" in spec:
-        return GroundingSet.of(0, spec["states"])
+        return explicit_states(mdp, spec["states"])
     if not spec:
         return GroundingSet.of(0, mdp.space.states)
     return mdp.space.where(**spec)

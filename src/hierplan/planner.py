@@ -14,6 +14,7 @@ reproduces the closed-form cost of the search.
 from __future__ import annotations
 
 import time
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .core import ExecutionTrace, Option, execute_option
@@ -70,7 +71,7 @@ class Plan:
         initiation set, its goals the termination set."""
         return Option(name, self.starts, self.goals, self.policy)
 
-    # filled by findplan so action_sequence can walk without the level
+    # filled by the plan searches so action_sequence can walk without the level
     _successors: dict[tuple[int, str], int] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -82,11 +83,11 @@ class InstrumentationRecord:
 
     ``match_ops[j]`` counts grounding-set tests performed building the
     candidate pair at level ``j`` (two per state: one start-overlap test,
-    one goal-subset test). ``plan_ops[j]`` counts transition-edge
-    examinations by the plan search at ``j``: for `findplan`, one per
-    predecessor edge of every state its backward pass settles; for
-    `findplan_value_iteration`, one per non-goal state and action per
-    sweep. ``first_match_level`` and ``solution_level`` are the highest
+    one goal-subset test). ``plan_ops[j]`` counts the predecessor edges
+    the plan search at ``j`` examined, one per edge each time a state's
+    edges are walked: `findplan` walks them once per settled state,
+    `findplan_value_iteration` once per time a state leaves its queue.
+    ``first_match_level`` and ``solution_level`` are the highest
     matching level and the level the returned plan lives at. Wall-clock
     time is split exhaustively between the matching and planning phases.
     """
@@ -190,6 +191,18 @@ def _charge(record: InstrumentationRecord | None, j: int, ops: int) -> None:
         record.total_ops += ops
 
 
+def _plan(level, starts: GroundingSet, goals: GroundingSet, best: dict) -> Plan:
+    """The plan taking, in every state of ``best``, the action of its
+    ``(rank, action, successor)`` edge."""
+    return Plan(
+        level.level_index,
+        {s: a for s, (_, a, _) in best.items()},
+        starts,
+        goals,
+        _successors={(s, a): t for s, (_, a, t) in best.items()},
+    )
+
+
 def findplan(
     level,
     starts: GroundingSet,
@@ -232,13 +245,7 @@ def findplan(
     _charge(record, level.level_index, ops)
     if any(s not in dist for s in starts):
         return None
-    return Plan(
-        level_index=level.level_index,
-        policy={s: a for s, (_, a, _) in best.items()},
-        starts=starts,
-        goals=goals,
-        _successors={(s, a): t for s, (_, a, t) in best.items()},
-    )
+    return _plan(level, starts, goals, best)
 
 
 def plan_option(
@@ -262,55 +269,57 @@ def findplan_value_iteration(
     goals: GroundingSet,
     record: InstrumentationRecord | None = None,
 ) -> Plan | None:
-    """Reward-optimal variant: value iteration with the level's rewards
-    and discount, goals absorbing at value zero, for at most
-    ``num_states + 1`` sweeps.
+    """Reward-optimal variant: `findplan`'s backward search from ``goals``
+    (absorbing, value zero), made FIFO label-correcting (Bellman 1958).
 
-    With the uniform -1 penalty and no discounting this coincides with
-    shortest paths. Feasibility criteria in callers should prefer
-    `findplan`; this exists for reward-sensitive plan extraction. Returns
-    None when some start has no value or when the extracted policy does
-    not lead every start to ``goals`` (a reward-positive cycle can draw
-    it away from the goal). The edge examinations are added to
-    ``record`` when one is given.
+    A label is (value, steps); an edge ``(s, a) -> t`` offers
+    ``reward[(s, a)] + gamma * value(t)`` and ``steps(t) + 1``. Values
+    within ``1e-12`` tie, and ties go to fewer steps, then to the first
+    action in ``level.actions``, `findplan`'s rule. A state is queued again
+    when its label improves, at most ``num_states`` times: one that keeps
+    improving is on or behind a reward-positive cycle. None when some
+    start has no value or the policy does not lead every start into
+    ``goals``. Each predecessor edge examined counts one operation in
+    ``record``, when one is given.
     """
-    gamma = level.gamma
-    value: dict[int, float] = {g: 0.0 for g in goals}
-    best: dict[int, tuple[str, int]] = {}
+    rank = {a: i for i, a in enumerate(level.actions)}
+    label: dict[int, tuple[float, int]] = dict.fromkeys(goals, (0.0, 0))
+    is_goal = goals.bitstring(level.num_states)
+    # state -> (action rank, action, successor) of its best edge so far
+    best: dict[int, tuple[int, str, int]] = {}
+    times_queued: Counter[int] = Counter()
+    queue = deque(sorted(goals))
+    waiting = set(queue)
     ops = 0
-    for _ in range(level.num_states + 1):
-        changed = False
-        for s in range(level.num_states):
-            if s in goals:
+    while queue:
+        t = queue.popleft()
+        waiting.remove(t)
+        value, steps = label[t]
+        for s, action in level.predecessor_edges(t):
+            ops += 1
+            if is_goal[s] == "1":
                 continue
-            candidate: tuple[float, str, int] | None = None
-            for action in level.actions:
-                t = level.successor(s, action)
-                ops += 1
-                if t is None or t not in value:
+            offer = (level.reward[(s, action)] + level.gamma * value, steps + 1)
+            if s in label:
+                old = label[s]
+                if abs(offer[0] - old[0]) <= 1e-12:
+                    if (offer[1], rank[action]) >= (old[1], best[s][0]):
+                        continue
+                    if offer[1] == old[1]:  # same label, so no need to queue s
+                        best[s] = (rank[action], action, t)
+                        continue
+                elif offer[0] < old[0]:
                     continue
-                q = level.reward_of(s, action) + gamma * value[t]
-                if candidate is None or q > candidate[0]:
-                    candidate = (q, action, t)
-            if candidate is None:
-                continue
-            q, action, t = candidate
-            if s not in value or q > value[s] + 1e-12:
-                value[s] = q
-                best[s] = (action, t)
-                changed = True
-        if not changed:
-            break
+            label[s] = offer
+            best[s] = (rank[action], action, t)
+            if s not in waiting and times_queued[s] < level.num_states:
+                times_queued[s] += 1
+                waiting.add(s)
+                queue.append(s)
     _charge(record, level.level_index, ops)
-    if any(s not in value for s in starts):
+    if any(s not in label for s in starts):
         return None
-    plan = Plan(
-        level_index=level.level_index,
-        policy={s: a for s, (a, _) in best.items()},
-        starts=starts,
-        goals=goals,
-        _successors={(s, a): t for s, (a, t) in best.items()},
-    )
+    plan = _plan(level, starts, goals, best)
     try:
         for s in starts:
             plan.action_sequence(s)
@@ -350,7 +359,7 @@ def answer_query(
     if not 0 <= top <= h.num_levels:
         raise LevelOutOfRange(f"level {top} not in 0..{h.num_levels}")
     if plan_mode not in ("reachability", "value-iteration"):
-        raise ValueError(f"unknown plan mode {plan_mode!r}")
+        raise MalformedInput(f"unknown plan mode {plan_mode!r}")
     search = findplan if plan_mode == "reachability" else findplan_value_iteration
     record = InstrumentationRecord(search_top=top)
     clock = time.perf_counter()

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .abstraction import RewardMode
 from .core import BaseMDP, Option, StateSpace, Variable
+from .domain_io import explicit_states
 from .errors import MalformedInput, UnknownName
 from .hierarchy import Hierarchy, PlanQuery
 from .planner import plan_option
@@ -262,7 +263,7 @@ def expand_constraints(
     """
     space = mdp.space
     if "states" in spec:
-        return GroundingSet.of(0, spec["states"])
+        return explicit_states(mdp, spec["states"])
     constraints: dict[str, object] = {}
 
     def place(key: str, prefix: str, value) -> None:

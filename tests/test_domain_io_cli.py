@@ -133,6 +133,14 @@ class TestDomainIO:
             ({"B": 5, "G": {"pos": 3}}, "query has a malformed 'B': 5"),
             ({"B": {"pos": 0}, "G": [3]}, "query has a malformed 'G': [3]"),
             ([1, 2], "[1, 2] does not hold a JSON object"),
+            (
+                {"B": {"states": 5}, "G": {"pos": 3}},
+                "'states' must list state ids in 0..3, got 5",
+            ),
+            (
+                {"B": {"states": [9999]}, "G": {"pos": 3}},
+                "'states' must list state ids in 0..3, got [9999]",
+            ),
         ],
     )
     def test_malformed_query_rejected(self, chain_file, query, message):
@@ -268,6 +276,14 @@ class TestCLI:
         assert lines[0] == "query,level,match_ms,plan_ms,hier_ms,options_ms,flat_ms"
         assert len(lines) == 4
 
+    def test_bench_zero_reps_prints_one_error_line(self):
+        runner = CliRunner()
+        result = runner.invoke(cli, ["bench", "--reps", "0"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert lines == ["error: repetitions must be >= 1, got 0"], result.output
+
     def test_export_pddl_writes_files(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(
@@ -293,6 +309,14 @@ class TestCLI:
             (
                 '{"pass-at": 5}',
                 "error: 'pass-at' must be a depot name or an [x, y] cell, got 5",
+            ),
+            (
+                '{"states": 5}',
+                "error: 'states' must list state ids in 0..649, got 5",
+            ),
+            (
+                '{"states": [9999]}',
+                "error: 'states' must list state ids in 0..649, got [9999]",
             ),
         ],
     )

@@ -2,7 +2,7 @@
 refinement, and cost instrumentation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hierplan import (
     BaseMDP,
@@ -224,6 +224,99 @@ class TestFindplan:
         option = plan_option("o", mdp, b, g)
         for s in starts:
             assert execute_option(mdp, option, s).steps == dist[s]
+        assert findplan_value_iteration(mdp, b, g).policy == plan.policy
+
+    def test_value_iteration_policy_is_findplans_under_uniform_penalty(
+        self, taxi_hierarchy, queries
+    ):
+        h = taxi_hierarchy
+        for name in ("Q1", "Q2", "Q3"):
+            q = queries[name]
+            for j in range(h.num_levels + 1):
+                try:
+                    b = candidate_starts(h, j, q.starts)
+                    g = candidate_goals(h, j, q.goals)
+                except NoMatch:
+                    continue
+                bfs = findplan(h.level(j), b, g)
+                vi = findplan_value_iteration(h.level(j), b, g)
+                assert (bfs is None) == (vi is None)
+                if bfs is not None:
+                    assert vi.policy == bfs.policy, (name, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_domains(), st.data())
+    def test_value_iteration_return_is_best_simple_path(self, domain, data):
+        """Without positive rewards or discounting, a best walk to the
+        goals is a simple path, so brute force over simple paths is the
+        oracle. Zero-reward edges put zero-reward cycles in the draw."""
+        n, transition, _, starts, goals = domain
+        edges = sorted(transition)
+        rewards = data.draw(
+            st.lists(st.sampled_from((-2.0, -1.0, -0.5, 0.0)),
+                     min_size=len(edges), max_size=len(edges))
+        )
+        reward = dict(zip(edges, rewards))
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=("a", "b"),
+            transition=transition,
+            reward=reward,
+        )
+
+        def best_return(s, seen):
+            """Best return over simple paths from ``s``, None if none."""
+            if s in goals:
+                return 0.0
+            returns = []
+            for (u, a), t in transition.items():
+                if u == s and t not in seen:
+                    rest = best_return(t, seen | {t})
+                    if rest is not None:
+                        returns.append(reward[(u, a)] + rest)
+            return max(returns, default=None)
+
+        b, g = GroundingSet.of(0, starts), GroundingSet.of(0, goals)
+        plan = findplan_value_iteration(mdp, b, g)
+        assert (plan is None) == (findplan(mdp, b, g) is None)
+        if plan is None:
+            return
+        for s in starts:
+            state, total = s, 0.0
+            for a in plan.action_sequence(s):
+                state, r = mdp.step(state, a)
+                total += r
+            assert state in goals
+            assert total == pytest.approx(best_return(s, {s}), abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_domains(), st.data())
+    def test_value_iteration_ends_with_positive_rewards(self, domain, data):
+        """Reward-positive cycles, discounted or not, end the search, and
+        a returned plan still leads every start into the goals."""
+        n, transition, _, starts, goals = domain
+        edges = sorted(transition)
+        rewards = data.draw(
+            st.lists(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 1.0)),
+                     min_size=len(edges), max_size=len(edges))
+        )
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=("a", "b"),
+            transition=transition,
+            reward=dict(zip(edges, rewards)),
+            gamma=data.draw(st.sampled_from((1.0, 0.9, 0.5))),
+        )
+        plan = findplan_value_iteration(
+            mdp, GroundingSet.of(0, starts), GroundingSet.of(0, goals)
+        )
+        if plan is None:
+            return
+        for s in starts:
+            state = s
+            for a in plan.action_sequence(s):
+                state, _ = mdp.step(state, a)
+            assert state in goals
 
 
 class TestAnswerQuery:
@@ -251,6 +344,10 @@ class TestAnswerQuery:
         answer = answer_query(taxi_hierarchy, queries["Q1"], at_level=1)
         assert answer.level_index == 1
         assert answer.record.search_top == 1
+
+    def test_unknown_plan_mode_rejected(self, taxi_hierarchy, queries):
+        with pytest.raises(MalformedInput, match="unknown plan mode 'x'"):
+            answer_query(taxi_hierarchy, queries["Q1"], plan_mode="x")
 
     def test_value_iteration_mode(self, taxi_hierarchy, queries):
         for name, expected in (("Q1", 2), ("Q2", 1), ("Q3", 0)):
