@@ -10,9 +10,11 @@
   option;
 * flat: planning over the bare base MDP.
 
-Each mode runs ``repetitions`` times after one untimed warm-up; rows
-report means in milliseconds. Absolute numbers are hardware-dependent;
-orderings and ratios between modes are the meaningful output.
+Each repetition runs the three modes in turn, after one untimed warm-up
+round, so a drift in machine speed reaches every mode alike; rows report
+per-mode medians in milliseconds, which one stalled run cannot move.
+Absolute numbers are hardware-dependent; orderings and ratios between
+modes are the meaningful output.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass
+from statistics import median
 from typing import Mapping
 
 from .core import BaseMDP
@@ -57,7 +60,8 @@ def flatten_options(h: Hierarchy) -> BaseMDP:
 
 @dataclass(frozen=True)
 class BenchmarkRow:
-    """Mean per-mode timings for one query, milliseconds."""
+    """Median per-mode timings for one query, milliseconds; ``hier_ms``
+    is ``match_ms + plan_ms``."""
 
     query: str
     level: int
@@ -71,8 +75,8 @@ class BenchmarkRow:
 CSV_HEADER = "query,level,match_ms,plan_ms,hier_ms,options_ms,flat_ms"
 
 
-def _mean_ms(samples: list[float]) -> float:
-    return 1000.0 * sum(samples) / len(samples)
+def _median_ms(samples: list[float]) -> float:
+    return 1000.0 * median(samples) if samples else 0.0
 
 
 def run_benchmark(
@@ -80,50 +84,42 @@ def run_benchmark(
     queries: Mapping[str, PlanQuery],
     repetitions: int = 100,
 ) -> list[BenchmarkRow]:
-    """Time all three modes for each query; one warm-up run per mode is
-    excluded, and the flattened SMDP is built once outside all timers."""
+    """Time all three modes for each query, in turn within every
+    repetition; one warm-up round is excluded, and the flattened SMDP is
+    built once outside all timers."""
     if repetitions < 1:
         raise MalformedInput(f"repetitions must be >= 1, got {repetitions}")
     flat_plus = flatten_options(h)
     rows: list[BenchmarkRow] = []
     for name, query in queries.items():
-        answer = answer_query(h, query)
-        level = answer.level_index if answer is not None else -1
-
         match_s: list[float] = []
         plan_s: list[float] = []
-        for _ in range(repetitions + 1):
-            result = answer_query(h, query)
-            if result is not None:
-                match_s.append(result.record.match_seconds)
-                plan_s.append(result.record.plan_seconds)
-        match_s, plan_s = match_s[1:], plan_s[1:]
-
         options_s: list[float] = []
-        for i in range(repetitions + 1):
-            t0 = time.perf_counter()
-            findplan(flat_plus, query.starts, query.goals)
-            if i:
-                options_s.append(time.perf_counter() - t0)
-
         base_s: list[float] = []
         for i in range(repetitions + 1):
+            answer = answer_query(h, query)
             t0 = time.perf_counter()
+            findplan(flat_plus, query.starts, query.goals)
+            t1 = time.perf_counter()
             findplan(h.base, query.starts, query.goals)
-            if i:
-                base_s.append(time.perf_counter() - t0)
-
-        match_ms = _mean_ms(match_s) if match_s else 0.0
-        plan_ms = _mean_ms(plan_s) if plan_s else 0.0
+            t2 = time.perf_counter()
+            if i == 0:
+                continue
+            if answer is not None:
+                match_s.append(answer.record.match_seconds)
+                plan_s.append(answer.record.plan_seconds)
+            options_s.append(t1 - t0)
+            base_s.append(t2 - t1)
+        match_ms, plan_ms = _median_ms(match_s), _median_ms(plan_s)
         rows.append(
             BenchmarkRow(
                 query=name,
-                level=level,
+                level=answer.level_index if answer is not None else -1,
                 match_ms=match_ms,
                 plan_ms=plan_ms,
                 hier_ms=match_ms + plan_ms,
-                options_ms=_mean_ms(options_s),
-                flat_ms=_mean_ms(base_s),
+                options_ms=_median_ms(options_s),
+                flat_ms=_median_ms(base_s),
             )
         )
     return rows

@@ -78,7 +78,7 @@ class Hierarchy:
     levels_above: tuple[AbstractLevel, ...] = ()
     option_sets: tuple[tuple[Option, ...], ...] = ()
     reward_mode: RewardMode = RewardMode.UNIFORM_PENALTY
-    _base_groundings: tuple[dict[int, GroundingSet], ...] = field(
+    base_groundings: tuple[dict[int, GroundingSet], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
 
@@ -98,7 +98,7 @@ class Hierarchy:
                         acc = acc | memos[-1][x]
                     memo[s] = acc
             memos.append(memo)
-        object.__setattr__(self, "_base_groundings", tuple(memos))
+        object.__setattr__(self, "base_groundings", tuple(memos))
 
     @property
     def num_levels(self) -> int:
@@ -123,11 +123,9 @@ class Hierarchy:
 
     def final_grounding_of(self, j: int, state: int) -> GroundingSet:
         """Base-level grounding of one level-``j`` state (precomputed)."""
-        if j == 0:
-            return GroundingSet.single(0, state)
         if not 1 <= j <= self.num_levels:
-            raise LevelOutOfRange(f"level {j} not in 0..{self.num_levels}")
-        return self._base_groundings[j - 1][state]
+            raise LevelOutOfRange(f"level {j} not in 1..{self.num_levels}")
+        return self.base_groundings[j - 1][state]
 
     def ground(self, j: int, states: GroundingSet | int) -> GroundingSet:
         """Grounding one level down: the level-``j-1`` states a level-``j``

@@ -3,12 +3,14 @@
 The search runs top-down. At each level the unique maximal candidate
 pair is built: starts are every state whose base grounding meets the
 query's start set (valid only when the union covers it), goals are every
-state whose base grounding lies inside the query's goal set. When both
-candidates exist the level is planned with multi-start any-goal backward
-reachability; a match whose plan attempt fails falls through to the next
-lower level. Work is metered in grounding-set tests per level (matching)
-and edge examinations (planning), and the record of a successful run
-reproduces the closed-form cost of the search.
+state whose base grounding lies inside the query's goal set. At level 0
+that is the query's own sets; above it, each state's precomputed base
+grounding is tested once per candidate. When both candidates exist the
+level is planned with multi-start any-goal backward reachability; a match
+whose plan attempt fails falls through to the next lower level. Work is
+metered in grounding tests per level (matching) and edge examinations
+(planning), and the record of a successful run reproduces the
+closed-form cost of the search.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ class Plan:
 class InstrumentationRecord:
     """Work accounting for one query.
 
-    ``match_ops[j]`` counts grounding-set tests performed building the
-    candidate pair at level ``j`` (two per state: one start-overlap test,
-    one goal-subset test). ``plan_ops[j]`` counts the predecessor edges
+    ``match_ops[j]`` counts grounding tests performed building the
+    candidate pair at level ``j``: two per state above level 0 (one
+    start-overlap test, one goal-subset test), none at level 0, which
+    matches by identity. ``plan_ops[j]`` counts the predecessor edges
     the plan search at ``j`` examined, one per edge each time a state's
     edges are walked: `findplan` walks them once per settled state,
     `findplan_value_iteration` once per time a state leaves its queue.
@@ -135,35 +138,37 @@ def candidate_starts(h: Hierarchy, j: int, starts: GroundingSet) -> GroundingSet
     """Maximal start candidate at level ``j``: every state whose base
     grounding meets ``starts``. Valid only if the union of those
     groundings covers ``starts``; otherwise no usable start set exists at
-    this level and NoMatch is raised. Makes exactly ``num_states(j)``
-    grounding-set tests."""
+    this level and NoMatch is raised. Level 0 matches by identity, with
+    no test; above it, one ``.bits`` test per state."""
     if not 0 <= j <= h.num_levels:
         raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
-    members = []
-    covered = GroundingSet.empty(0)
-    for s in range(h.num_states(j)):
-        g0 = h.final_grounding_of(j, s)
-        if not g0.isdisjoint(starts):
-            members.append(s)
-            covered = covered | g0
-    if not starts.issubset(covered):
+    if j == 0:
+        members, covered = starts.bits, (1 << h.num_states(0)) - 1
+    else:
+        members = covered = 0
+        for s, g in h.base_groundings[j - 1].items():
+            if g.bits & starts.bits:
+                members |= 1 << s
+                covered |= g.bits
+    if not starts <= GroundingSet(0, covered):
         raise NoMatch(f"start set not covered at level {j}")
-    return GroundingSet.of(j, members)
+    return GroundingSet(j, members)
 
 
 def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     """Maximal goal candidate at level ``j``: every state whose base
-    grounding lies inside ``goals``. NoMatch when there is none. Makes
-    exactly ``num_states(j)`` grounding-set tests."""
+    grounding lies inside ``goals``. NoMatch when there is none. Level 0
+    keeps the goals that are base states, with no test; above it, one
+    ``.bits`` test per state."""
     if not 0 <= j <= h.num_levels:
         raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
-    members = []
-    for s in range(h.num_states(j)):
-        if h.final_grounding_of(j, s).issubset(goals):
-            members.append(s)
+    inside = (goals & GroundingSet(0, (1 << h.num_states(0)) - 1)).bits
+    members = inside if j == 0 else sum(
+        1 << s for s, g in h.base_groundings[j - 1].items() if not g.bits & ~goals.bits
+    )
     if not members:
         raise NoMatch(f"no state grounds inside the goal set at level {j}")
-    return GroundingSet.of(j, members)
+    return GroundingSet(j, members)
 
 
 def plan_match(h: Hierarchy, pair: MatchPair, query: PlanQuery) -> bool:
@@ -366,8 +371,8 @@ def answer_query(
     for j in range(top, -1, -1):
         starts = _match(candidate_starts, h, j, query.starts)
         goals = _match(candidate_goals, h, j, query.goals)
-        # each candidate tests every state of the level once
-        record.match_ops[j] = 2 * h.num_states(j)
+        # no test at level 0; above it, one per state for each candidate
+        record.match_ops[j] = 2 * h.num_states(j) if j else 0
         record.total_ops += record.match_ops[j]
         now = time.perf_counter()
         record.match_seconds += now - clock

@@ -20,13 +20,16 @@ from hierplan import (
     findplan,
     findplan_value_iteration,
     load_domain,
+    one_step_preimage_options,
     plan_match,
     plan_option,
     planning_cost,
     refine,
 )
 from hierplan.errors import (
+    HierplanError,
     InconsistentRecord,
+    LevelMismatch,
     MalformedInput,
     NoMatch,
     RefinementFault,
@@ -105,6 +108,69 @@ class TestCandidates:
         assert candidate_goals(taxi_hierarchy, 1, q.goals) == candidate_goals(
             taxi_hierarchy, 1, q.goals
         )
+
+    def test_level0_start_outside_base_space_has_no_match(self, taxi_hierarchy):
+        n = taxi_hierarchy.num_states(0)
+        with pytest.raises(NoMatch):
+            candidate_starts(taxi_hierarchy, 0, GroundingSet.of(0, {0, n}))
+
+    def test_level0_goals_outside_base_space_are_dropped(self, taxi_hierarchy):
+        n = taxi_hierarchy.num_states(0)
+        g = candidate_goals(taxi_hierarchy, 0, GroundingSet.of(0, {3, n, n + 40}))
+        assert g == GroundingSet.of(0, {3})
+        with pytest.raises(NoMatch):
+            candidate_goals(taxi_hierarchy, 0, GroundingSet.of(0, {n, n + 40}))
+
+    def test_sets_of_another_level_rejected(self, taxi_hierarchy):
+        level1_set = GroundingSet.of(1, {0})
+        for j in range(taxi_hierarchy.num_levels + 1):
+            with pytest.raises(LevelMismatch):
+                candidate_starts(taxi_hierarchy, j, level1_set)
+            with pytest.raises(LevelMismatch):
+                candidate_goals(taxi_hierarchy, j, level1_set)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_domains(), st.integers(1, 2), st.data())
+    def test_candidates_match_their_definition(self, domain, num_levels, data):
+        """At every level of random one- and two-level hierarchies, both
+        candidates equal a brute-force oracle over `final_ground`, NoMatch
+        included. Query ids reach past the base space and may be empty."""
+        n, transition, mode, _, _ = domain
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=("a", "b"),
+            transition=transition,
+            reward=dict.fromkeys(transition, -1.0),
+        )
+        h = Hierarchy(base=mdp, reward_mode=mode)
+        try:
+            for _ in range(num_levels):
+                h = h.add_level(one_step_preimage_options(h.level(h.num_levels)))
+        except HierplanError:
+            if h.num_levels == 0:
+                return
+        starts = data.draw(st.sets(st.integers(0, n + 1)))
+        goals = data.draw(st.sets(st.integers(0, n + 1)))
+
+        def found(candidates, j, states):
+            try:
+                out = candidates(h, j, GroundingSet.of(0, states))
+            except NoMatch:
+                return None
+            assert out.level_index == j
+            return set(out)
+
+        for j in range(h.num_levels + 1):
+            ground = {
+                s: set(h.final_ground(j, GroundingSet.single(j, s)))
+                for s in range(h.num_states(j))
+            }
+            meets = {s for s, g in ground.items() if g & starts}
+            covered = set().union(*(ground[s] for s in meets))
+            expected = meets if starts <= covered else None
+            assert found(candidate_starts, j, starts) == expected
+            inside = {s for s, g in ground.items() if g <= goals}
+            assert found(candidate_goals, j, goals) == (inside or None)
 
 
 class TestPlanMatch:
@@ -525,12 +591,13 @@ class TestRefinement:
 
 class TestInstrumentation:
     def test_match_cost_is_linear_in_level_size(self, taxi_hierarchy, queries):
-        """Exactly two grounding tests per state per level visited."""
+        """No test at level 0, which matches by identity; exactly two
+        grounding tests per state at every level visited above it."""
         h = taxi_hierarchy
         for q in queries.values():
             rec = answer_query(h, q).record
             for j, ops in rec.match_ops.items():
-                assert ops == 2 * h.num_states(j)
+                assert ops == (2 * h.num_states(j) if j else 0)
 
     def test_q1_cost_is_top_level_only(self, taxi_hierarchy, queries):
         rec = answer_query(taxi_hierarchy, queries["Q1"]).record
