@@ -143,14 +143,16 @@ class BaseMDP:
         if not 0.0 < self.gamma <= 1.0:
             raise MalformedInput(f"gamma must be in (0, 1], got {self.gamma}")
         declared = set(self.actions)
-        # for every target state, the (state, action) edges entering it
+        # for every target state, the (state, action) edges entering it; an
+        # edge is the transition table's own key, so it is stored only once
         preds: dict[int, list[tuple[int, str]]] = {}
-        for (s, a), t in self.transition.items():
+        for edge, t in self.transition.items():
+            s, a = edge
             if not (0 <= s < self.space.num_states and 0 <= t < self.space.num_states):
                 raise MalformedInput(f"transition ({s}, {a!r}) -> {t} leaves the space")
             if a not in declared:
                 raise UnknownName(f"transition ({s}, {a!r}) uses an undeclared action")
-            preds.setdefault(t, []).append((s, a))
+            preds.setdefault(t, []).append(edge)
         if self.reward.keys() != self.transition.keys():
             raise MalformedInput("reward and transition tables have different keys")
         object.__setattr__(

@@ -47,7 +47,9 @@ class Plan:
 
     ``policy`` maps every settled state to the action that steps one edge
     closer to ``goals``; following it from any state in ``starts`` reaches
-    a goal in at most ``num_states`` steps.
+    a goal in at most ``num_states`` steps. ``_successors`` maps each of
+    those states to the state its policy action leads to, so the plan can
+    be walked without its level.
     """
 
     level_index: int
@@ -64,7 +66,7 @@ class Plan:
             if state not in self.policy or steps > len(self.policy) + 1:
                 raise RefinementFault(f"no policy path from state {start}")
             seq.append(self.policy[state])
-            state = self._successors[(state, self.policy[state])]
+            state = self._successors[state]
             steps += 1
         return seq
 
@@ -73,8 +75,7 @@ class Plan:
         initiation set, its goals the termination set."""
         return Option(name, self.starts, self.goals, self.policy)
 
-    # filled by the plan searches so action_sequence can walk without the level
-    _successors: dict[tuple[int, str], int] = field(
+    _successors: dict[int, int] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -89,7 +90,8 @@ class InstrumentationRecord:
     matches by identity. ``plan_ops[j]`` counts the predecessor edges
     the plan search at ``j`` examined, one per edge each time a state's
     edges are walked: `findplan` walks them once per settled state,
-    `findplan_value_iteration` once per time a state leaves its queue.
+    `findplan_value_iteration` once per time a state leaves its queue and
+    once per state it finds holding a stale label.
     ``first_match_level`` and ``solution_level`` are the highest
     matching level and the level the returned plan lives at. Wall-clock
     time is split exhaustively between the matching and planning phases.
@@ -196,18 +198,6 @@ def _charge(record: InstrumentationRecord | None, j: int, ops: int) -> None:
         record.total_ops += ops
 
 
-def _plan(level, starts: GroundingSet, goals: GroundingSet, best: dict) -> Plan:
-    """The plan taking, in every state of ``best``, the action of its
-    ``(rank, action, successor)`` edge."""
-    return Plan(
-        level.level_index,
-        {s: a for s, (_, a, _) in best.items()},
-        starts,
-        goals,
-        _successors={(s, a): t for s, (_, a, t) in best.items()},
-    )
-
-
 def findplan(
     level,
     starts: GroundingSet,
@@ -220,37 +210,42 @@ def findplan(
     One backward breadth-first pass from ``goals``. The full backward
     closure of the goal set is computed, so the policy covers every state
     that can reach a goal, not just the requested starts. While the
-    states at depth ``d - 1`` are expanded, each state first reached at
-    depth ``d`` keeps the edge whose action comes first in
-    ``level.actions``: the first declared action that steps one closer,
-    which makes plans deterministic. The edge examinations (one per
+    states at depth ``d - 1`` are expanded, a state's policy action and
+    successor are written when it is first reached at depth ``d``, and
+    rewritten only by another edge at that depth whose action comes
+    earlier in ``level.actions``. So each state keeps the first declared
+    action that steps one closer, whatever order the frontier is walked
+    in, which makes plans deterministic. The edge examinations (one per
     predecessor edge of every settled state) are added to ``record`` when
     one is given.
     """
     rank = {a: i for i, a in enumerate(level.actions)}
     dist: dict[int, int] = dict.fromkeys(goals, 0)
-    # state -> (action rank, action, successor) of its best edge so far
-    best: dict[int, tuple[int, str, int]] = {}
-    frontier = sorted(goals)
+    policy: dict[int, str] = {}
+    successor: dict[int, int] = {}
+    frontier = list(goals)
     depth = 0
     ops = 0
     while frontier:
         depth += 1
         nxt: list[int] = []
         for t in frontier:
-            for pred, action in level.predecessor_edges(t):
-                ops += 1
-                if pred not in dist:
-                    dist[pred] = depth
-                    nxt.append(pred)
-                    best[pred] = (rank[action], action, t)
-                elif dist[pred] == depth and rank[action] < best[pred][0]:
-                    best[pred] = (rank[action], action, t)
-        frontier = sorted(nxt)
+            edges = level.predecessor_edges(t)
+            ops += len(edges)
+            for s, action in edges:
+                d = dist.get(s)
+                if d is None:
+                    dist[s] = depth
+                    nxt.append(s)
+                elif d != depth or rank[action] >= rank[policy[s]]:
+                    continue
+                policy[s] = action
+                successor[s] = t
+        frontier = nxt
     _charge(record, level.level_index, ops)
     if any(s not in dist for s in starts):
         return None
-    return _plan(level, starts, goals, best)
+    return Plan(level.level_index, policy, starts, goals, _successors=successor)
 
 
 def plan_option(
@@ -282,19 +277,22 @@ def findplan_value_iteration(
     within ``1e-12`` tie, and ties go to fewer steps, then to the first
     action in ``level.actions``, `findplan`'s rule. A state is queued again
     when its label improves, at most ``num_states`` times: one that keeps
-    improving is on or behind a reward-positive cycle. None when some
-    start has no value or the policy does not lead every start into
-    ``goals``. Each predecessor edge examined counts one operation in
-    ``record``, when one is given.
+    improving is on or behind a reward-positive cycle. A state that
+    improves once its queue budget is spent cannot pass the improvement
+    on, so it and every non-goal state behind it hold stale labels. None
+    when some start has no value or a stale one, or when the policy does
+    not lead every start into ``goals``. Each predecessor edge examined
+    counts one operation in ``record``, when one is given.
     """
     rank = {a: i for i, a in enumerate(level.actions)}
     label: dict[int, tuple[float, int]] = dict.fromkeys(goals, (0.0, 0))
     is_goal = goals.bitstring(level.num_states)
-    # state -> (action rank, action, successor) of its best edge so far
-    best: dict[int, tuple[int, str, int]] = {}
+    policy: dict[int, str] = {}
+    successor: dict[int, int] = {}
     times_queued: Counter[int] = Counter()
     queue = deque(sorted(goals))
     waiting = set(queue)
+    stale: set[int] = set()
     ops = 0
     while queue:
         t = queue.popleft()
@@ -308,23 +306,35 @@ def findplan_value_iteration(
             if s in label:
                 old = label[s]
                 if abs(offer[0] - old[0]) <= 1e-12:
-                    if (offer[1], rank[action]) >= (old[1], best[s][0]):
+                    if (offer[1], rank[action]) >= (old[1], rank[policy[s]]):
                         continue
                     if offer[1] == old[1]:  # same label, so no need to queue s
-                        best[s] = (rank[action], action, t)
+                        policy[s], successor[s] = action, t
                         continue
                 elif offer[0] < old[0]:
                     continue
             label[s] = offer
-            best[s] = (rank[action], action, t)
-            if s not in waiting and times_queued[s] < level.num_states:
+            policy[s], successor[s] = action, t
+            if s in waiting:
+                continue
+            if times_queued[s] < level.num_states:
                 times_queued[s] += 1
                 waiting.add(s)
                 queue.append(s)
+            else:
+                stale.add(s)
+    # a goal's label never depends on its successors, so staleness stops there
+    todo = list(stale)
+    while todo:
+        for s, _ in level.predecessor_edges(todo.pop()):
+            ops += 1
+            if s not in stale and is_goal[s] != "1":
+                stale.add(s)
+                todo.append(s)
     _charge(record, level.level_index, ops)
-    if any(s not in label for s in starts):
+    if any(s not in label or s in stale for s in starts):
         return None
-    plan = _plan(level, starts, goals, best)
+    plan = Plan(level.level_index, policy, starts, goals, _successors=successor)
     try:
         for s in starts:
             plan.action_sequence(s)

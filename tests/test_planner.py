@@ -43,6 +43,17 @@ def level2_node(h, depot):
     return h.level(2).space.labels.index(f"passenger-to-{depot}")
 
 
+def goal_distances(transition, goals):
+    """Steps from each state to the nearest goal, one breadth-first layer
+    of edges at a time; states that reach no goal are absent."""
+    dist, layer, depth = dict.fromkeys(goals, 0), set(goals), 0
+    while layer:
+        depth += 1
+        layer = {s for (s, _), t in transition.items() if t in layer and s not in dist}
+        dist.update(dict.fromkeys(layer, depth))
+    return dist
+
+
 class TestCandidates:
     def test_q1_level2_start_candidate_is_blue_node(self, taxi_hierarchy, queries):
         b = candidate_starts(taxi_hierarchy, 2, queries["Q1"].starts)
@@ -267,12 +278,7 @@ class TestFindplan:
             transition=transition,
             reward=dict.fromkeys(transition, -1.0),
         )
-        # distances to the goals, one breadth-first layer of edges at a time
-        dist, layer, depth = dict.fromkeys(goals, 0), set(goals), 0
-        while layer:
-            depth += 1
-            layer = {s for (s, _), t in transition.items() if t in layer and s not in dist}
-            dist.update(dict.fromkeys(layer, depth))
+        dist = goal_distances(transition, goals)
         b, g = GroundingSet.of(0, starts), GroundingSet.of(0, goals)
         plan = findplan(mdp, b, g)
         if any(s not in dist for s in starts):
@@ -309,6 +315,11 @@ class TestFindplan:
                 assert (bfs is None) == (vi is None)
                 if bfs is not None:
                     assert vi.policy == bfs.policy, (name, j)
+                    for plan in (bfs, vi):
+                        assert plan._successors == {
+                            s: h.level(j).transition[(s, a)]
+                            for s, a in plan.policy.items()
+                        }, (name, j)
 
     @settings(max_examples=200, deadline=None)
     @given(random_domains(), st.data())
@@ -383,6 +394,64 @@ class TestFindplan:
             for a in plan.action_sequence(s):
                 state, _ = mdp.step(state, a)
             assert state in goals
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_domains(), st.data())
+    def test_successors_follow_the_policy(self, domain, data):
+        """Each policy state's successor is where its action leads, and a
+        start's action sequence replayed on the domain ends in the goals,
+        after exactly the start's distance for `findplan`."""
+        n, transition, _, starts, goals = domain
+        edges = sorted(transition)
+        rewards = data.draw(
+            st.lists(st.sampled_from((-2.0, -1.0, -0.5, 0.0)),
+                     min_size=len(edges), max_size=len(edges))
+        )
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=("a", "b"),
+            transition=transition,
+            reward=dict(zip(edges, rewards)),
+        )
+        dist = goal_distances(transition, goals)
+        b, g = GroundingSet.of(0, starts), GroundingSet.of(0, goals)
+        for search in (findplan, findplan_value_iteration):
+            plan = search(mdp, b, g)
+            if plan is None:
+                continue
+            for s, a in plan.policy.items():
+                assert plan._successors[s] == mdp.transition[(s, a)]
+            for s in starts:
+                state = s
+                sequence = plan.action_sequence(s)
+                for a in sequence:
+                    state, _ = mdp.step(state, a)
+                assert state in goals
+                if search is findplan:
+                    assert len(sequence) == dist[s]
+
+    def test_value_iteration_stale_label_returns_none(self):
+        """With gamma < 1 the best return from state 2 enters the +1
+        self-loop at state 1 and never reaches the goal 0. State 1 keeps
+        improving after its queue budget is spent, so the improvement
+        never reaches state 2, whose label is stale: no plan, not the
+        plan ``2 -a-> 0`` that label supports."""
+        edges = {
+            (0, "a"): (2, 0.0), (0, "b"): (1, 1.0),
+            (1, "a"): (1, 1.0), (1, "b"): (0, -1.0),
+            (2, "a"): (0, 0.0), (2, "b"): (1, -1.0),
+        }
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=3),
+            actions=("a", "b"),
+            transition={e: t for e, (t, _) in edges.items()},
+            reward={e: r for e, (_, r) in edges.items()},
+            gamma=0.9,
+        )
+        b, g = GroundingSet.of(0, {2}), GroundingSet.of(0, {0})
+        assert findplan_value_iteration(mdp, b, g) is None
+        assert findplan(mdp, b, g).action_sequence(2) == ["a"]
 
 
 class TestAnswerQuery:
