@@ -8,18 +8,12 @@ flat planning.
 
 from .abstraction import (
     AbstractLevel,
-    AbstractSubgoal,
     Construction,
-    EffectSet,
     OptionPart,
-    PartitionedOption,
     RewardMode,
-    Subgoal,
-    Unclassifiable,
     assign_rewards,
     build_factored_abstraction,
     build_plan_graph,
-    classify_option,
     compute_effect_set,
     partition_option,
 )
@@ -66,12 +60,10 @@ from .taxi import (
 
 __all__ = [
     "AbstractLevel",
-    "AbstractSubgoal",
     "BaseMDP",
     "BenchmarkRow",
     "Construction",
     "DEFAULT_LAYOUT",
-    "EffectSet",
     "ExecutionTrace",
     "GroundingSet",
     "Hierarchy",
@@ -79,15 +71,12 @@ __all__ = [
     "MatchPair",
     "Option",
     "OptionPart",
-    "PartitionedOption",
     "Plan",
     "PlanAnswer",
     "PlanQuery",
     "RewardMode",
     "StateSpace",
-    "Subgoal",
     "TaxiLayout",
-    "Unclassifiable",
     "Variable",
     "Violation",
     "answer_query",
@@ -98,7 +87,6 @@ __all__ = [
     "build_taxi_hierarchy",
     "candidate_goals",
     "candidate_starts",
-    "classify_option",
     "compute_effect_set",
     "depot_seed_states",
     "execute_option",

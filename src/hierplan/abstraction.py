@@ -1,15 +1,20 @@
 """Representation acquisition: from an option set over one level to the
 abstract MDP of the next level.
 
-Two constructions are supported, chosen by what the options look like
-after partitioning:
+Each option is partitioned into parts, and a part is its data: the
+``effect_values`` it sets, (variable, value) pairs that every start in
+the part ends with while every other variable stays unchanged, and, when
+those pairs name every variable of the level, the one ``terminal_state``
+all its starts reach. A part with a terminal state is a subgoal; over an
+unfactored level there are no variables, so every part is one. The next
+level is built in one of two ways:
 
-* every part is a subgoal (one fixed terminal state per part): a plan
-  graph, one abstract state per part, with an edge ``i -> j`` whenever
-  part ``i``'s effect set is contained in part ``j``'s initiation set;
-* every part sets a mask of state variables to start-independent values
-  and leaves the rest untouched: a factored space built by closure from
-  seed assignments under the parts' (mask, effect-values) rules.
+* every part is a subgoal: a plan graph, one abstract state per part,
+  with an edge ``i -> j`` whenever part ``i``'s effect set is contained
+  in part ``j``'s initiation set;
+* otherwise, over a factored space: a factored space built by closure
+  from seed assignments, each part overwriting its variables with its
+  effect values.
 
 Groundings of plan-graph nodes are widened from the raw effect set to all
 lower states with the same initiation-membership profile, which keeps
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from itertools import islice
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -50,78 +54,41 @@ DEFAULT_PART_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
-# option classification
+# option parts
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Subgoal:
-    """Terminal state is the same no matter where execution began."""
-
-
-@dataclass(frozen=True)
-class AbstractSubgoal:
-    """Masked variables end at start-independent values; unmasked
-    variables are unchanged by execution.
-
-    An empty mask is the degenerate identity case (execution changes
-    nothing for any start in the part).
-    """
-
-    mask: frozenset[str]
-
-
-@dataclass(frozen=True)
-class Unclassifiable:
-    reason: str = ""
-
-
-OptionClass = Subgoal | AbstractSubgoal | Unclassifiable
-
-
-@dataclass(frozen=True)
-class EffectSet:
-    """All states an option may terminate in, over its initiation set."""
-
-    option_id: str
-    states: GroundingSet
-
-    def __post_init__(self) -> None:
-        if self.states.is_empty():
-            raise ValueError(f"effect set of {self.option_id!r} is empty")
-
-
-@dataclass(frozen=True)
 class OptionPart:
-    """A restriction of an option to a subset of its initiation states
-    that individually passes a classification test.
+    """An option restricted to a subset of its initiation states.
 
     The part shares the parent option's policy; only the initiation set
-    shrinks. ``mean_return`` is the parent option's mean return over its
-    whole initiation set, zero-step starts included. For subgoal parts
-    ``terminal_state`` is set; for abstract subgoal parts
-    ``mask``/``effect_values`` describe the variable update.
+    shrinks. ``effect_values`` lists, in name order, the variables the
+    part sets and their values: execution from every start in the part
+    ends with each of them at its value and every other variable
+    unchanged. When those variables are all of the level's (always, over
+    an unfactored level) the part is a subgoal:
+    ``terminal_state`` is its one terminal state, the only member of
+    ``effect``. ``mean_return`` is the parent option's mean return over
+    its whole initiation set, zero-step starts included.
     """
 
     part_id: str
     option: Option
     initiation: GroundingSet
-    option_class: OptionClass
     effect: GroundingSet
     mean_return: float
     terminal_state: int | None = None
-    mask: frozenset[str] = frozenset()
     effect_values: tuple[tuple[str, Any], ...] = ()
 
     @property
     def option_id(self) -> str:
         return self.option.name
 
-
-@dataclass(frozen=True)
-class PartitionedOption:
-    option_id: str
-    parts: tuple[OptionPart, ...]
+    @property
+    def mask(self) -> frozenset[str]:
+        """The variables the part sets."""
+        return frozenset(name for name, _ in self.effect_values)
 
 
 def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
@@ -176,14 +143,11 @@ def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
     return terminals, mean
 
 
-def compute_effect_set(option: Option, level) -> EffectSet:
+def compute_effect_set(option: Option, level) -> GroundingSet:
     """The option's effect set: simulate from every initiation state and
     collect the terminal states."""
     terminals, _ = _terminal_map(option, level)
-    return EffectSet(
-        option.name,
-        GroundingSet.of(option.level_index, set(terminals.values())),
-    )
+    return GroundingSet.of(option.level_index, set(terminals.values()))
 
 
 _MANY = object()  # a variable that ends at more than one value
@@ -248,42 +212,27 @@ def _summarize_groups(
     return out
 
 
-def _classify(space: StateSpace, summary: _Summary) -> OptionClass:
-    """Classify the (start, terminal) pairs a summary describes.
+def _classify(names: Sequence[str], summary: _Summary) -> tuple[int, ...] | None:
+    """The mask, as variable indexes, that the (start, terminal) pairs a
+    summary describes over a factored space classify with, or None when
+    they do not classify.
 
-    Over an unfactored space only a constant terminal classifies. Over a
-    factored space the candidate mask is the set of variables changed by
-    at least one start, and the test requires constant terminal values on
-    the mask; enlarging the mask can never rescue a failing candidate, so
-    this single check is complete. A constant terminal counts as a plain
-    subgoal only when the mask is trivial (empty or every variable);
-    otherwise the partial mask is the tighter description and the pairs
-    classify as an abstract subgoal that leaves the unmasked variables
-    alone.
+    The candidate mask is the set of variables changed by at least one
+    start, and the test requires constant terminal values on the mask;
+    enlarging the mask can never rescue a failing candidate, so this
+    single check is complete. A constant terminal with no variable or
+    every variable changed gets the full mask, so the pairs form a
+    subgoal; otherwise the changed variables are the tighter description
+    and every other variable is left alone.
     """
-    one_terminal = len(summary.terminals) == 1
-    if not space.is_factored:
-        if one_terminal:
-            return Subgoal()
-        return Unclassifiable("terminal depends on start and space is not factored")
-    names = space.variable_names()
-    if one_terminal and len(summary.changed) in (0, len(names)):
-        return Subgoal()
-    for i in sorted(summary.changed):
-        if summary.values[i] is _MANY:
-            return Unclassifiable(f"terminal value of {names[i]!r} depends on start")
-    return AbstractSubgoal(frozenset(names[i] for i in summary.changed))
+    if len(summary.terminals) == 1 and len(summary.changed) in (0, len(names)):
+        return tuple(range(len(names)))
+    if any(summary.values[i] is _MANY for i in summary.changed):
+        return None
+    return tuple(sorted(summary.changed))
 
 
-def classify_option(option: Option, level) -> OptionClass:
-    """Classify the whole (unpartitioned) option."""
-    groups = _summarize_groups(level.space, _terminal_map(option, level)[0])
-    return _classify(
-        level.space, reduce(_Summary.merge, (s for _, s in groups.values()))
-    )
-
-
-def partition_option(option: Option, level) -> PartitionedOption:
+def partition_option(option: Option, level) -> tuple[OptionPart, ...]:
     """Split the initiation set into the fewest groups this greedy pass
     finds such that each group individually classifies.
 
@@ -296,18 +245,17 @@ def partition_option(option: Option, level) -> PartitionedOption:
     ``DEFAULT_PART_LIMIT`` parts raise PartitionExplosion.
     """
     space: StateSpace = level.space
+    names = space.variable_names()
     terminals, mean_return = _terminal_map(option, level)
     groups = _summarize_groups(space, terminals)
     part_pairs: list[list[tuple[int, int]]] = []
     summaries: list[_Summary] = []
+    masks: list[tuple[int, ...]] = []
     if not space.is_factored:
         for key in sorted(groups):
-            pairs, summary = groups[key]
-            part_pairs.append(pairs)
-            summaries.append(summary)
+            part_pairs.append(groups[key][0])
+            masks.append(())
     else:
-        names = space.variable_names()
-
         def merge_order(key):
             changed = tuple(names[i] for i, _ in key)
             return (-len(changed), changed, repr(tuple(v for _, v in key)))
@@ -316,13 +264,18 @@ def partition_option(option: Option, level) -> PartitionedOption:
             pairs, summary = groups[key]
             for k, existing in enumerate(summaries):
                 merged = existing.merge(summary)
-                if not isinstance(_classify(space, merged), Unclassifiable):
+                mask = _classify(names, merged)
+                if mask is not None:
                     part_pairs[k].extend(pairs)
                     summaries[k] = merged
+                    masks[k] = mask
                     break
             else:
+                mask = _classify(names, summary)
+                assert mask is not None, "a group of one key must classify"
                 part_pairs.append(list(pairs))
                 summaries.append(summary)
+                masks.append(mask)
 
     if len(part_pairs) > DEFAULT_PART_LIMIT:
         raise PartitionExplosion(
@@ -333,39 +286,23 @@ def partition_option(option: Option, level) -> PartitionedOption:
     lvl = option.level_index
     parts = []
     multi = len(part_pairs) > 1
-    for k, (pairs, summary) in enumerate(zip(part_pairs, summaries)):
-        cls = _classify(space, summary)
-        assert not isinstance(cls, Unclassifiable), "grouping must classify"
-        part_id = f"{option.name}#{k}" if multi else option.name
-        effect = GroundingSet.of(lvl, {t for _, t in pairs})
-        terminal = pairs[0][1] if isinstance(cls, Subgoal) else None
-        mask: frozenset[str] = frozenset()
-        values: tuple[tuple[str, Any], ...] = ()
-        if space.is_factored:
-            names = space.variable_names()
-            if isinstance(cls, AbstractSubgoal):
-                mask = cls.mask
-            else:
-                # subgoal over a factored space: full-mask variable update
-                mask = frozenset(names)
-            ta = space.assignment(pairs[0][1])
-            values = tuple(
-                (n, ta[names.index(n)]) for n in sorted(mask)
-            )
+    for k, (pairs, mask) in enumerate(zip(part_pairs, masks)):
+        end = pairs[0][1]
         parts.append(
             OptionPart(
-                part_id=part_id,
+                part_id=f"{option.name}#{k}" if multi else option.name,
                 option=option,
                 initiation=GroundingSet.of(lvl, [s for s, _ in pairs]),
-                option_class=cls,
-                effect=effect,
+                effect=GroundingSet.of(lvl, {t for _, t in pairs}),
                 mean_return=mean_return,
-                terminal_state=terminal,
-                mask=mask,
-                effect_values=values,
+                terminal_state=end if len(mask) == len(names) else None,
+                effect_values=tuple(
+                    (names[i], space.assignment(end)[i])
+                    for i in sorted(mask, key=names.__getitem__)
+                ),
             )
         )
-    return PartitionedOption(option.name, tuple(parts))
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +345,6 @@ class AbstractLevel(BaseMDP):
 
     parts: tuple[OptionPart, ...]
     groundings: Mapping[int, GroundingSet]
-    construction: Construction
     _by_id: dict[str, OptionPart] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -428,6 +364,13 @@ class AbstractLevel(BaseMDP):
         object.__setattr__(
             self, "_by_option", {k: tuple(v) for k, v in by_option.items()}
         )
+
+    @property
+    def construction(self) -> Construction:
+        """How the level was built, read off its space."""
+        if self.space.is_factored:
+            return Construction.FACTORED
+        return Construction.PLAN_GRAPH
 
     @property
     def transitions(self) -> Mapping[tuple[int, str], int]:
@@ -463,7 +406,7 @@ class AbstractLevel(BaseMDP):
 def _partition_all(options: Sequence[Option], level) -> list[OptionPart]:
     parts: list[OptionPart] = []
     for o in options:
-        parts.extend(partition_option(o, level).parts)
+        parts.extend(partition_option(o, level))
     return parts
 
 
@@ -479,7 +422,7 @@ def build_plan_graph(
     the initiation-profile widening of the effect sets.
     """
     parts = list(_parts) if _parts is not None else _partition_all(options, level)
-    bad = [p.part_id for p in parts if not isinstance(p.option_class, Subgoal)]
+    bad = [p.part_id for p in parts if p.terminal_state is None]
     if bad:
         raise NoSubgoalStructure(
             f"parts without a fixed terminal state: {', '.join(bad)}"
@@ -518,7 +461,6 @@ def build_plan_graph(
         reward=dict.fromkeys(transition, -1.0),
         parts=tuple(parts),
         groundings=dict(enumerate(widened)),
-        construction=Construction.PLAN_GRAPH,
         gamma=level.gamma,
     )
 
@@ -544,9 +486,6 @@ def build_factored_abstraction(
         if not 0 <= s < space.num_states:
             raise InvalidSeed(f"seed state {s} outside level {space.level_index}")
     parts = list(_parts) if _parts is not None else _partition_all(options, level)
-    bad = [p.part_id for p in parts if isinstance(p.option_class, Unclassifiable)]
-    if bad:
-        raise NoFactoredStructure(f"unclassifiable parts: {', '.join(bad)}")
 
     names = space.variable_names()
     lvl = space.level_index
@@ -601,7 +540,6 @@ def build_factored_abstraction(
         reward=dict.fromkeys(transition, -1.0),
         parts=tuple(parts),
         groundings=groundings,
-        construction=Construction.FACTORED,
         gamma=level.gamma,
     )
 

@@ -59,8 +59,8 @@ class NoSubgoalStructure(HierplanError):
 
 
 class NoFactoredStructure(HierplanError):
-    """Factored construction requires a factored lower space and
-    abstract-subgoal parts."""
+    """Factored construction requires a factored lower space and closure
+    seed states."""
 
 
 class PartitionExplosion(HierplanError):

@@ -27,7 +27,6 @@ from typing import Sequence
 from .abstraction import (
     AbstractLevel,
     RewardMode,
-    Subgoal,
     _partition_all,
     assign_rewards,
     build_factored_abstraction,
@@ -84,7 +83,7 @@ class Hierarchy:
 
     def __post_init__(self) -> None:
         if len(self.levels_above) != len(self.option_sets):
-            raise ValueError("one option set per abstract level required")
+            raise MalformedInput("one option set per abstract level required")
         memos: list[dict[int, GroundingSet]] = []
         for j, level in enumerate(self.levels_above, start=1):
             memo: dict[int, GroundingSet] = {}
@@ -93,9 +92,11 @@ class Hierarchy:
                 if j == 1:
                     memo[s] = g
                 else:
+                    # ids outside the level below are left for validate()
                     acc = GroundingSet.empty(0)
                     for x in g:
-                        acc = acc | memos[-1][x]
+                        if x in memos[-1]:
+                            acc = acc | memos[-1][x]
                     memo[s] = acc
             memos.append(memo)
         object.__setattr__(self, "base_groundings", tuple(memos))
@@ -165,10 +166,10 @@ class Hierarchy:
         """Build the next abstract level from ``options`` over the current
         top level.
 
-        Options are partitioned and classified; if every part is a subgoal
-        the new level is a plan graph, otherwise (over a factored space)
-        the factored closure from ``seeds`` is built. Rewards follow the
-        hierarchy's ``reward_mode``.
+        Options are partitioned; if every part is a subgoal (has a
+        terminal state) the new level is a plan graph, otherwise (over a
+        factored space) the factored closure from ``seeds`` is built.
+        Rewards follow the hierarchy's ``reward_mode``.
         """
         if not options:
             raise EmptyOptionSet("add_level needs at least one option")
@@ -180,7 +181,7 @@ class Hierarchy:
                     f"expected {top.level_index}"
                 )
         parts = _partition_all(options, top)
-        if all(isinstance(p.option_class, Subgoal) for p in parts):
+        if all(p.terminal_state is not None for p in parts):
             level = build_plan_graph(options, top, _parts=parts)
         elif top.space.is_factored:
             if seeds is None:

@@ -1,5 +1,5 @@
-"""Effect sets, option classification and partitioning, and the two
-abstract-level constructions."""
+"""Effect sets, option partitioning, and the two abstract-level
+constructions."""
 
 import re
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hierplan import (
     AbstractLevel,
-    AbstractSubgoal,
     BaseMDP,
     Construction,
     GroundingSet,
@@ -17,13 +16,10 @@ from hierplan import (
     OptionPart,
     RewardMode,
     StateSpace,
-    Subgoal,
-    Unclassifiable,
     Variable,
     assign_rewards,
     build_factored_abstraction,
     build_plan_graph,
-    classify_option,
     compute_effect_set,
     execute_option,
     partition_option,
@@ -54,12 +50,31 @@ def option_by_name(options, name):
     return next(o for o in options if o.name == name)
 
 
+def assert_part_contract(level, part):
+    """Every start ends with the part's variables at its effect values and
+    every other variable unchanged; the part has a terminal state exactly
+    when it sets every variable, and that state is then its whole effect."""
+    space = level.space
+    names = space.variable_names()
+    values = dict(part.effect_values)
+    assert (part.terminal_state is not None) == (part.mask == frozenset(names))
+    if part.terminal_state is not None:
+        assert set(part.effect) == {part.terminal_state}
+    for s in part.initiation:
+        end = execute_option(level, part.option, s).end
+        assert end in part.effect
+        if space.is_factored:
+            pairs = zip(space.assignment(s), space.assignment(end))
+            for n, (before, after) in zip(names, pairs):
+                assert after == values.get(n, before), (part.part_id, s, n)
+
+
 class TestEffectSets:
     def test_pick_up_effect_is_25_riding_states(self, taxi_mdp):
         pick = option_by_name(taxi_options_level1(taxi_mdp), "pick-up")
         effect = compute_effect_set(pick, taxi_mdp)
-        assert len(effect.states) == 25
-        for s in effect.states:
+        assert len(effect) == 25
+        for s in effect:
             tx, ty, px, py, riding = taxi_mdp.space.assignment(s)
             assert riding and (tx, ty) == (px, py)
 
@@ -67,8 +82,8 @@ class TestEffectSets:
         h = fresh_hierarchy
         ferry = option_by_name(taxi_options_level2(h), "passenger-to-red")
         effect = compute_effect_set(ferry, h.level(1))
-        assert len(effect.states) == 1
-        s = next(iter(effect.states))
+        assert len(effect) == 1
+        s = next(iter(effect))
         assert h.level(1).space.assignment(s) == (0, 4, 0, 4, False)
 
     def test_fixed_point_option_effect(self, taxi_mdp):
@@ -80,7 +95,7 @@ class TestEffectSets:
             policy={},
         )
         effect = compute_effect_set(idle, taxi_mdp)
-        assert set(effect.states) == {s_star}
+        assert set(effect) == {s_star}
 
 
 class TestTerminalMaps:
@@ -103,8 +118,8 @@ class TestTerminalMaps:
                     for s in option.initiation
                 }
                 effect = compute_effect_set(option, level)
-                assert set(effect.states) == set(ends.values())
-                for part in partition_option(option, level).parts:
+                assert set(effect) == set(ends.values())
+                for part in partition_option(option, level):
                     part_ends = {ends[s] for s in part.initiation}
                     assert set(part.effect) == part_ends
                     if part.terminal_state is not None:
@@ -120,7 +135,7 @@ class TestTerminalMaps:
                     for s in option.initiation
                 ]
                 expected = sum(returns) / len(returns)
-                for part in partition_option(option, level).parts:
+                for part in partition_option(option, level):
                     # returns are summed from the end of the walk backwards
                     assert part.mean_return == pytest.approx(expected, rel=1e-12)
 
@@ -181,7 +196,9 @@ class TestClassification:
     def test_passenger_to_red_is_subgoal(self, fresh_hierarchy):
         h = fresh_hierarchy
         ferry = option_by_name(taxi_options_level2(h), "passenger-to-red")
-        assert isinstance(classify_option(ferry, h.level(1)), Subgoal)
+        (part,) = partition_option(ferry, h.level(1))
+        assert part.terminal_state is not None
+        assert part.mask == frozenset(h.level(1).space.variable_names())
 
     def test_drive_restricted_to_outside_is_abstract_subgoal(self, taxi_mdp):
         drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
@@ -192,9 +209,9 @@ class TestClassification:
             termination=drive.termination,
             policy=drive.policy,
         )
-        cls = classify_option(restricted, taxi_mdp)
-        assert isinstance(cls, AbstractSubgoal)
-        assert cls.mask == {"taxi-x", "taxi-y"}
+        (part,) = partition_option(restricted, taxi_mdp)
+        assert part.terminal_state is None
+        assert part.mask == {"taxi-x", "taxi-y"}
 
     def test_zero_step_starts_are_identity_abstract_subgoal(self, taxi_mdp):
         """Starts already in the termination set end where they began: no
@@ -206,21 +223,21 @@ class TestClassification:
             termination=drive.termination,
             policy=drive.policy,
         )
-        assert classify_option(parked, taxi_mdp) == AbstractSubgoal(frozenset())
-        (part,) = partition_option(parked, taxi_mdp).parts
-        assert part.option_class == AbstractSubgoal(frozenset())
+        (part,) = partition_option(parked, taxi_mdp)
+        assert part.terminal_state is None
+        assert part.mask == frozenset()
+        assert part.effect_values == ()
 
     def test_unrestricted_drive_is_unclassifiable(self, taxi_mdp):
         drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
-        cls = classify_option(drive, taxi_mdp)
-        assert isinstance(cls, Unclassifiable)
+        assert len(partition_option(drive, taxi_mdp)) > 1
 
 
 class TestPartitioning:
     def test_drive_options_split_into_two_parts(self, taxi_mdp):
         for depot in DEPOTS:
             drive = option_by_name(taxi_options_level1(taxi_mdp), f"drive-to-{depot}")
-            parts = partition_option(drive, taxi_mdp).parts
+            parts = partition_option(drive, taxi_mdp)
             assert len(parts) == 2
             masks = sorted(tuple(sorted(p.mask)) for p in parts)
             assert masks == [
@@ -230,7 +247,7 @@ class TestPartitioning:
 
     def test_riding_part_holds_riding_states(self, taxi_mdp):
         drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
-        parts = partition_option(drive, taxi_mdp).parts
+        parts = partition_option(drive, taxi_mdp)
         wide = next(p for p in parts if len(p.mask) == 4)
         for s in wide.initiation:
             assert taxi_mdp.space.value(s, "in-taxi") is True
@@ -238,7 +255,7 @@ class TestPartitioning:
     def test_pick_up_and_put_down_are_single_parts(self, taxi_mdp):
         options = taxi_options_level1(taxi_mdp)
         for name, terminal in (("pick-up", True), ("put-down", False)):
-            parts = partition_option(option_by_name(options, name), taxi_mdp).parts
+            parts = partition_option(option_by_name(options, name), taxi_mdp)
             assert len(parts) == 1
             assert parts[0].mask == {"in-taxi"}
             assert dict(parts[0].effect_values) == {"in-taxi": terminal}
@@ -246,30 +263,25 @@ class TestPartitioning:
     def test_subgoal_option_is_one_part(self, fresh_hierarchy):
         h = fresh_hierarchy
         ferry = option_by_name(taxi_options_level2(h), "passenger-to-green")
-        parts = partition_option(ferry, h.level(1)).parts
+        parts = partition_option(ferry, h.level(1))
         assert len(parts) == 1
-        assert isinstance(parts[0].option_class, Subgoal)
+        assert parts[0].terminal_state is not None
 
     def test_parts_partition_the_initiation_set(self, taxi_mdp):
         for option in taxi_options_level1(taxi_mdp):
-            parts = partition_option(option, taxi_mdp).parts
+            parts = partition_option(option, taxi_mdp)
             union = GroundingSet.empty(0)
             for p in parts:
                 assert union.isdisjoint(p.initiation)
                 union = union | p.initiation
             assert union == option.initiation
 
-    def test_each_part_individually_classifies(self, taxi_mdp):
-        for option in taxi_options_level1(taxi_mdp):
-            for part in partition_option(option, taxi_mdp).parts:
-                restricted = Option(
-                    name=f"{part.part_id}-alone",
-                    initiation=part.initiation,
-                    termination=option.termination,
-                    policy=option.policy,
-                )
-                cls = classify_option(restricted, taxi_mdp)
-                assert not isinstance(cls, Unclassifiable)
+    def test_each_part_individually_classifies(self, taxi_hierarchy):
+        """Every part of both taxi levels meets its effect contract."""
+        h = taxi_hierarchy
+        for j in (1, 2):
+            for part in h.level(j).parts:
+                assert_part_contract(h.level(j - 1), part)
 
     @given(
         st.integers(min_value=0, max_value=3),
@@ -279,7 +291,7 @@ class TestPartitioning:
     def test_partition_invariants_on_random_restrictions(self, depot_idx, starts):
         """Partition correctness holds for arbitrary restrictions of a
         navigation option: parts cover the initiation set, are pairwise
-        disjoint, and each classifies."""
+        disjoint, and each meets its effect contract."""
         mdp = build_taxi()
         depot = sorted(DEPOTS)[depot_idx]
         drive = option_by_name(taxi_options_level1(mdp), f"drive-to-{depot}")
@@ -289,10 +301,10 @@ class TestPartitioning:
             termination=drive.termination,
             policy=drive.policy,
         )
-        parts = partition_option(restricted, mdp).parts
+        parts = partition_option(restricted, mdp)
         union = GroundingSet.empty(0)
         for p in parts:
-            assert not isinstance(p.option_class, Unclassifiable)
+            assert_part_contract(mdp, p)
             assert union.isdisjoint(p.initiation)
             union = union | p.initiation
         assert union == restricted.initiation
@@ -319,10 +331,10 @@ class TestPartitioning:
             termination=GroundingSet.of(0, {1, 3}),
             policy={0: "flip", 2: "flip"},
         )
-        assert isinstance(classify_option(flip, mdp), Unclassifiable)
-        parts = partition_option(flip, mdp).parts
+        parts = partition_option(flip, mdp)
+        assert len(parts) > 1
         assert sorted(p.terminal_state for p in parts) == [1, 3]
-        assert all(isinstance(p.option_class, Subgoal) for p in parts)
+        assert all(p.terminal_state is not None for p in parts)
 
     def test_partition_explosion(self):
         # a non-factored space where the option stops in one more state
@@ -496,7 +508,6 @@ class TestAbstractLevelTables:
             part_id="advance#0",
             option=option,
             initiation=option.initiation,
-            option_class=Subgoal(),
             effect=GroundingSet.of(0, {2}),
             mean_return=-1.5,
             terminal_state=2,
@@ -508,13 +519,13 @@ class TestAbstractLevelTables:
             reward={(0, "advance#0"): -1.0},
             parts=(part,),
             groundings={0: GroundingSet.of(0, {0, 1}), 1: GroundingSet.of(0, {2})},
-            construction=Construction.PLAN_GRAPH,
         )
         return AbstractLevel(**{**tables, **changes})
 
     def test_well_formed_level_steps_by_part_or_option_id(self):
         level = self.make()
         assert isinstance(level, BaseMDP)
+        assert level.construction is Construction.PLAN_GRAPH
         assert level.step(0, "advance#0") == (1, -1.0)
         assert level.step(0, "advance") == (1, -1.0)
         assert level.predecessor_edges(1) == ((0, "advance#0"),)
@@ -567,7 +578,7 @@ class TestRewardAssignment:
             termination=drive.termination,
             policy=drive.policy,
         )
-        parts = partition_option(two_starts, taxi_mdp).parts
+        parts = partition_option(two_starts, taxi_mdp)
         assert [p.mean_return for p in parts] == [(-7.0 + -1.0) / 2]
         level = build_factored_abstraction(
             [two_starts], taxi_mdp, GroundingSet.of(0, {a, b}), _parts=parts

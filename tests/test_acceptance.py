@@ -95,7 +95,7 @@ def test_criterion_05_partition_counts(hierarchy):
     mdp = hierarchy.base
     counts = {}
     for option in taxi_options_level1(mdp):
-        counts[option.name] = len(partition_option(option, mdp).parts)
+        counts[option.name] = len(partition_option(option, mdp))
     assert counts == {
         "drive-to-red": 2,
         "drive-to-green": 2,

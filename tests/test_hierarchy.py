@@ -1,6 +1,7 @@
 """Hierarchy assembly, validation, and serialization."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hierplan import (
     PlanQuery,
     RewardMode,
     StateSpace,
+    Violation,
     answer_query,
     build_taxi_hierarchy,
     flatten_options,
@@ -22,6 +24,7 @@ from hierplan.errors import (
     EmptyOptionSet,
     HierplanError,
     LevelOutOfRange,
+    MalformedInput,
     NoFactoredStructure,
 )
 from hierplan.taxi import depot_seed_states, taxi_options_level1
@@ -145,6 +148,22 @@ class TestValidate:
             assert any(v.kind == "applicability" for v in violations)
         finally:
             level.groundings[state] = original
+
+    def test_grounding_outside_level_below_reported_above_level_1(self, taxi_hierarchy):
+        h = taxi_hierarchy
+        level = h.level(2)
+        groundings = dict(level.groundings)
+        groundings[0] = groundings[0] | GroundingSet.single(1, h.num_states(1))
+        broken = replace(
+            h, levels_above=(h.level(1), replace(level, groundings=groundings))
+        )
+        assert Violation(2, "grounding-range", "state 0") in broken.validate()
+        assert broken.final_grounding_of(2, 0) == h.final_grounding_of(2, 0)
+
+    def test_option_set_count_mismatch_rejected(self, taxi_hierarchy):
+        h = taxi_hierarchy
+        with pytest.raises(MalformedInput, match="one option set per abstract level"):
+            replace(h, option_sets=h.option_sets[:1])
 
 
 class TestDownwardRefinement:

@@ -163,12 +163,7 @@ class TestOverlappingGroundings:
 
     def make_overlapping(self):
         from hierplan import BaseMDP, Hierarchy, StateSpace
-        from hierplan.abstraction import (
-            AbstractLevel,
-            Construction,
-            OptionPart,
-            Subgoal,
-        )
+        from hierplan.abstraction import AbstractLevel, OptionPart
         from hierplan.core import Option
 
         space0 = StateSpace(level_index=0, num_states=4)
@@ -188,7 +183,6 @@ class TestOverlappingGroundings:
             part_id="advance",
             option=opt,
             initiation=opt.initiation,
-            option_class=Subgoal(),
             effect=GroundingSet.of(0, {3}),
             mean_return=-2.0,
             terminal_state=3,
@@ -203,7 +197,6 @@ class TestOverlappingGroundings:
                 0: GroundingSet.of(0, {0, 1, 2}),
                 1: GroundingSet.of(0, {1, 2, 3}),  # overlaps its sibling
             },
-            construction=Construction.PLAN_GRAPH,
         )
         return Hierarchy(base=mdp, levels_above=(level,), option_sets=((opt,),))
 
