@@ -2,7 +2,9 @@
 
 States are dense integer indices into a `StateSpace`. Transitions are
 partial deterministic maps: an action missing from the map is inapplicable
-in that state, not a zero-probability event. Options carry explicit
+in that state, not a zero-probability event. Because ids are dense, each
+MDP keeps its predecessor edges in a table indexed by target state, which
+the plan searches index instead of hashing states. Options carry explicit
 initiation and termination sets plus a policy over the level below.
 Everything here is plain data fixed at construction: executing an option
 changes nothing, so the same inputs always give the same hierarchy.
@@ -11,7 +13,7 @@ changes nothing, so the same inputs always give the same hierarchy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import (
     InapplicableAction,
@@ -95,7 +97,8 @@ class StateSpace:
 
     def where(self, **constraints: Any) -> GroundingSet:
         """All states whose assignment satisfies every ``var=value`` (or
-        ``var=[v1, v2, ...]`` membership) constraint."""
+        ``var=[v1, v2, ...]`` membership) constraint. Each constraint
+        filters only the states that passed the ones before it."""
         names = self.variable_names()
         cols = []
         for var, allowed in constraints.items():
@@ -104,11 +107,10 @@ class StateSpace:
             if not isinstance(allowed, (list, tuple, set, frozenset)):
                 allowed = (allowed,)
             cols.append((names.index(var), tuple(allowed)))
-        hits = [
-            s
-            for s in self.states
-            if all(self.assignments[s][i] in allowed for i, allowed in cols)
-        ]
+        assignments = self.assignments
+        hits: Iterable[int] = self.states
+        for i, allowed in cols:
+            hits = [s for s in hits if assignments[s][i] in allowed]
         return GroundingSet.of(self.level_index, hits)
 
     def label(self, state: int) -> str:
@@ -127,7 +129,9 @@ class BaseMDP:
 
     ``transition[(s, a)]`` is the successor of applying ``a`` in ``s``;
     absence means the action is inapplicable there. ``reward[(s, a)]`` is
-    that step's reward, so both tables have the same keys.
+    that step's reward, so both tables have the same keys. The predecessor
+    table holds, at index ``t``, the keys of the edges entering ``t`` in
+    table order, and ``()`` where none does.
     """
 
     space: StateSpace
@@ -135,29 +139,27 @@ class BaseMDP:
     transition: Mapping[tuple[int, str], int]
     reward: Mapping[tuple[int, str], float]
     gamma: float = 1.0
-    _predecessors: dict[int, tuple[tuple[int, str], ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+    _predecessors: tuple[tuple[tuple[int, str], ...], ...] = field(
+        init=False, repr=False, compare=False, default=()
     )
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise MalformedInput(f"gamma must be in (0, 1], got {self.gamma}")
         declared = set(self.actions)
-        # for every target state, the (state, action) edges entering it; an
-        # edge is the transition table's own key, so it is stored only once
-        preds: dict[int, list[tuple[int, str]]] = {}
+        n = self.space.num_states
+        # an edge is the transition table's own key, so it is stored only once
+        preds: list[list[tuple[int, str]]] = [[] for _ in range(n)]
         for edge, t in self.transition.items():
             s, a = edge
-            if not (0 <= s < self.space.num_states and 0 <= t < self.space.num_states):
+            if not (0 <= s < n and 0 <= t < n):
                 raise MalformedInput(f"transition ({s}, {a!r}) -> {t} leaves the space")
             if a not in declared:
                 raise UnknownName(f"transition ({s}, {a!r}) uses an undeclared action")
-            preds.setdefault(t, []).append(edge)
+            preds[t].append(edge)
         if self.reward.keys() != self.transition.keys():
             raise MalformedInput("reward and transition tables have different keys")
-        object.__setattr__(
-            self, "_predecessors", {t: tuple(v) for t, v in preds.items()}
-        )
+        object.__setattr__(self, "_predecessors", tuple(map(tuple, preds)))
 
     @property
     def level_index(self) -> int:
@@ -168,7 +170,11 @@ class BaseMDP:
         return self.space.num_states
 
     def predecessor_edges(self, state: int) -> tuple[tuple[int, str], ...]:
-        return self._predecessors.get(state, ())
+        """The ``(state, action)`` edges entering ``state``, in table order;
+        ``()`` for an id outside the level."""
+        if 0 <= state < self.num_states:
+            return self._predecessors[state]
+        return ()
 
     def applicable(self, state: int) -> list[str]:
         return [a for a in self.actions if (state, a) in self.transition]

@@ -226,13 +226,7 @@ class Hierarchy:
                     out.append(Violation(j, "grounding-range", f"state {s}"))
                 if self.final_grounding_of(j, s).is_empty():
                     out.append(Violation(j, "empty-final-grounding", f"state {s}"))
-            for o in self.option_sets[j - 1]:
-                if o.initiation.is_empty():
-                    out.append(Violation(j, "empty-initiation", o.name))
             for (s, pid), t in level.transition.items():
-                if not 0 <= t < level.num_states:
-                    out.append(Violation(j, "transition-range", f"({s}, {pid})"))
-                    continue
                 part = level.part(pid)
                 g = level.grounding_of(s)
                 if not g.issubset(part.initiation):

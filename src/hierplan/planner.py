@@ -218,23 +218,33 @@ def findplan(
     in, which makes plans deterministic. The edge examinations (one per
     predecessor edge of every settled state) are added to ``record`` when
     one is given.
+
+    States are dense ids, so the search indexes the level's predecessor
+    table and keeps each state's depth in a list, ``-1`` while unreached.
+    A goal id outside the level seeds nothing but stays in the plan's
+    goals; a start id outside the level makes the result None unless it
+    is itself a goal.
     """
     rank = {a: i for i, a in enumerate(level.actions)}
-    dist: dict[int, int] = dict.fromkeys(goals, 0)
+    preds = level._predecessors
+    n = len(preds)
+    dist = [-1] * n
+    frontier = [g for g in goals if g < n]
+    for g in frontier:
+        dist[g] = 0
     policy: dict[int, str] = {}
     successor: dict[int, int] = {}
-    frontier = list(goals)
     depth = 0
     ops = 0
     while frontier:
         depth += 1
         nxt: list[int] = []
         for t in frontier:
-            edges = level.predecessor_edges(t)
+            edges = preds[t]
             ops += len(edges)
             for s, action in edges:
-                d = dist.get(s)
-                if d is None:
+                d = dist[s]
+                if d < 0:
                     dist[s] = depth
                     nxt.append(s)
                 elif d != depth or rank[action] >= rank[policy[s]]:
@@ -243,7 +253,7 @@ def findplan(
                 successor[s] = t
         frontier = nxt
     _charge(record, level.level_index, ops)
-    if any(s not in dist for s in starts):
+    if any(dist[s] < 0 if s < n else s not in goals for s in starts):
         return None
     return Plan(level.level_index, policy, starts, goals, _successors=successor)
 
@@ -282,15 +292,18 @@ def findplan_value_iteration(
     on, so it and every non-goal state behind it hold stale labels. None
     when some start has no value or a stale one, or when the policy does
     not lead every start into ``goals``. Each predecessor edge examined
-    counts one operation in ``record``, when one is given.
+    counts one operation in ``record``, when one is given. Ids outside
+    the level follow `findplan`'s rule.
     """
     rank = {a: i for i, a in enumerate(level.actions)}
+    preds = level._predecessors
     label: dict[int, tuple[float, int]] = dict.fromkeys(goals, (0.0, 0))
     is_goal = goals.bitstring(level.num_states)
     policy: dict[int, str] = {}
     successor: dict[int, int] = {}
     times_queued: Counter[int] = Counter()
-    queue = deque(sorted(goals))
+    # goal ids outside the level keep their label but are never queued
+    queue = deque(g for g in goals if g < len(preds))
     waiting = set(queue)
     stale: set[int] = set()
     ops = 0
@@ -298,7 +311,7 @@ def findplan_value_iteration(
         t = queue.popleft()
         waiting.remove(t)
         value, steps = label[t]
-        for s, action in level.predecessor_edges(t):
+        for s, action in preds[t]:
             ops += 1
             if is_goal[s] == "1":
                 continue
@@ -326,7 +339,7 @@ def findplan_value_iteration(
     # a goal's label never depends on its successors, so staleness stops there
     todo = list(stale)
     while todo:
-        for s, _ in level.predecessor_edges(todo.pop()):
+        for s, _ in preds[todo.pop()]:
             ops += 1
             if s not in stale and is_goal[s] != "1":
                 stale.add(s)

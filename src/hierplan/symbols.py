@@ -78,9 +78,6 @@ class GroundingSet:
     def is_empty(self) -> bool:
         return self.bits == 0
 
-    def add(self, index: int) -> GroundingSet:
-        return GroundingSet(self.level_index, self.bits | (1 << index))
-
     # operator sugar, same level rules as the named methods
     __or__ = union
     __and__ = intersection

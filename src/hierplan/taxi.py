@@ -124,24 +124,31 @@ def build_taxi(layout: TaxiLayout = DEFAULT_LAYOUT) -> BaseMDP:
             return cell
         return target
 
+    # ids follow the assignment order above: taxi cell t and passenger
+    # cell p give t*n + p with the passenger outside, n*n + t riding.
+    # Edges go in by id, then action, as the predecessor table and value
+    # iteration's queue order depend on that insertion order.
+    n = len(cells)
+    cell_index = {c: i for i, c in enumerate(cells)}
+    names = [name for name, _, _ in MOVES]
+    # the cell each move leads to, per cell
+    moves = [[cell_index[moved(c, dx, dy)] for _, dx, dy in MOVES] for c in cells]
+    # one int object per state, shared by every key and value naming it,
+    # so the tables do not hold a fresh int per edge
+    ids = list(space.states)
     transition: dict[tuple[int, str], int] = {}
-    for sid, (tx, ty, px, py, riding) in enumerate(assignments):
-        for name, dx, dy in MOVES:
-            nx, ny = moved((tx, ty), dx, dy)
-            if riding:
-                nxt = space.state_of((nx, ny, nx, ny, True))
-            else:
-                nxt = space.state_of((nx, ny, px, py, False))
-            assert nxt is not None
-            transition[(sid, name)] = nxt
-        if not riding and (tx, ty) == (px, py):
-            nxt = space.state_of((tx, ty, tx, ty, True))
-            assert nxt is not None
-            transition[(sid, "pick-up")] = nxt
-        if riding:
-            nxt = space.state_of((tx, ty, tx, ty, False))
-            assert nxt is not None
-            transition[(sid, "put-down")] = nxt
+    for t in range(n):
+        for p in range(n):
+            sid = ids[t * n + p]
+            for name, m in zip(names, moves[t]):
+                transition[(sid, name)] = ids[m * n + p]
+            if t == p:
+                transition[(sid, "pick-up")] = ids[n * n + t]
+    for t in range(n):
+        sid = ids[n * n + t]
+        for name, m in zip(names, moves[t]):
+            transition[(sid, name)] = ids[n * n + m]
+        transition[(sid, "put-down")] = ids[t * n + t]
     # every step costs -1; the reward table shares the transition keys
     reward = dict.fromkeys(transition, -1.0)
     return BaseMDP(space=space, actions=ACTIONS, transition=transition, reward=reward)
@@ -160,18 +167,21 @@ def taxi_options_level1(
     stops once the passenger is outside.
     """
     space = mdp.space
-    everything = GroundingSet.of(0, space.states)
+    everything = GroundingSet(0, (1 << space.num_states) - 1)
     options: list[Option] = []
     for depot in layout.depot_names():
         x, y = layout.depot_cell(depot)
         at_depot = space.where(**{"taxi-x": x, "taxi-y": y})
         options.append(plan_option(f"drive-to-{depot}", mdp, everything, at_depot))
+    # the taxi's coordinate domains, so the set depends on the MDP alone
+    xs, ys = (v.domain for v in space.variables[:2])
     colocated = GroundingSet.of(
         0,
         [
-            s
-            for s in space.states
-            if space.assignment(s)[0:2] == space.assignment(s)[2:4]
+            space.state_of((x, y, x, y, riding))
+            for x in xs
+            for y in ys
+            for riding in (False, True)
         ],
     )
     riding = space.where(**{"in-taxi": True})

@@ -71,6 +71,30 @@ def oracle_taxi_states():
     return out + riding
 
 
+def oracle_taxi_transitions(mdp, layout):
+    """The taxi transition items in table order, worked out state by
+    state from each assignment: the layout's bounds and walls give the
+    moved cell, and ``state_of`` looks up each successor."""
+    space = mdp.space
+    moves = (("move-north", 0, 1), ("move-south", 0, -1),
+             ("move-east", 1, 0), ("move-west", -1, 0))
+    items = []
+    for sid in space.states:
+        tx, ty, px, py, riding = space.assignment(sid)
+        for name, dx, dy in moves:
+            cell = (tx + dx, ty + dy)
+            if not layout.in_bounds(cell) or layout.blocked((tx, ty), cell):
+                cell = (tx, ty)
+            nx, ny = cell
+            after = (nx, ny, nx, ny, True) if riding else (nx, ny, px, py, False)
+            items.append(((sid, name), space.state_of(after)))
+        if not riding and (tx, ty) == (px, py):
+            items.append(((sid, "pick-up"), space.state_of((tx, ty, tx, ty, True))))
+        if riding:
+            items.append(((sid, "put-down"), space.state_of((tx, ty, tx, ty, False))))
+    return items
+
+
 @pytest.fixture(scope="session")
 def taxi_mdp():
     return build_taxi()

@@ -1,6 +1,7 @@
 """Base MDP dynamics and option execution."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hierplan import (
     BaseMDP,
@@ -17,6 +18,7 @@ from hierplan.errors import (
     NotInInitiationSet,
     StepBoundExceeded,
     UndefinedPolicy,
+    UnknownName,
 )
 from hierplan.taxi import taxi_options_level1
 
@@ -154,6 +156,55 @@ class TestOptionExecution:
         )
         with pytest.raises(UndefinedPolicy):
             execute_option(taxi_mdp, partial, 0)
+
+
+# domain values of the taxi variables, plus one no variable takes
+WHERE_VALUES = st.sampled_from([0, 1, 2, 4, 9, False, True])
+
+
+@st.composite
+def where_constraints(draw):
+    """Constraints on a random subset of the taxi variables, each a single
+    value, a list or a set of values (possibly empty)."""
+    out = {}
+    for name in ("taxi-x", "taxi-y", "pass-x", "pass-y", "in-taxi"):
+        kind = draw(st.sampled_from(["absent", "value", "list", "set"]))
+        if kind == "value":
+            out[name] = draw(WHERE_VALUES)
+        elif kind != "absent":
+            values = draw(st.lists(WHERE_VALUES, max_size=3))
+            out[name] = values if kind == "list" else set(values)
+    return out
+
+
+class TestWhere:
+    @settings(max_examples=200, deadline=None)
+    @given(constraints=where_constraints())
+    def test_matches_brute_force_filter(self, taxi_mdp, constraints):
+        space = taxi_mdp.space
+        names = space.variable_names()
+        expected = [
+            s
+            for s in space.states
+            if all(
+                space.assignment(s)[names.index(var)]
+                in (allowed if isinstance(allowed, (list, set)) else (allowed,))
+                for var, allowed in constraints.items()
+            )
+        ]
+        assert list(space.where(**constraints)) == expected
+
+    def test_no_constraints_is_every_state(self, taxi_mdp):
+        assert list(taxi_mdp.space.where()) == list(taxi_mdp.space.states)
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [{"taxi-x": 9, "colour": 1}, {"taxi-x": [], "colour": 1}, {"colour": 1}],
+        ids=["after-no-survivors", "after-empty-list", "alone"],
+    )
+    def test_unknown_variable_raises(self, taxi_mdp, constraints):
+        with pytest.raises(UnknownName):
+            taxi_mdp.space.where(**constraints)
 
 
 THREE = StateSpace(level_index=0, num_states=3)

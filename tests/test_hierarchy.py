@@ -160,6 +160,52 @@ class TestValidate:
         assert Violation(2, "grounding-range", "state 0") in broken.validate()
         assert broken.final_grounding_of(2, 0) == h.final_grounding_of(2, 0)
 
+    def test_space_of_another_level_reported(self, taxi_hierarchy):
+        h = taxi_hierarchy
+        level = h.level(2)
+        broken = replace(
+            h,
+            levels_above=(
+                h.level(1),
+                replace(level, space=replace(level.space, level_index=3)),
+            ),
+        )
+        assert broken.validate() == [Violation(2, "level-index", "space says 3")]
+
+    def test_grounding_at_another_level_reported(self, taxi_hierarchy):
+        h = taxi_hierarchy
+        level = h.level(2)
+        groundings = dict(level.groundings)
+        groundings[0] = GroundingSet(0, groundings[0].bits)
+        # state 0 keeps no edges, so no edge check compares its grounding
+        # with a level-1 initiation set
+        kept = {e: t for e, t in level.transition.items() if e[0] != 0}
+        broken = replace(
+            h,
+            levels_above=(
+                h.level(1),
+                replace(
+                    level,
+                    groundings=groundings,
+                    transition=kept,
+                    reward={e: level.reward[e] for e in kept},
+                ),
+            ),
+        )
+        assert Violation(2, "grounding-level", "state 0") in broken.validate()
+
+    def test_empty_final_grounding_reported(self, taxi_hierarchy):
+        h = taxi_hierarchy
+        level = h.level(2)
+        groundings = dict(level.groundings)
+        # a grounding made only of ids the level below lacks grounds nothing
+        groundings[0] = GroundingSet.single(1, h.num_states(1))
+        broken = replace(
+            h, levels_above=(h.level(1), replace(level, groundings=groundings))
+        )
+        assert broken.final_grounding_of(2, 0).is_empty()
+        assert Violation(2, "empty-final-grounding", "state 0") in broken.validate()
+
     def test_option_set_count_mismatch_rejected(self, taxi_hierarchy):
         h = taxi_hierarchy
         with pytest.raises(MalformedInput, match="one option set per abstract level"):

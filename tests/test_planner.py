@@ -453,6 +453,40 @@ class TestFindplan:
         assert findplan_value_iteration(mdp, b, g) is None
         assert findplan(mdp, b, g).action_sequence(2) == ["a"]
 
+    @pytest.mark.parametrize("search", [findplan, findplan_value_iteration])
+    @pytest.mark.parametrize(
+        "starts, goals, policy",
+        [
+            # a goal outside the level seeds nothing but stays a goal
+            ({0}, {2, 5}, {0: "go", 1: "go"}),
+            ({0}, {5}, None),
+            # a start outside the level is unreachable unless it is a goal
+            ({0, 7}, {2}, None),
+            ({7}, {7}, {}),
+            ({0, 7}, {2, 7}, {0: "go", 1: "go"}),
+        ],
+        ids=["goal-outside", "only-goal-outside", "start-outside",
+             "start-is-goal-outside", "mixed"],
+    )
+    def test_ids_outside_the_level(self, search, starts, goals, policy):
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=3),
+            actions=("go",),
+            transition={(0, "go"): 1, (1, "go"): 2},
+            reward={(0, "go"): -1.0, (1, "go"): -1.0},
+        )
+        record = InstrumentationRecord(search_top=0)
+        b, g = GroundingSet.of(0, starts), GroundingSet.of(0, goals)
+        plan = search(mdp, b, g, record)
+        assert record.plan_ops[0] == (2 if 2 in goals else 0)
+        if policy is None:
+            assert plan is None
+            return
+        assert plan.policy == policy
+        assert plan.goals == g and plan.starts == b
+        for s in starts:
+            assert len(plan.action_sequence(s)) == (0 if s in goals else 2 - s)
+
 
 class TestAnswerQuery:
     def test_solution_levels(self, taxi_hierarchy, queries):

@@ -12,7 +12,13 @@ from hierplan.taxi import (
     taxi_options_level2,
 )
 
-from conftest import DEPOTS, WALL_PAIRS, oracle_grid_distance, state_of
+from conftest import (
+    DEPOTS,
+    WALL_PAIRS,
+    oracle_grid_distance,
+    oracle_taxi_transitions,
+    state_of,
+)
 
 
 class TestDomain:
@@ -58,6 +64,26 @@ class TestDomain:
             ("pass-y", tuple(range(3))),
             ("in-taxi", (False, True)),
         ]
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            DEFAULT_LAYOUT,
+            TaxiLayout(width=8, height=8, depots=(("red", (0, 7)),)),
+            TaxiLayout(
+                width=4,
+                height=6,
+                walls=frozenset(
+                    {((0, 2), (1, 2)), ((2, 4), (2, 5)), ((3, 0), (3, 1))}
+                ),
+                depots=(("red", (0, 5)), ("blue", (3, 0))),
+            ),
+        ],
+        ids=["walled-5x5", "open-8x8", "walled-4x6"],
+    )
+    def test_transition_table_matches_oracle(self, layout):
+        mdp = build_taxi(layout)
+        assert list(mdp.transition.items()) == oracle_taxi_transitions(mdp, layout)
 
 
 class TestOptionSets:
