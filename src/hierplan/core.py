@@ -255,11 +255,21 @@ def execute_option(level, option: Option, start: int, *,
     is accepted only so that existing callers keep working, since
     execution records nothing.
     """
+    visited = [start]
+    end, total = _execute_into(level, option, start, visited)
+    return ExecutionTrace(start, end, len(visited) - 1, total, tuple(visited))
+
+
+def _execute_into(
+    level, option: Option, start: int, visited: list[int]
+) -> tuple[int, float]:
+    """`execute_option`'s loop: run ``option`` from ``start``, append every
+    state entered to ``visited`` and return the end state and the summed
+    reward."""
     if start not in option.initiation:
         raise NotInInitiationSet(f"option {option.name!r} from state {start}")
     bound = default_step_bound(level)
     state = start
-    visited = [start]
     total = 0.0
     steps = 0
     while state not in option.termination:
@@ -274,7 +284,7 @@ def execute_option(level, option: Option, start: int, *,
             raise StepBoundExceeded(
                 f"option {option.name!r} exceeded {bound} steps from state {start}"
             )
-    return ExecutionTrace(start, state, steps, total, tuple(visited))
+    return state, total
 
 
 def one_step_preimage_options(mdp: BaseMDP) -> list[Option]:

@@ -222,13 +222,18 @@ class Hierarchy:
                     continue
                 if g.level_index != j - 1:
                     out.append(Violation(j, "grounding-level", f"state {s}"))
-                if any(x >= below.num_states for x in g):
+                elif any(x >= below.num_states for x in g):
                     out.append(Violation(j, "grounding-range", f"state {s}"))
                 if self.final_grounding_of(j, s).is_empty():
                     out.append(Violation(j, "empty-final-grounding", f"state {s}"))
             for (s, pid), t in level.transition.items():
                 part = level.part(pid)
                 g = level.grounding_of(s)
+                target = level.grounding_of(t)
+                if g.level_index != j - 1 or target.level_index != j - 1:
+                    # ids of another level name other states: the
+                    # grounding is reported above and its edges go unchecked
+                    continue
                 if not g.issubset(part.initiation):
                     out.append(
                         Violation(
@@ -238,7 +243,6 @@ class Hierarchy:
                         )
                     )
                     continue
-                target = level.grounding_of(t)
                 for x in g:
                     end = execute_option(below, part.option, x).end
                     if end not in target:

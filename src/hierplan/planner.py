@@ -11,6 +11,13 @@ whose plan attempt fails falls through to the next lower level. Work is
 metered in grounding tests per level (matching) and edge examinations
 (planning), and the record of a successful run reproduces the
 closed-form cost of the search.
+
+A returned plan is refined to base actions in one depth-first walk: each
+abstract step resolves the part that applies at the level's cursor and
+runs that part's option one level down before the cursor moves on along
+the part's own transition; at the base, `execute_option`'s loop appends
+every state to the one refined trace. Each level keeps its own step
+bound, and every fault surfaces as RefinementFault.
 """
 
 from __future__ import annotations
@@ -19,14 +26,19 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .core import ExecutionTrace, Option, execute_option
+from .core import ExecutionTrace, Option, _execute_into, default_step_bound
 from .errors import (
     HierplanError,
+    InapplicableAction,
     InconsistentRecord,
+    LevelMismatch,
     LevelOutOfRange,
     MalformedInput,
     NoMatch,
+    NotInInitiationSet,
     RefinementFault,
+    StepBoundExceeded,
+    UndefinedPolicy,
 )
 from .hierarchy import Hierarchy, PlanQuery
 from .symbols import GroundingSet
@@ -161,13 +173,18 @@ def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     """Maximal goal candidate at level ``j``: every state whose base
     grounding lies inside ``goals``. NoMatch when there is none. Level 0
     keeps the goals that are base states, with no test; above it, one
-    ``.bits`` test per state."""
+    ``.bits`` test per state against the goals' complement, taken once."""
     if not 0 <= j <= h.num_levels:
         raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
-    inside = (goals & GroundingSet(0, (1 << h.num_states(0)) - 1)).bits
-    members = inside if j == 0 else sum(
-        1 << s for s, g in h.base_groundings[j - 1].items() if not g.bits & ~goals.bits
-    )
+    if j == 0:
+        members = (goals & GroundingSet(0, (1 << h.num_states(0)) - 1)).bits
+    elif goals.level_index != 0:
+        raise LevelMismatch(f"level {goals.level_index} vs level 0")
+    else:
+        outside = ~goals.bits
+        members = sum(
+            1 << s for s, g in h.base_groundings[j - 1].items() if not g.bits & outside
+        )
     if not members:
         raise NoMatch(f"no state grounds inside the goal set at level {j}")
     return GroundingSet(j, members)
@@ -440,34 +457,51 @@ def _localize(h: Hierarchy, j: int, candidates: GroundingSet, base_state: int) -
     )
 
 
-def _run_option(
+def _walk(
     h: Hierarchy,
-    level_of_option: int,
+    j: int,
     option: Option,
     cursor: list[int],
-    segments: list[ExecutionTrace],
-) -> None:
-    """Execute one option (an action of level ``level_of_option``) down
-    to base actions, advancing the concrete cursor at every level
-    below.
+    visited: list[int],
+    total: float,
+) -> float:
+    """Run ``option`` over level ``j`` from ``cursor[j]`` down to base
+    actions, leaving its end in ``cursor[j]``; returns ``total`` plus the
+    reward of each base run, added in order.
 
-    The option runs over level ``level_of_option - 1`` with
-    `execute_option`. Above the base, each step of that trace applies a
-    part of that level, whose option is then run the same way one level
-    further down."""
-    j = level_of_option - 1
+    At the base the option runs `execute_option`'s loop, which appends
+    every state entered to ``visited``. Above it, each policy step resolves
+    the part applicable at the cursor, walks that part's option one level
+    down, then moves the cursor along the part's own transition. Every
+    level keeps `execute_option`'s checks and its step bound, and each
+    fault names the option."""
     level = h.level(j)
-    try:
-        trace = execute_option(level, option, cursor[j])
-    except HierplanError as exc:
-        raise RefinementFault(str(exc)) from exc
     if j == 0:
-        segments.append(trace)
-    else:
-        for s in trace.visited[:-1]:
-            part = level.part(level.resolve_part(s, option.policy[s]))
-            _run_option(h, j, part.option, cursor, segments)
-    cursor[j] = trace.end
+        cursor[0], reward = _execute_into(level, option, cursor[0], visited)
+        return total + reward
+    start = state = cursor[j]
+    if start not in option.initiation:
+        raise NotInInitiationSet(f"option {option.name!r} from state {start}")
+    bound = default_step_bound(level)
+    steps = 0
+    while state not in option.termination:
+        action = option.policy.get(state)
+        if action is None:
+            raise UndefinedPolicy(f"option {option.name!r} has no action for state {state}")
+        part_id = level.resolve_part(state, action)
+        if part_id is None:
+            raise InapplicableAction(
+                f"option {option.name!r}: {action!r} has no part in abstract state {state}"
+            )
+        steps += 1
+        if steps > bound:
+            raise StepBoundExceeded(
+                f"option {option.name!r} exceeded {bound} steps from state {start}"
+            )
+        total = _walk(h, j - 1, level.part(part_id).option, cursor, visited, total)
+        state = level.transition[(state, part_id)]
+    cursor[j] = state
+    return total
 
 
 def execute_refined(
@@ -481,25 +515,24 @@ def execute_refined(
     at each level below is localized once, then advanced with the level's
     own transition map (never re-localized), which is exactly the
     no-backtracking refinement the hierarchy's soundness invariants
-    guarantee. Any mismatch surfaces as RefinementFault.
+    guarantee. The refinement is one depth-first walk: each abstract step
+    is refined to base actions before the next one is taken, and every
+    base run appends to one trace, so a fault at an abstract level
+    surfaces after the base steps of the abstract steps before it. Any
+    fault surfaces as RefinementFault.
     """
     if level_of_option < 1:
         raise LevelOutOfRange("options live at levels 1 and above")
     j = level_of_option - 1
-    cursor = [0] * level_of_option
-    cursor[0] = base_start
+    cursor = [base_start] * level_of_option
     cursor[j] = _localize(h, j, option.initiation, base_start)
     for i in range(j, 1, -1):
         cursor[i - 1] = _localize(h, i - 1, h.grounding_of(i, cursor[i]), base_start)
-    segments: list[ExecutionTrace] = []
-    _run_option(h, level_of_option, option, cursor, segments)
     visited = [base_start]
-    total = 0.0
-    for seg in segments:
-        if seg.visited[0] != visited[-1]:
-            raise RefinementFault("discontinuous base trace")
-        visited.extend(seg.visited[1:])
-        total += seg.cumulative_reward
+    try:
+        total = _walk(h, j, option, cursor, visited, 0.0)
+    except HierplanError as exc:
+        raise RefinementFault(str(exc)) from exc
     return ExecutionTrace(
         base_start, visited[-1], len(visited) - 1, total, tuple(visited)
     )

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here (grid shortest paths, brute-force state enumeration,
-random query and domain generation) are deliberately written from scratch rather
-than reusing library code, so tests check the implementation against an
-independent computation of the same quantity.
+random query and domain generation, refinement by composition) are
+deliberately written from scratch rather than reusing library code, so
+tests check the implementation against an independent computation of the
+same quantity.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ import pytest
 from hypothesis import strategies as st
 
 from hierplan import (
+    ExecutionTrace,
     PlanQuery,
     RewardMode,
     benchmark_queries,
     build_taxi,
     build_taxi_hierarchy,
+    execute_option,
 )
+from hierplan.errors import HierplanError, RefinementFault
 from hierplan.taxi import expand_constraints
 
 DEPOTS = {"red": (0, 4), "green": (4, 4), "blue": (3, 0), "yellow": (0, 0)}
@@ -93,6 +97,56 @@ def oracle_taxi_transitions(mdp, layout):
         if riding:
             items.append(((sid, "put-down"), space.state_of((tx, ty, tx, ty, False))))
     return items
+
+
+def oracle_refine(h, plan, start):
+    """Refine ``plan`` from base state ``start`` by composing whole option
+    executions: run the plan's option over its own level with
+    `execute_option`, then for each state it visits run the option of the
+    part applied there one level down the same way, and concatenate the
+    base traces in order. Each level's cursor is first placed on the
+    lowest candidate state grounding ``start``, then only moves with that
+    level's executions. Every fault is a RefinementFault."""
+    if plan.starts.is_empty():
+        raise RefinementFault("plan has no start states")
+    top = plan.level_index
+    option = plan.as_option(f"plan@{top}")
+
+    def localize(j, candidates):
+        if j == 0:
+            found = [start] if start in candidates else []
+        else:
+            found = [s for s in candidates if start in h.final_grounding_of(j, s)]
+        if not found:
+            raise RefinementFault(f"base state {start} grounded by no candidate at {j}")
+        return found[0]
+
+    cursor = [start] * (top + 1)
+    cursor[top] = localize(top, option.initiation)
+    for j in range(top, 1, -1):
+        cursor[j - 1] = localize(j - 1, h.grounding_of(j, cursor[j]))
+    segments = []
+
+    def run(j, opt):
+        level = h.level(j)
+        try:
+            trace = execute_option(level, opt, cursor[j])
+        except HierplanError as exc:
+            raise RefinementFault(str(exc)) from exc
+        if j == 0:
+            segments.append(trace)
+        else:
+            for s in trace.visited[:-1]:
+                run(j - 1, level.part(level.resolve_part(s, opt.policy[s])).option)
+        cursor[j] = trace.end
+
+    run(top, option)
+    visited, total = [start], 0.0
+    for seg in segments:
+        assert seg.visited[0] == visited[-1], "each base run starts where the last ended"
+        visited.extend(seg.visited[1:])
+        total += seg.cumulative_reward
+    return ExecutionTrace(start, visited[-1], len(visited) - 1, total, tuple(visited))
 
 
 @pytest.fixture(scope="session")

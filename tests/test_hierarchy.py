@@ -194,6 +194,21 @@ class TestValidate:
         )
         assert Violation(2, "grounding-level", "state 0") in broken.validate()
 
+    def test_grounding_at_another_level_reported_with_edges(self, taxi_hierarchy):
+        """The state keeps its edges in and out. Their applicability and
+        image checks, and the range check, are skipped rather than run
+        against ids of another level, so only the level is reported."""
+        h = taxi_hierarchy
+        level = h.level(2)
+        groundings = dict(level.groundings)
+        groundings[0] = h.final_grounding_of(2, 0)
+        assert groundings[0].level_index == 0
+        assert any(s == 0 for s, _ in level.transition)
+        broken = replace(
+            h, levels_above=(h.level(1), replace(level, groundings=groundings))
+        )
+        assert broken.validate() == [Violation(2, "grounding-level", "state 0")]
+
     def test_empty_final_grounding_reported(self, taxi_hierarchy):
         h = taxi_hierarchy
         level = h.level(2)

@@ -1,6 +1,9 @@
 """Candidate construction, plan matching, plan search, query answering,
 refinement, and cost instrumentation."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +14,10 @@ from hierplan import (
     MatchPair,
     Option,
     PlanQuery,
+    RewardMode,
     StateSpace,
     answer_query,
+    build_taxi_hierarchy,
     candidate_goals,
     candidate_starts,
     execute_option,
@@ -34,9 +39,11 @@ from hierplan.errors import (
     NoMatch,
     RefinementFault,
 )
-from hierplan.planner import InstrumentationRecord
+from hierplan.planner import InstrumentationRecord, Plan
 
-from conftest import random_domains, random_queries, state_of
+from conftest import oracle_refine, random_domains, random_queries, state_of
+
+PLAN_MODES = ("reachability", "value-iteration")
 
 
 def level2_node(h, depot):
@@ -690,6 +697,195 @@ class TestRefinement:
         assert start not in pick_up.initiation
         with pytest.raises(RefinementFault):
             execute_refined(h, 1, pick_up, start)
+
+
+    def test_execute_refined_level3_ping_pong_stops_at_level2_bound(
+        self, taxi_hierarchy
+    ):
+        """An option over level 2 that ferries the passenger blue -> green
+        -> blue forever stops at level 2's own step bound, 10 per state."""
+        h = taxi_hierarchy
+        blue, green, red = (level2_node(h, d) for d in ("blue", "green", "red"))
+        ping_pong = Option(
+            name="ferry-ping-pong",
+            initiation=GroundingSet.of(2, {blue}),
+            termination=GroundingSet.of(2, {red}),
+            policy={blue: "passenger-to-green", green: "passenger-to-blue"},
+        )
+        bound = 10 * h.num_states(2)
+        message = f"'ferry-ping-pong' exceeded {bound} steps"
+        with pytest.raises(RefinementFault, match=message):
+            execute_refined(h, 3, ping_pong, state_of(h.base, 3, 0, 3, 0))
+
+    def test_execute_refined_inapplicable_option_faults(self, taxi_hierarchy):
+        """A level-2 option whose policy names a level-1 option none of
+        whose parts applies where the taxi is."""
+        h = taxi_hierarchy
+        space = h.level(1).space
+        at_red = space.state_of((0, 4, 3, 0, False))  # passenger at blue
+        stuck = Option(
+            name="stuck",
+            initiation=GroundingSet.of(1, {at_red}),
+            termination=GroundingSet.of(1, {space.state_of((4, 4, 3, 0, False))}),
+            policy={at_red: "pick-up"},
+        )
+        assert h.level(1).resolve_part(at_red, "pick-up") is None
+        with pytest.raises(RefinementFault, match="'stuck'"):
+            execute_refined(h, 2, stuck, state_of(h.base, 0, 4, 3, 0))
+
+    def test_execute_refined_level1_state_off_policy_faults(self, taxi_hierarchy):
+        """A level-2 option whose policy stops covering the level-1 state
+        its first step leads to."""
+        h = taxi_hierarchy
+        space = h.level(1).space
+        at_red = space.state_of((0, 4, 3, 0, False))
+        half_way = Option(
+            name="half-way",
+            initiation=GroundingSet.of(1, {at_red}),
+            termination=GroundingSet.of(1, {space.state_of((3, 0, 3, 0, True))}),
+            policy={at_red: "drive-to-green"},
+        )
+        with pytest.raises(RefinementFault, match="'half-way' has no action"):
+            execute_refined(h, 2, half_way, state_of(h.base, 0, 4, 3, 0))
+
+    def test_execute_refined_level2_state_off_policy_faults(self, taxi_hierarchy):
+        """An option over level 2, run as a level-3 action, whose policy
+        stops covering the level-2 state its first step leads to."""
+        h = taxi_hierarchy
+        blue, green, red = (level2_node(h, d) for d in ("blue", "green", "red"))
+        onward = Option(
+            name="onward",
+            initiation=GroundingSet.of(2, {blue}),
+            termination=GroundingSet.of(2, {red}),
+            policy={blue: "passenger-to-green"},
+        )
+        message = f"'onward' has no action for state {green}"
+        with pytest.raises(RefinementFault, match=message):
+            execute_refined(h, 3, onward, state_of(h.base, 3, 0, 3, 0))
+
+    def test_execute_refined_lower_option_outside_initiation_faults(
+        self, taxi_hierarchy
+    ):
+        """A level-2 part whose option does not start from the level-1
+        state the cursor is on (an applicability violation) faults when
+        an option over level 2 applies it."""
+        h = taxi_hierarchy
+        level = h.level(2)
+        at_blue = h.level(1).space.state_of((3, 0, 3, 0, False))
+        away = GroundingSet.single(1, at_blue)
+        parts = tuple(
+            replace(p, option=replace(p.option, initiation=p.option.initiation - away))
+            if p.option_id == "passenger-to-green" else p
+            for p in level.parts
+        )
+        broken = replace(h, levels_above=(h.level(1), replace(level, parts=parts)))
+        blue, green = level2_node(h, "blue"), level2_node(h, "green")
+        ferry = Option(
+            name="ferry",
+            initiation=GroundingSet.of(2, {blue}),
+            termination=GroundingSet.of(2, {green}),
+            policy={blue: "passenger-to-green"},
+        )
+        assert execute_refined(h, 3, ferry, state_of(h.base, 3, 0, 3, 0)).end in (
+            h.final_grounding_of(2, green)
+        )
+        message = f"'passenger-to-green' from state {at_blue}"
+        with pytest.raises(RefinementFault, match=message):
+            execute_refined(broken, 3, ferry, state_of(h.base, 3, 0, 3, 0))
+
+
+@pytest.fixture(scope="module", params=list(RewardMode), ids=lambda m: m.value)
+def taxi_by_reward_mode(request):
+    return build_taxi_hierarchy(reward_mode=request.param)
+
+
+class TestRefinementOracle:
+    """`refine` gives the trace `oracle_refine` composes from whole option
+    executions: same start, end, steps, visited states and reward."""
+
+    @pytest.mark.parametrize("plan_mode", PLAN_MODES)
+    def test_benchmark_queries_from_every_start(self, taxi_hierarchy, queries, plan_mode):
+        h = taxi_hierarchy
+        for q in queries.values():
+            answer = answer_query(h, q, plan_mode=plan_mode)
+            for start in q.starts:
+                assert refine(h, answer.plan, start) == oracle_refine(h, answer.plan, start)
+
+    def test_level2_tours(self, taxi_by_reward_mode):
+        """Plans over level 2 that ferry the passenger through every depot
+        in turn, each step refined before the next, from every base state
+        each tour's first depot grounds."""
+        h = taxi_by_reward_mode
+        ferry_to = h.level(2).space.labels  # node t is passenger-to-<depot>'s effect
+        for tour in itertools.permutations(range(h.num_states(2))):
+            policy = {s: ferry_to[t] for s, t in zip(tour, tour[1:])}
+            first, last = (GroundingSet.single(2, tour[i]) for i in (0, -1))
+            plan = Plan(2, policy, first, last)
+            for start in h.final_ground(2, first):
+                trace = refine(h, plan, start)
+                assert trace == oracle_refine(h, plan, start)
+                assert trace.end in h.final_ground(2, last)
+
+    @pytest.mark.parametrize("plan_mode", PLAN_MODES)
+    def test_random_query_answers(self, taxi_by_reward_mode, plan_mode):
+        h = taxi_by_reward_mode
+        levels = set()
+        for q in random_queries(h.base, 40, seed=4242):
+            answer = answer_query(h, q, plan_mode=plan_mode)
+            assert answer is not None, "taxi is strongly connected"
+            levels.add(answer.level_index)
+            starts = list(q.starts)
+            for start in starts[:: max(1, len(starts) // 6)]:
+                assert refine(h, answer.plan, start) == oracle_refine(h, answer.plan, start)
+        assert levels == {0, 1, 2}
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_domains(), st.integers(1, 2), st.data())
+    def test_random_stacks(self, domain, num_levels, data):
+        """On random one- and two-level stacks, answers searched from every
+        level and plans with drawn policies at every level refine from
+        every base state to the oracle's trace, and fault exactly when the
+        oracle does."""
+        n, transition, mode, starts, goals = domain
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=("a", "b"),
+            transition=transition,
+            reward=dict.fromkeys(transition, -1.0),
+        )
+        h = Hierarchy(base=mdp, reward_mode=mode)
+        try:
+            for _ in range(num_levels):
+                h = h.add_level(one_step_preimage_options(h.level(h.num_levels)))
+        except HierplanError:
+            if h.num_levels == 0:
+                return
+        query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
+        plans = []
+        for top in range(h.num_levels + 1):
+            for plan_mode in PLAN_MODES:
+                answer = answer_query(h, query, at_level=top, plan_mode=plan_mode)
+                if answer is not None:
+                    plans.append(answer.plan)
+        for j in range(h.num_levels + 1):
+            level = h.level(j)
+            names = list(level.actions)
+            if j:
+                names += [o.name for o in h.option_sets[j - 1]]
+            ids = st.integers(0, level.num_states - 1)
+            policy = data.draw(st.dictionaries(ids, st.sampled_from(names)))
+            drawn = [GroundingSet.of(j, data.draw(st.sets(ids, min_size=k))) for k in (1, 0)]
+            plans.append(Plan(j, policy, *drawn))
+
+        def outcome(refinement, plan, start):
+            try:
+                return refinement(h, plan, start)
+            except RefinementFault:
+                return RefinementFault
+
+        for plan in plans:
+            for start in range(n):
+                assert outcome(refine, plan, start) == outcome(oracle_refine, plan, start)
 
 
 class TestInstrumentation:
