@@ -32,7 +32,6 @@ from .hierarchy import Hierarchy, PlanQuery, Violation
 from .pddl import export_pddl
 from .planner import (
     InstrumentationRecord,
-    MatchPair,
     Plan,
     PlanAnswer,
     answer_query,
@@ -41,7 +40,6 @@ from .planner import (
     execute_refined,
     findplan,
     findplan_value_iteration,
-    plan_match,
     plan_option,
     planning_cost,
     refine,
@@ -68,7 +66,6 @@ __all__ = [
     "GroundingSet",
     "Hierarchy",
     "InstrumentationRecord",
-    "MatchPair",
     "Option",
     "OptionPart",
     "Plan",
@@ -100,7 +97,6 @@ __all__ = [
     "one_step_preimage_options",
     "benchmark_queries",
     "partition_option",
-    "plan_match",
     "plan_option",
     "planning_cost",
     "refine",

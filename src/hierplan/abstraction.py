@@ -85,11 +85,6 @@ class OptionPart:
     def option_id(self) -> str:
         return self.option.name
 
-    @property
-    def mask(self) -> frozenset[str]:
-        """The variables the part sets."""
-        return frozenset(name for name, _ in self.effect_values)
-
 
 def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
     """Terminal state for every initiation state, keyed in ascending start
@@ -180,20 +175,13 @@ class _Summary(NamedTuple):
 def _summarize_groups(
     space: StateSpace, terminals: Mapping[int, int]
 ) -> dict[tuple, tuple[list[tuple[int, int]], _Summary]]:
-    """Group the (start, terminal) pairs and summarize each group.
+    """Group the (start, terminal) pairs over a factored space and
+    summarize each group.
 
-    Over a factored space the key lists (variable index, terminal value)
-    for each changed variable, in name order; otherwise it is the
-    terminal state. Pairs keep the order of ``terminals``.
+    The key lists (variable index, terminal value) for each changed
+    variable, in name order. Pairs keep the order of ``terminals``.
     """
     groups: dict[tuple, list[tuple[int, int]]] = {}
-    if not space.is_factored:
-        for s, t in terminals.items():
-            groups.setdefault((t,), []).append((s, t))
-        return {
-            key: (pairs, _Summary(key, frozenset(), ()))
-            for key, pairs in groups.items()
-        }
     names = space.variable_names()
     assignments = space.assignments
     by_name = sorted(range(len(names)), key=names.__getitem__)
@@ -247,15 +235,18 @@ def partition_option(option: Option, level) -> tuple[OptionPart, ...]:
     space: StateSpace = level.space
     names = space.variable_names()
     terminals, mean_return = _terminal_map(option, level)
-    groups = _summarize_groups(space, terminals)
     part_pairs: list[list[tuple[int, int]]] = []
-    summaries: list[_Summary] = []
     masks: list[tuple[int, ...]] = []
     if not space.is_factored:
-        for key in sorted(groups):
-            part_pairs.append(groups[key][0])
-            masks.append(())
+        by_end: dict[int, list[tuple[int, int]]] = {}
+        for s, t in terminals.items():
+            by_end.setdefault(t, []).append((s, t))
+        part_pairs = [by_end[t] for t in sorted(by_end)]
+        masks = [()] * len(part_pairs)
     else:
+        groups = _summarize_groups(space, terminals)
+        summaries: list[_Summary] = []
+
         def merge_order(key):
             changed = tuple(names[i] for i, _ in key)
             return (-len(changed), changed, repr(tuple(v for _, v in key)))

@@ -57,7 +57,7 @@ domain_options = [
     click.option("--domain-file", type=click.Path(exists=True), default=None,
                  help="JSON domain instead of the built-in taxi domain."),
     click.option("--option-set", "option_sets", multiple=True,
-                 help="Named option set from the domain file, one per level."),
+                 help="Named option set from the domain file (one level for now)."),
     click.option("--reward-mode", type=click.Choice(["uniform", "empirical"]),
                  default="uniform", show_default=True),
 ]

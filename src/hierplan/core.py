@@ -87,10 +87,6 @@ class StateSpace:
         assert self.assignments is not None, "space is not factored"
         return self.assignments[state]
 
-    def value(self, state: int, var: str) -> Any:
-        names = self.variable_names()
-        return self.assignment(state)[names.index(var)]
-
     def state_of(self, assignment: Assignment) -> int | None:
         """State id carrying this exact assignment, or None."""
         return self._index.get(assignment)
@@ -168,16 +164,6 @@ class BaseMDP:
     @property
     def num_states(self) -> int:
         return self.space.num_states
-
-    def predecessor_edges(self, state: int) -> tuple[tuple[int, str], ...]:
-        """The ``(state, action)`` edges entering ``state``, in table order;
-        ``()`` for an id outside the level."""
-        if 0 <= state < self.num_states:
-            return self._predecessors[state]
-        return ()
-
-    def applicable(self, state: int) -> list[str]:
-        return [a for a in self.actions if (state, a) in self.transition]
 
     def step(self, state: int, action: str) -> tuple[int, float]:
         """Apply ``action`` in ``state``; returns (successor, reward)."""

@@ -128,20 +128,6 @@ class Hierarchy:
             raise LevelOutOfRange(f"level {j} not in 1..{self.num_levels}")
         return self.base_groundings[j - 1][state]
 
-    def ground(self, j: int, states: GroundingSet | int) -> GroundingSet:
-        """Grounding one level down: the level-``j-1`` states a level-``j``
-        state (or a set of them, by union) refers to."""
-        if not 1 <= j <= self.num_levels:
-            raise LevelOutOfRange(f"level {j} not in 1..{self.num_levels}")
-        if isinstance(states, int):
-            return self.grounding_of(j, states)
-        if states.level_index != j:
-            raise LevelMismatch(f"expected level {j}, got {states.level_index}")
-        out = GroundingSet.empty(j - 1)
-        for s in states:
-            out = out | self.grounding_of(j, s)
-        return out
-
     def final_ground(self, j: int, states: GroundingSet) -> GroundingSet:
         """Grounding composed all the way to the base MDP (identity at
         level 0)."""
@@ -179,6 +165,12 @@ class Hierarchy:
                 raise LevelOutOfRange(
                     f"option {o.name!r} is over level {o.level_index}, "
                     f"expected {top.level_index}"
+                )
+            named = o.initiation.bits | o.termination.bits
+            if named >> top.num_states:
+                raise MalformedInput(
+                    f"option {o.name!r} names state {named.bit_length() - 1}, "
+                    f"outside level {top.level_index}'s {top.num_states} states"
                 )
         parts = _partition_all(options, top)
         if all(p.terminal_state is not None for p in parts):

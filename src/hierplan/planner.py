@@ -45,15 +45,6 @@ from .symbols import GroundingSet
 
 
 @dataclass(frozen=True)
-class MatchPair:
-    """Candidate start/goal state sets at one level."""
-
-    level_index: int
-    starts: GroundingSet
-    goals: GroundingSet
-
-
-@dataclass(frozen=True)
 class Plan:
     """A goal-reaching policy over one level.
 
@@ -188,19 +179,6 @@ def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     if not members:
         raise NoMatch(f"no state grounds inside the goal set at level {j}")
     return GroundingSet(j, members)
-
-
-def plan_match(h: Hierarchy, pair: MatchPair, query: PlanQuery) -> bool:
-    """True when the pair brackets the query: the query's starts lie
-    inside the pair's grounded starts, and the pair's grounded goals lie
-    inside the query's goals."""
-    grounded_starts = h.final_ground(pair.level_index, pair.starts)
-    grounded_goals = h.final_ground(pair.level_index, pair.goals)
-    if pair.goals.is_empty():
-        return False
-    return query.starts.issubset(grounded_starts) and grounded_goals.issubset(
-        query.goals
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,6 @@ class GroundingSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def isdisjoint(self, other: GroundingSet) -> bool:
-        self._check(other)
-        return self.bits & other.bits == 0
-
     def is_empty(self) -> bool:
         return self.bits == 0
 

@@ -299,7 +299,9 @@ def expand_constraints(
             else:
                 place(key, prefix, value)
         elif key == "in-taxi":
-            constraints["in-taxi"] = bool(value)
+            if not isinstance(value, bool):
+                raise MalformedInput(f"'in-taxi' must be true or false, got {value!r}")
+            constraints["in-taxi"] = value
         else:
             constraints[key] = value
     result = space.where(**constraints) if constraints else GroundingSet.of(

@@ -1,21 +1,23 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here (grid shortest paths, brute-force state enumeration,
-random query and domain generation, refinement by composition) are
-deliberately written from scratch rather than reusing library code, so
-tests check the implementation against an independent computation of the
-same quantity.
+random query and domain generation, the bracketing test, refinement by
+composition) are deliberately written from scratch rather than reusing
+library code, so tests check the implementation against an independent
+computation of the same quantity.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
 from hierplan import (
     ExecutionTrace,
+    GroundingSet,
     PlanQuery,
     RewardMode,
     benchmark_queries,
@@ -97,6 +99,34 @@ def oracle_taxi_transitions(mdp, layout):
         if riding:
             items.append(((sid, "put-down"), space.state_of((tx, ty, tx, ty, False))))
     return items
+
+
+def value_of(space, state, var):
+    """The value of variable ``var`` in a factored ``state``."""
+    return space.assignment(state)[space.variable_names().index(var)]
+
+
+@dataclass(frozen=True)
+class MatchPair:
+    """Candidate start/goal state sets at one level."""
+
+    level_index: int
+    starts: GroundingSet
+    goals: GroundingSet
+
+
+def plan_match(h, pair, query):
+    """True when the pair brackets the query: the query's starts lie
+    inside the pair's grounded starts, and the pair's grounded goals lie
+    inside the query's goals. This is the definition the candidate sets
+    `answer_query` builds are checked against."""
+    grounded_starts = h.final_ground(pair.level_index, pair.starts)
+    grounded_goals = h.final_ground(pair.level_index, pair.goals)
+    if pair.goals.is_empty():
+        return False
+    return query.starts.issubset(grounded_starts) and grounded_goals.issubset(
+        query.goals
+    )
 
 
 def oracle_refine(h, plan, start):

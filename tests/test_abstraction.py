@@ -43,7 +43,7 @@ from hierplan.taxi import (
     taxi_options_level2,
 )
 
-from conftest import DEPOTS, state_of
+from conftest import DEPOTS, state_of, value_of
 
 
 def option_by_name(options, name):
@@ -57,7 +57,9 @@ def assert_part_contract(level, part):
     space = level.space
     names = space.variable_names()
     values = dict(part.effect_values)
-    assert (part.terminal_state is not None) == (part.mask == frozenset(names))
+    assert (part.terminal_state is not None) == (
+        {n for n, _ in part.effect_values} == frozenset(names)
+    )
     if part.terminal_state is not None:
         assert set(part.effect) == {part.terminal_state}
     for s in part.initiation:
@@ -198,7 +200,9 @@ class TestClassification:
         ferry = option_by_name(taxi_options_level2(h), "passenger-to-red")
         (part,) = partition_option(ferry, h.level(1))
         assert part.terminal_state is not None
-        assert part.mask == frozenset(h.level(1).space.variable_names())
+        assert {n for n, _ in part.effect_values} == frozenset(
+            h.level(1).space.variable_names()
+        )
 
     def test_drive_restricted_to_outside_is_abstract_subgoal(self, taxi_mdp):
         drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
@@ -211,7 +215,7 @@ class TestClassification:
         )
         (part,) = partition_option(restricted, taxi_mdp)
         assert part.terminal_state is None
-        assert part.mask == {"taxi-x", "taxi-y"}
+        assert {n for n, _ in part.effect_values} == {"taxi-x", "taxi-y"}
 
     def test_zero_step_starts_are_identity_abstract_subgoal(self, taxi_mdp):
         """Starts already in the termination set end where they began: no
@@ -225,7 +229,7 @@ class TestClassification:
         )
         (part,) = partition_option(parked, taxi_mdp)
         assert part.terminal_state is None
-        assert part.mask == frozenset()
+        assert {n for n, _ in part.effect_values} == frozenset()
         assert part.effect_values == ()
 
     def test_unrestricted_drive_is_unclassifiable(self, taxi_mdp):
@@ -239,7 +243,9 @@ class TestPartitioning:
             drive = option_by_name(taxi_options_level1(taxi_mdp), f"drive-to-{depot}")
             parts = partition_option(drive, taxi_mdp)
             assert len(parts) == 2
-            masks = sorted(tuple(sorted(p.mask)) for p in parts)
+            masks = sorted(
+                tuple(sorted({n for n, _ in p.effect_values})) for p in parts
+            )
             assert masks == [
                 ("pass-x", "pass-y", "taxi-x", "taxi-y"),
                 ("taxi-x", "taxi-y"),
@@ -248,16 +254,16 @@ class TestPartitioning:
     def test_riding_part_holds_riding_states(self, taxi_mdp):
         drive = option_by_name(taxi_options_level1(taxi_mdp), "drive-to-blue")
         parts = partition_option(drive, taxi_mdp)
-        wide = next(p for p in parts if len(p.mask) == 4)
+        wide = next(p for p in parts if len({n for n, _ in p.effect_values}) == 4)
         for s in wide.initiation:
-            assert taxi_mdp.space.value(s, "in-taxi") is True
+            assert value_of(taxi_mdp.space, s, "in-taxi") is True
 
     def test_pick_up_and_put_down_are_single_parts(self, taxi_mdp):
         options = taxi_options_level1(taxi_mdp)
         for name, terminal in (("pick-up", True), ("put-down", False)):
             parts = partition_option(option_by_name(options, name), taxi_mdp)
             assert len(parts) == 1
-            assert parts[0].mask == {"in-taxi"}
+            assert {n for n, _ in parts[0].effect_values} == {"in-taxi"}
             assert dict(parts[0].effect_values) == {"in-taxi": terminal}
 
     def test_subgoal_option_is_one_part(self, fresh_hierarchy):
@@ -272,7 +278,7 @@ class TestPartitioning:
             parts = partition_option(option, taxi_mdp)
             union = GroundingSet.empty(0)
             for p in parts:
-                assert union.isdisjoint(p.initiation)
+                assert not union & p.initiation
                 union = union | p.initiation
             assert union == option.initiation
 
@@ -305,7 +311,7 @@ class TestPartitioning:
         union = GroundingSet.empty(0)
         for p in parts:
             assert_part_contract(mdp, p)
-            assert union.isdisjoint(p.initiation)
+            assert not union & p.initiation
             union = union | p.initiation
         assert union == restricted.initiation
 
@@ -428,7 +434,7 @@ class TestFactoredConstruction:
     def test_taxi_level1_has_20_states(self, taxi_hierarchy):
         level = taxi_hierarchy.level(1)
         assert level.num_states == 20
-        riding = [s for s in level.space.states if level.space.value(s, "in-taxi")]
+        riding = [s for s in level.space.states if value_of(level.space, s, "in-taxi")]
         assert len(riding) == 4
 
     def test_closure_without_pick_up_loses_riding_states(self, taxi_mdp):
@@ -440,7 +446,7 @@ class TestFactoredConstruction:
         )
         assert level.num_states == 16
         assert not any(
-            level.space.value(s, "in-taxi") for s in level.space.states
+            value_of(level.space, s, "in-taxi") for s in level.space.states
         )
 
     def test_empty_option_list_keeps_seed_assignments(self, taxi_mdp):
@@ -528,7 +534,7 @@ class TestAbstractLevelTables:
         assert level.construction is Construction.PLAN_GRAPH
         assert level.step(0, "advance#0") == (1, -1.0)
         assert level.step(0, "advance") == (1, -1.0)
-        assert level.predecessor_edges(1) == ((0, "advance#0"),)
+        assert level._predecessors[1] == ((0, "advance#0"),)
         with pytest.raises(InapplicableAction):
             level.step(1, "advance")
 

@@ -10,14 +10,12 @@ import time
 import pytest
 
 from hierplan import (
-    MatchPair,
     answer_query,
     build_taxi_hierarchy,
     candidate_goals,
     candidate_starts,
     execute_option,
     partition_option,
-    plan_match,
     planning_cost,
     refine,
 )
@@ -26,7 +24,7 @@ from hierplan.errors import NoMatch
 from hierplan.taxi import benchmark_queries as taxi_queries
 from hierplan.taxi import taxi_options_level1
 
-from conftest import random_queries
+from conftest import MatchPair, plan_match, random_queries
 
 
 def report(line: str) -> None:

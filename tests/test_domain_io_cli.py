@@ -318,6 +318,11 @@ class TestCLI:
                 '{"states": [9999]}',
                 "error: 'states' must list state ids in 0..649, got [9999]",
             ),
+            (
+                '{"taxi-at": "red", "pass-at": "red", "in-taxi": "false"}',
+                "error: 'in-taxi' must be true or false, got 'false'",
+            ),
+            ('{"in-taxi": null}', "error: 'in-taxi' must be true or false, got None"),
         ],
     )
     def test_plan_unknown_name_prints_one_error_line(self, b_spec, message):
@@ -371,11 +376,17 @@ class TestCLI:
             ({"options": {"l1": [5]}}, {},
              "error: the 'options' object has a malformed 'l1': [5]"),
             ({"transitions": 5}, {}, "error: domain has a malformed 'transitions': 5"),
+            ({}, {"initiation": [0, 7], "termination": [1, 7]},
+             "error: option 'to-one' names state 7, outside level 0's 3 states"),
+            ({"variables": [["pos", [0, 1, 2]]], "states": [[0], [1], [2]]},
+             {"initiation": [0, 7], "termination": [1, 7]},
+             "error: option 'to-one' names state 7, outside level 0's 3 states"),
         ],
         ids=["target-outside", "short-entry", "empty-initiation", "num-states-text",
              "initiation-text", "policy-key-text", "factored-states-flat",
              "options-list", "option-set-number", "option-entry-number",
-             "transitions-number"],
+             "transitions-number", "option-state-outside",
+             "factored-option-state-outside"],
     )
     def test_bad_domain_input_prints_one_error_line(
         self, tmp_path, domain_patch, option_patch, message

@@ -3,7 +3,7 @@
 import pytest
 
 from hierplan import build_taxi, execute_option
-from hierplan.errors import HierplanError, UnknownName
+from hierplan.errors import HierplanError, MalformedInput, UnknownName
 from hierplan.taxi import (
     DEFAULT_LAYOUT,
     TaxiLayout,
@@ -18,6 +18,7 @@ from conftest import (
     oracle_grid_distance,
     oracle_taxi_transitions,
     state_of,
+    value_of,
 )
 
 
@@ -29,7 +30,7 @@ class TestDomain:
         riding = [
             taxi_mdp.space.assignment(s)
             for s in taxi_mdp.space.states
-            if taxi_mdp.space.value(s, "in-taxi")
+            if value_of(taxi_mdp.space, s, "in-taxi")
         ]
         assert len(riding) == 25
         assert all((tx, ty) == (px, py) for tx, ty, px, py, _ in riding)
@@ -184,9 +185,9 @@ class TestQueryExpansion:
     def test_cell_coordinates(self, taxi_mdp):
         g = expand_constraints(taxi_mdp, {"pass-at": [1, 4]})
         assert len(g) == 26
+        space = taxi_mdp.space
         assert all(
-            (taxi_mdp.space.value(s, "pass-x"), taxi_mdp.space.value(s, "pass-y"))
-            == (1, 4)
+            (value_of(space, s, "pass-x"), value_of(space, s, "pass-y")) == (1, 4)
             for s in g
         )
 
@@ -196,7 +197,7 @@ class TestQueryExpansion:
 
     def test_raw_variable_constraints(self, taxi_mdp):
         g = expand_constraints(taxi_mdp, {"taxi-x": [0, 1], "in-taxi": False})
-        assert all(taxi_mdp.space.value(s, "taxi-x") in (0, 1) for s in g)
+        assert all(value_of(taxi_mdp.space, s, "taxi-x") in (0, 1) for s in g)
         assert len(g) == 2 * 5 * 25
 
     @pytest.mark.parametrize("spec", [{"pass-at": "purple"}, {"colour": 1}])
@@ -205,6 +206,13 @@ class TestQueryExpansion:
             expand_constraints(taxi_mdp, spec)
         assert isinstance(err.value, HierplanError)
         assert isinstance(err.value, KeyError)
+
+    @pytest.mark.parametrize("flag", ["false", None, 0, 1])
+    def test_in_taxi_must_be_a_boolean(self, taxi_mdp, flag):
+        # bool("false") is True: the string used to select the riding state
+        spec = {"taxi-at": "red", "pass-at": "red", "in-taxi": flag}
+        with pytest.raises(MalformedInput, match="'in-taxi' must be true or false"):
+            expand_constraints(taxi_mdp, spec)
 
     def test_empty_constraint_is_everything(self, taxi_mdp):
         g = expand_constraints(taxi_mdp, {})
