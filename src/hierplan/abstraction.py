@@ -90,22 +90,27 @@ def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
     """Terminal state for every initiation state, keyed in ascending start
     order, and the option's mean return over those starts.
 
-    Execution is deterministic, so a state's terminal state, step count
-    and return follow from its policy successor's: each state's
-    continuation is simulated once per option and memoized. The result is
-    that of one ``execute_option`` per initiation state in ascending
-    order: the mean is updated incrementally once per start, in that
-    order, and the first failing start raises the same error (a policy
-    cycle exceeds the step bound).
+    Execution is deterministic, so a state's terminal state and return
+    follow from its policy successor's: each state's continuation is
+    simulated once per option and memoized. The result is that of one
+    ``execute_option`` per initiation state in ascending order: the mean
+    is updated incrementally once per start, in that order, and the first
+    failing start raises the same error (a policy cycle exceeds the step
+    bound). An option whose initiation or termination names a state
+    outside the level raises MalformedInput before any simulation.
     """
-    # a start may lie outside the level; every successor is a level state
-    width = max(level.num_states, option.initiation.bits.bit_length())
+    n = level.num_states
+    named = option.initiation.bits | option.termination.bits
+    if named >> n:
+        raise MalformedInput(
+            f"option {option.name!r} names state {named.bit_length() - 1}, "
+            f"outside level {level.space.level_index}'s {n} states"
+        )
     bound = default_step_bound(level)
-    stop = option.termination.bitstring(width)
+    stop = option.termination.bitstring(n)
     policy = option.policy
-    end = [-1] * width  # -1: not yet known, -2: on the walk being followed
-    steps = [0] * width
-    ret = [0.0] * width
+    end = [-1] * n  # -1: not yet known, -2: on the walk being followed
+    ret = [0.0] * n
     terminals: dict[int, int] = {}
     mean = 0.0
     for start in option.initiation:
@@ -128,11 +133,10 @@ def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
             nxt, r = level.step(s, action)
             walk.append((s, r))
             s = nxt
-        e, k, g = end[s], steps[s], ret[s]
+        e, g = end[s], ret[s]
         for p, r in reversed(walk):
-            k += 1
             g = r + g
-            end[p], steps[p], ret[p] = e, k, g
+            end[p], ret[p] = e, g
         terminals[start] = e
         mean += (g - mean) / len(terminals)
     return terminals, mean

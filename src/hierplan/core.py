@@ -127,7 +127,9 @@ class BaseMDP:
     absence means the action is inapplicable there. ``reward[(s, a)]`` is
     that step's reward, so both tables have the same keys. The predecessor
     table holds, at index ``t``, the keys of the edges entering ``t`` in
-    table order, and ``()`` where none does.
+    table order, and ``()`` where none does. The action-rank table maps
+    each action to its index in ``actions``, the order the plan searches
+    break ties by.
     """
 
     space: StateSpace
@@ -137,6 +139,9 @@ class BaseMDP:
     gamma: float = 1.0
     _predecessors: tuple[tuple[tuple[int, str], ...], ...] = field(
         init=False, repr=False, compare=False, default=()
+    )
+    _action_rank: dict[str, int] = field(
+        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
@@ -156,6 +161,9 @@ class BaseMDP:
         if self.reward.keys() != self.transition.keys():
             raise MalformedInput("reward and transition tables have different keys")
         object.__setattr__(self, "_predecessors", tuple(map(tuple, preds)))
+        object.__setattr__(
+            self, "_action_rank", {a: i for i, a in enumerate(self.actions)}
+        )
 
     @property
     def level_index(self) -> int:

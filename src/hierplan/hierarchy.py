@@ -166,12 +166,6 @@ class Hierarchy:
                     f"option {o.name!r} is over level {o.level_index}, "
                     f"expected {top.level_index}"
                 )
-            named = o.initiation.bits | o.termination.bits
-            if named >> top.num_states:
-                raise MalformedInput(
-                    f"option {o.name!r} names state {named.bit_length() - 1}, "
-                    f"outside level {top.level_index}'s {top.num_states} states"
-                )
         parts = _partition_all(options, top)
         if all(p.terminal_state is not None for p in parts):
             level = build_plan_graph(options, top, _parts=parts)

@@ -23,7 +23,7 @@ bound, and every fault surfaces as RefinementFault.
 from __future__ import annotations
 
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from .core import ExecutionTrace, Option, _execute_into, default_step_bound
@@ -215,12 +215,13 @@ def findplan(
     one is given.
 
     States are dense ids, so the search indexes the level's predecessor
-    table and keeps each state's depth in a list, ``-1`` while unreached.
-    A goal id outside the level seeds nothing but stays in the plan's
-    goals; a start id outside the level makes the result None unless it
-    is itself a goal.
+    table and keeps each state's depth in a list, ``-1`` while unreached;
+    ties read the level's action-rank table, built once per level. A goal
+    id outside the level seeds nothing but stays in the plan's goals; a
+    start id outside the level makes the result None unless it is itself
+    a goal.
     """
-    rank = {a: i for i, a in enumerate(level.actions)}
+    rank = level._action_rank
     preds = level._predecessors
     n = len(preds)
     dist = [-1] * n
@@ -289,58 +290,83 @@ def findplan_value_iteration(
     not lead every start into ``goals``. Each predecessor edge examined
     counts one operation in ``record``, when one is given. Ids outside
     the level follow `findplan`'s rule.
+
+    As in `findplan`, states are dense ids: each state's value, step
+    count, queue count and waiting and stale flags are held in lists of
+    length ``num_states``, an edge's reward is read by the predecessor
+    table's own key, and ties read the level's action-rank table, built
+    once per level.
     """
-    rank = {a: i for i, a in enumerate(level.actions)}
+    rank = level._action_rank
     preds = level._predecessors
-    label: dict[int, tuple[float, int]] = dict.fromkeys(goals, (0.0, 0))
-    is_goal = goals.bitstring(level.num_states)
+    reward = level.reward
+    gamma = level.gamma
+    n = len(preds)  # the level's states, and each state's queue budget
+    # per state: its label (value, steps; steps -1 while unlabelled), how
+    # often it was queued, and whether it waits in the queue now
+    value = [0.0] * n
+    steps = [-1] * n
+    times_queued = [0] * n
+    waiting = [False] * n
+    is_goal = [False] * n
+    is_stale = [False] * n
+    stale: list[int] = []
     policy: dict[int, str] = {}
     successor: dict[int, int] = {}
-    times_queued: Counter[int] = Counter()
     # goal ids outside the level keep their label but are never queued
-    queue = deque(g for g in goals if g < len(preds))
-    waiting = set(queue)
-    stale: set[int] = set()
+    queue = deque(g for g in goals if g < n)
+    for g in queue:
+        steps[g] = 0
+        waiting[g] = is_goal[g] = True
     ops = 0
     while queue:
         t = queue.popleft()
-        waiting.remove(t)
-        value, steps = label[t]
-        for s, action in preds[t]:
-            ops += 1
-            if is_goal[s] == "1":
+        waiting[t] = False
+        edges = preds[t]
+        ops += len(edges)
+        offered = gamma * value[t]
+        k = steps[t] + 1
+        for edge in edges:
+            s = edge[0]
+            if is_goal[s]:
                 continue
-            offer = (level.reward[(s, action)] + level.gamma * value, steps + 1)
-            if s in label:
-                old = label[s]
-                if abs(offer[0] - old[0]) <= 1e-12:
-                    if (offer[1], rank[action]) >= (old[1], rank[policy[s]]):
+            v = reward[edge] + offered
+            old = steps[s]
+            if old >= 0:
+                if abs(v - value[s]) <= 1e-12:
+                    if k > old:
                         continue
-                    if offer[1] == old[1]:  # same label, so no need to queue s
-                        policy[s], successor[s] = action, t
+                    if k == old:  # same label, so no need to queue s
+                        action = edge[1]
+                        if rank[action] < rank[policy[s]]:
+                            policy[s], successor[s] = action, t
                         continue
-                elif offer[0] < old[0]:
+                elif v < value[s]:
                     continue
-            label[s] = offer
-            policy[s], successor[s] = action, t
-            if s in waiting:
+            value[s] = v
+            steps[s] = k
+            policy[s], successor[s] = edge[1], t
+            if waiting[s]:
                 continue
-            if times_queued[s] < level.num_states:
+            if times_queued[s] < n:
                 times_queued[s] += 1
-                waiting.add(s)
+                waiting[s] = True
                 queue.append(s)
-            else:
-                stale.add(s)
+            elif not is_stale[s]:
+                is_stale[s] = True
+                stale.append(s)
     # a goal's label never depends on its successors, so staleness stops there
-    todo = list(stale)
-    while todo:
-        for s, _ in preds[todo.pop()]:
-            ops += 1
-            if s not in stale and is_goal[s] != "1":
-                stale.add(s)
-                todo.append(s)
+    while stale:
+        edges = preds[stale.pop()]
+        ops += len(edges)
+        for s, _ in edges:
+            if not (is_stale[s] or is_goal[s]):
+                is_stale[s] = True
+                stale.append(s)
     _charge(record, level.level_index, ops)
-    if any(s not in label or s in stale for s in starts):
+    if any(
+        (steps[s] < 0 or is_stale[s]) if s < n else s not in goals for s in starts
+    ):
         return None
     plan = Plan(level.level_index, policy, starts, goals, _successors=successor)
     try:

@@ -17,12 +17,23 @@ from .errors import LevelMismatch, MalformedInput
 
 
 def _mask_of(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        if i < 0:
-            raise MalformedInput(f"state index must be >= 0, got {i}")
-        mask |= 1 << i
-    return mask
+    """The bitmask with bit ``i`` set for each index ``i``.
+
+    One ``"0"``/``"1"`` digit per state is written into a bytearray, then
+    read as one base-2 int, so the build is linear in the indices plus the
+    width; ORing ``1 << i`` into a growing int would copy it per index.
+    """
+    idx = list(indices)
+    if not idx:
+        return 0
+    low = min(idx)
+    if low < 0:
+        raise MalformedInput(f"state index must be >= 0, got {low}")
+    digits = bytearray(b"0") * (max(idx) + 1)
+    for i in idx:
+        digits[i] = 49  # ord("1")
+    digits.reverse()  # index 0 is the lowest bit
+    return int(digits, 2)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ computation of the same quantity.
 from __future__ import annotations
 
 import random
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import pytest
@@ -26,6 +27,7 @@ from hierplan import (
     execute_option,
 )
 from hierplan.errors import HierplanError, RefinementFault
+from hierplan.planner import Plan
 from hierplan.taxi import expand_constraints
 
 DEPOTS = {"red": (0, 4), "green": (4, 4), "blue": (3, 0), "yellow": (0, 0)}
@@ -127,6 +129,74 @@ def plan_match(h, pair, query):
     return query.starts.issubset(grounded_starts) and grounded_goals.issubset(
         query.goals
     )
+
+
+def oracle_value_iteration(level, starts, goals, record=None):
+    """`findplan_value_iteration` as it was written over a label dict, a
+    `Counter` of queue counts and a ``waiting`` set, kept as the oracle
+    the dense-id walk must agree with: the same policy, successors,
+    edge examinations and None-ness."""
+    rank = {a: i for i, a in enumerate(level.actions)}
+    preds = level._predecessors
+    label: dict[int, tuple[float, int]] = dict.fromkeys(goals, (0.0, 0))
+    is_goal = goals.bitstring(level.num_states)
+    policy: dict[int, str] = {}
+    successor: dict[int, int] = {}
+    times_queued: Counter[int] = Counter()
+    # goal ids outside the level keep their label but are never queued
+    queue = deque(g for g in goals if g < len(preds))
+    waiting = set(queue)
+    stale: set[int] = set()
+    ops = 0
+    while queue:
+        t = queue.popleft()
+        waiting.remove(t)
+        value, steps = label[t]
+        for s, action in preds[t]:
+            ops += 1
+            if is_goal[s] == "1":
+                continue
+            offer = (level.reward[(s, action)] + level.gamma * value, steps + 1)
+            if s in label:
+                old = label[s]
+                if abs(offer[0] - old[0]) <= 1e-12:
+                    if (offer[1], rank[action]) >= (old[1], rank[policy[s]]):
+                        continue
+                    if offer[1] == old[1]:  # same label, so no need to queue s
+                        policy[s], successor[s] = action, t
+                        continue
+                elif offer[0] < old[0]:
+                    continue
+            label[s] = offer
+            policy[s], successor[s] = action, t
+            if s in waiting:
+                continue
+            if times_queued[s] < level.num_states:
+                times_queued[s] += 1
+                waiting.add(s)
+                queue.append(s)
+            else:
+                stale.add(s)
+    # a goal's label never depends on its successors, so staleness stops there
+    todo = list(stale)
+    while todo:
+        for s, _ in preds[todo.pop()]:
+            ops += 1
+            if s not in stale and is_goal[s] != "1":
+                stale.add(s)
+                todo.append(s)
+    if record is not None:
+        record.plan_ops[level.level_index] = ops
+        record.total_ops += ops
+    if any(s not in label or s in stale for s in starts):
+        return None
+    plan = Plan(level.level_index, policy, starts, goals, _successors=successor)
+    try:
+        for s in starts:
+            plan.action_sequence(s)
+    except RefinementFault:
+        return None
+    return plan
 
 
 def oracle_refine(h, plan, start):

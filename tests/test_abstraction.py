@@ -175,6 +175,50 @@ class TestTerminalMaps:
         if error is StepBoundExceeded:
             assert "from state 1" in str(per_start.value)
 
+    @pytest.mark.parametrize("factored", [False, True], ids=["plain", "factored"])
+    @pytest.mark.parametrize(
+        "initiation, termination",
+        [({0, 7}, {1}), ({0}, {1, 7})],
+        ids=["start-outside", "end-outside"],
+    )
+    def test_option_state_outside_the_level_rejected(
+        self, factored, initiation, termination
+    ):
+        """Every builder reached directly rejects an option naming a state
+        outside its level, before any simulation, with the message
+        `Hierarchy.add_level` gives."""
+        space = (
+            StateSpace(level_index=0, num_states=3,
+                       variables=(Variable("pos", (0, 1, 2)),),
+                       assignments=((0,), (1,), (2,)))
+            if factored else StateSpace(level_index=0, num_states=3)
+        )
+        mdp = BaseMDP(
+            space=space,
+            actions=("fwd",),
+            transition={(0, "fwd"): 1},
+            reward={(0, "fwd"): -1.0},
+        )
+        option = Option(
+            name="to-one",
+            initiation=GroundingSet.of(0, initiation),
+            termination=GroundingSet.of(0, termination),
+            policy={0: "fwd"},
+        )
+        builders = [
+            lambda: partition_option(option, mdp),
+            lambda: compute_effect_set(option, mdp),
+            lambda: build_plan_graph([option], mdp),
+        ]
+        if factored:
+            builders.append(
+                lambda: build_factored_abstraction([option], mdp, GroundingSet.of(0, {0}))
+            )
+        message = "option 'to-one' names state 7, outside level 0's 3 states"
+        for build in builders:
+            with pytest.raises(MalformedInput, match=re.escape(message)):
+                build()
+
     def test_open_8x8_grid_builds_and_validates(self):
         layout = TaxiLayout(
             width=8,

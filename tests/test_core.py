@@ -220,6 +220,7 @@ class TestMalformedInput:
             lambda: BaseMDP(THREE, ("go",), {(0, "go"): 1}, {(0, "go"): -1.0}, gamma=0.0),
             lambda: Option("o", GroundingSet.empty(0), GroundingSet.of(0, {1}), {}),
             lambda: GroundingSet.of(0, [-1]),
+            lambda: GroundingSet.of(0, [4, 0, -2, 7]),
             lambda: PlanQuery(GroundingSet.empty(0), GroundingSet.of(0, {1})),
         ],
         ids=[
@@ -229,6 +230,7 @@ class TestMalformedInput:
             "gamma",
             "empty-initiation",
             "negative-index",
+            "negative-index-after-others",
             "empty-starts",
         ],
     )

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +28,23 @@ from hierplan.errors import (
     MalformedInput,
     NoFactoredStructure,
 )
-from hierplan.taxi import depot_seed_states, taxi_options_level1
+from hierplan.taxi import (
+    DEFAULT_LAYOUT,
+    TaxiLayout,
+    depot_seed_states,
+    taxi_options_level1,
+)
 
 from conftest import random_domains, random_queries
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+# an open 8x8 grid with a depot in each corner
+OPEN_8X8 = TaxiLayout(
+    width=8,
+    height=8,
+    depots=(("red", (0, 7)), ("green", (7, 7)), ("blue", (7, 0)), ("yellow", (0, 0))),
+)
 
 
 class TestAddLevel:
@@ -258,6 +273,19 @@ class TestSnapshot:
         a = build_taxi_hierarchy().to_json()
         b = build_taxi_hierarchy().to_json()
         assert a == b
+
+    @pytest.mark.parametrize("mode", list(RewardMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "name, layout", [("taxi5", DEFAULT_LAYOUT), ("taxi8_open", OPEN_8X8)],
+        ids=["taxi5", "taxi8-open"],
+    )
+    def test_snapshot_matches_golden(self, name, layout, mode):
+        """The whole built hierarchy, byte for byte: states, parts,
+        transitions, rewards (empirical means depend on the order the
+        per-start mean is updated in) and groundings."""
+        golden = GOLDEN_DIR / f"{name}_{mode.value}.json"
+        built = build_taxi_hierarchy(layout, reward_mode=mode).to_json() + "\n"
+        assert built.encode() == golden.read_bytes()
 
     def test_snapshot_structure(self, taxi_hierarchy):
         snap = taxi_hierarchy.to_snapshot()

@@ -42,6 +42,7 @@ from hierplan.planner import InstrumentationRecord, Plan
 from conftest import (
     MatchPair,
     oracle_refine,
+    oracle_value_iteration,
     plan_match,
     random_domains,
     random_queries,
@@ -498,6 +499,64 @@ class TestFindplan:
         assert plan.goals == g and plan.starts == b
         for s in starts:
             assert len(plan.action_sequence(s)) == (0 if s in goals else 2 - s)
+
+
+def assert_same_value_iteration(level, starts, goals):
+    """`findplan_value_iteration` and `oracle_value_iteration` return the
+    same policy and successors, in the same order, examine the same
+    number of edges, and fail on the same inputs."""
+    got_record = InstrumentationRecord(search_top=level.level_index)
+    want_record = InstrumentationRecord(search_top=level.level_index)
+    got = findplan_value_iteration(level, starts, goals, got_record)
+    want = oracle_value_iteration(level, starts, goals, want_record)
+    assert got_record.plan_ops == want_record.plan_ops
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got.policy.items()) == list(want.policy.items())
+        assert list(got._successors.items()) == list(want._successors.items())
+        assert (got.starts, got.goals) == (starts, goals)
+
+
+class TestValueIterationOracle:
+    """The dense-id value iteration agrees with the label-dict walk it
+    replaced, kept in `conftest` as `oracle_value_iteration`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(random_domains(), st.data())
+    def test_random_domains(self, domain, data):
+        """Positive rewards and gamma < 1 make labels improve again and go
+        stale; few distinct rewards make ties common; both action orders
+        test the tie rule; ids past the level test `findplan`'s rule."""
+        n, transition, _, starts, goals = domain
+        edges = sorted(transition)
+        rewards = data.draw(
+            st.lists(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)),
+                     min_size=len(edges), max_size=len(edges))
+        )
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=data.draw(st.sampled_from((("a", "b"), ("b", "a")))),
+            transition=transition,
+            reward=dict(zip(edges, rewards)),
+            gamma=data.draw(st.sampled_from((1.0, 0.9, 0.5))),
+        )
+        outside = st.sets(st.integers(n, n + 2), max_size=2)
+        b = GroundingSet.of(0, starts | data.draw(outside))
+        g = GroundingSet.of(0, goals | data.draw(outside))
+        assert_same_value_iteration(mdp, b, g)
+
+    def test_taxi_candidates(self, taxi_by_reward_mode, queries):
+        """Every level's candidate pair for the benchmark queries and for
+        random ones, under both reward modes."""
+        h = taxi_by_reward_mode
+        for q in [*queries.values(), *random_queries(h.base, 40, seed=77)]:
+            for j in range(h.num_levels + 1):
+                try:
+                    b = candidate_starts(h, j, q.starts)
+                    g = candidate_goals(h, j, q.goals)
+                except NoMatch:
+                    continue
+                assert_same_value_iteration(h.level(j), b, g)
 
 
 class TestAnswerQuery:

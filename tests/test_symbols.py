@@ -57,6 +57,27 @@ class TestSetAlgebra:
     def test_membership(self, a, x):
         assert (x in gs(a)) == (x in a)
 
+    # lists, so order and duplicates reach the mask build as drawn
+    @given(st.one_of(
+        st.just([]),
+        st.lists(st.integers(min_value=0, max_value=25_000), max_size=40),
+        st.integers(min_value=0, max_value=3_000).flatmap(
+            lambda w: st.permutations(range(w))
+        ),
+        st.lists(st.integers(min_value=0, max_value=8), min_size=2, max_size=30),
+    ))
+    @example([])
+    @example([0, 0, 0])
+    @example(list(range(20_735)))
+    def test_mask_matches_naive_or(self, members):
+        """Empty, sparse, dense (a whole shuffled range) and repeated
+        index lists build the mask that ORing ``1 << i`` gives."""
+        naive = 0
+        for i in members:
+            naive |= 1 << i
+        assert gs(members).bits == naive
+        assert gs(iter(members)).bits == naive
+
     def test_level_mismatch_rejected(self):
         with pytest.raises(LevelMismatch):
             gs({1}, level=0) | gs({2}, level=1)
