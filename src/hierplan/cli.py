@@ -145,9 +145,10 @@ def plan(domain_file, option_sets, reward_mode, query_file, b_spec, g_spec,
         f"cost {planning_cost(rec)} ops "
         f"(match {rec.match_seconds * 1000:.3f} ms, plan {rec.plan_seconds * 1000:.3f} ms)"
     )
+    level = h.level(answer.level_index)
     for s in sorted(answer.plan.starts):
-        seq = answer.plan.action_sequence(s)
-        label = h.level(answer.level_index).space.label(s)
+        seq = answer.plan.action_sequence(level, s)
+        label = level.space.label(s)
         click.echo(f"  from {label}: {' -> '.join(seq) if seq else '(already at goal)'}")
     if refine_from is not None:
         trace = refine(h, answer.plan, refine_from)

@@ -86,15 +86,30 @@ def export_pddl(
     return _export_plan_graph(level, init, goal)
 
 
+def _domain_text(predicates: list[str], actions: list[str]) -> str:
+    """The domain skeleton both exports share."""
+    return "\n".join(
+        [
+            f"(define (domain {DOMAIN_NAME})",
+            "  (:requirements :strips)",
+            "  (:predicates",
+            "\n".join(f"    ({p})" for p in predicates),
+            "  )",
+            "\n".join(actions),
+            ")",
+            "",
+        ]
+    )
+
+
 def _export_factored(
     h: Hierarchy, level: AbstractLevel, init: int, goal: int
 ) -> tuple[str, str]:
     below_space: StateSpace = h.level(level.level_index - 1).space
     space = level.space
     names = space.variable_names()
-    predicates = [
-        _prop(v.name, value) for v in space.variables or () for value in v.domain
-    ]
+    domains = {v.name: v.domain for v in space.variables or ()}
+    predicates = [_prop(n, value) for n, domain in domains.items() for value in domain]
 
     actions = []
     for part in level.parts:
@@ -109,10 +124,10 @@ def _export_factored(
         for n in names:
             if n not in masked:
                 continue
-            effects.append(f"({_prop(n, masked[n])})")
-            domain = dict((v.name, v.domain) for v in space.variables or ())[n]
+            value = masked[n]
+            effects.append(f"({_prop(n, value)})")
             effects.extend(
-                f"(not ({_prop(n, other)}))" for other in domain if other != masked[n]
+                f"(not ({_prop(n, other)}))" for other in domains[n] if other != value
             )
         lines = [f"  (:action {_sanitize(part.part_id)}"]
         if not exact:
@@ -122,18 +137,7 @@ def _export_factored(
         lines.append("  )")
         actions.append("\n".join(lines))
 
-    domain = "\n".join(
-        [
-            f"(define (domain {DOMAIN_NAME})",
-            "  (:requirements :strips)",
-            "  (:predicates",
-            "\n".join(f"    ({p})" for p in predicates),
-            "  )",
-            "\n".join(actions),
-            ")",
-            "",
-        ]
-    )
+    domain = _domain_text(predicates, actions)
 
     def state_props(s: int) -> list[str]:
         return [f"({_prop(n, v)})" for n, v in zip(names, space.assignment(s))]
@@ -169,18 +173,7 @@ def _export_plan_graph(level: AbstractLevel, init: int, goal: int) -> tuple[str,
                 ]
             )
         )
-    domain = "\n".join(
-        [
-            f"(define (domain {DOMAIN_NAME})",
-            "  (:requirements :strips)",
-            "  (:predicates",
-            "\n".join(f"    ({p})" for p in node),
-            "  )",
-            "\n".join(actions),
-            ")",
-            "",
-        ]
-    )
+    domain = _domain_text(node, actions)
     problem = "\n".join(
         [
             f"(define (problem {PROBLEM_NAME})",

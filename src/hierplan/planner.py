@@ -46,13 +46,14 @@ from .symbols import GroundingSet
 
 @dataclass(frozen=True)
 class Plan:
-    """A goal-reaching policy over one level.
+    """A goal-reaching policy over one level: an option over that level.
 
     ``policy`` maps every settled state to the action that steps one edge
     closer to ``goals``; following it from any state in ``starts`` reaches
-    a goal in at most ``num_states`` steps. ``_successors`` maps each of
-    those states to the state its policy action leads to, so the plan can
-    be walked without its level.
+    a goal in at most ``num_states`` steps. `action_sequence` reads each
+    step's successor from the level it is given; a plan keeps no
+    reference to its level, so an answer kept alive does not keep its
+    hierarchy alive.
     """
 
     level_index: int
@@ -60,27 +61,30 @@ class Plan:
     starts: GroundingSet
     goals: GroundingSet
 
-    def action_sequence(self, start: int) -> list[str]:
-        """Actions taken following the policy from ``start`` to a goal."""
+    def action_sequence(self, level, start: int) -> list[str]:
+        """Actions taken following the policy from ``start`` to a goal,
+        each step through ``level.transition``. LevelMismatch when
+        ``level`` is not the plan's; RefinementFault when the walk meets a
+        state without a policy action or an action the level lacks there,
+        or comes back to a state it left."""
+        if level.level_index != self.level_index:
+            raise LevelMismatch(f"plan level {self.level_index} vs {level.level_index}")
+        transition = level.transition
         seq: list[str] = []
         state = start
-        steps = 0
         while state not in self.goals:
-            if state not in self.policy or steps > len(self.policy) + 1:
+            action = self.policy.get(state)
+            state = transition.get((state, action))
+            # len(seq) + 1 states with actions so far: past len(policy), one repeats
+            if state is None or len(seq) == len(self.policy):
                 raise RefinementFault(f"no policy path from state {start}")
-            seq.append(self.policy[state])
-            state = self._successors[state]
-            steps += 1
+            seq.append(action)
         return seq
 
     def as_option(self, name: str) -> Option:
         """The plan as an option over its level: its starts are the
         initiation set, its goals the termination set."""
         return Option(name, self.starts, self.goals, self.policy)
-
-    _successors: dict[int, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
 
 @dataclass
@@ -205,10 +209,10 @@ def findplan(
     One backward breadth-first pass from ``goals``. The full backward
     closure of the goal set is computed, so the policy covers every state
     that can reach a goal, not just the requested starts. While the
-    states at depth ``d - 1`` are expanded, a state's policy action and
-    successor are written when it is first reached at depth ``d``, and
-    rewritten only by another edge at that depth whose action comes
-    earlier in ``level.actions``. So each state keeps the first declared
+    states at depth ``d - 1`` are expanded, a state's policy action is
+    written when it is first reached at depth ``d``, and rewritten only
+    by another edge at that depth whose action comes earlier in
+    ``level.actions``. So each state keeps the first declared
     action that steps one closer, whatever order the frontier is walked
     in, which makes plans deterministic. The edge examinations (one per
     predecessor edge of every settled state) are added to ``record`` when
@@ -229,7 +233,6 @@ def findplan(
     for g in frontier:
         dist[g] = 0
     policy: dict[int, str] = {}
-    successor: dict[int, int] = {}
     depth = 0
     ops = 0
     while frontier:
@@ -246,12 +249,11 @@ def findplan(
                 elif d != depth or rank[action] >= rank[policy[s]]:
                     continue
                 policy[s] = action
-                successor[s] = t
         frontier = nxt
     _charge(record, level.level_index, ops)
     if any(dist[s] < 0 if s < n else s not in goals for s in starts):
         return None
-    return Plan(level.level_index, policy, starts, goals, _successors=successor)
+    return Plan(level.level_index, policy, starts, goals)
 
 
 def plan_option(
@@ -286,10 +288,11 @@ def findplan_value_iteration(
     improving is on or behind a reward-positive cycle. A state that
     improves once its queue budget is spent cannot pass the improvement
     on, so it and every non-goal state behind it hold stale labels. None
-    when some start has no value or a stale one, or when the policy does
-    not lead every start into ``goals``. Each predecessor edge examined
-    counts one operation in ``record``, when one is given. Ids outside
-    the level follow `findplan`'s rule.
+    when some start has no value or a stale one, or when the policy,
+    walked through the level's transition table, does not lead every
+    start into ``goals``. Each predecessor edge examined counts one
+    operation in ``record``, when one is given. Ids outside the level
+    follow `findplan`'s rule.
 
     As in `findplan`, states are dense ids: each state's value, step
     count, queue count and waiting and stale flags are held in lists of
@@ -312,7 +315,6 @@ def findplan_value_iteration(
     is_stale = [False] * n
     stale: list[int] = []
     policy: dict[int, str] = {}
-    successor: dict[int, int] = {}
     # goal ids outside the level keep their label but are never queued
     queue = deque(g for g in goals if g < n)
     for g in queue:
@@ -339,13 +341,13 @@ def findplan_value_iteration(
                     if k == old:  # same label, so no need to queue s
                         action = edge[1]
                         if rank[action] < rank[policy[s]]:
-                            policy[s], successor[s] = action, t
+                            policy[s] = action
                         continue
                 elif v < value[s]:
                     continue
             value[s] = v
             steps[s] = k
-            policy[s], successor[s] = edge[1], t
+            policy[s] = edge[1]
             if waiting[s]:
                 continue
             if times_queued[s] < n:
@@ -368,10 +370,10 @@ def findplan_value_iteration(
         (steps[s] < 0 or is_stale[s]) if s < n else s not in goals for s in starts
     ):
         return None
-    plan = Plan(level.level_index, policy, starts, goals, _successors=successor)
+    plan = Plan(level.level_index, policy, starts, goals)
     try:
         for s in starts:
-            plan.action_sequence(s)
+            plan.action_sequence(level, s)
     except RefinementFault:
         return None
     return plan
@@ -384,9 +386,13 @@ def findplan_value_iteration(
 
 @dataclass(frozen=True)
 class PlanAnswer:
-    level_index: int
     plan: Plan
     record: InstrumentationRecord
+
+    @property
+    def level_index(self) -> int:
+        """The level the plan lives at."""
+        return self.plan.level_index
 
 
 def answer_query(
@@ -431,7 +437,7 @@ def answer_query(
         clock = now
         if plan is not None:
             record.solution_level = j
-            return PlanAnswer(j, plan, record)
+            return PlanAnswer(plan, record)
     return None
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .abstraction import RewardMode
 from .core import BaseMDP, Option, StateSpace, Variable
-from .domain_io import explicit_states
+from .domain_io import expand_generic
 from .errors import MalformedInput, UnknownName
 from .hierarchy import Hierarchy, PlanQuery
 from .planner import plan_option
@@ -246,12 +246,11 @@ def depot_seed_states(
 
 def build_taxi_hierarchy(
     layout: TaxiLayout = DEFAULT_LAYOUT,
-    reward_mode: RewardMode | None = None,
+    reward_mode: RewardMode = RewardMode.UNIFORM_PENALTY,
 ) -> Hierarchy:
     """Base MDP, navigation level, ferry level."""
-    mode = reward_mode if reward_mode is not None else RewardMode.UNIFORM_PENALTY
     mdp = build_taxi(layout)
-    h = Hierarchy(base=mdp, reward_mode=mode)
+    h = Hierarchy(base=mdp, reward_mode=reward_mode)
     h = h.add_level(taxi_options_level1(mdp, layout), seeds=depot_seed_states(mdp, layout))
     h = h.add_level(taxi_options_level2(h, layout))
     return h
@@ -270,10 +269,12 @@ def expand_constraints(
     Keys: ``taxi-at`` / ``pass-at`` (a depot name, ``"any-depot"``, or an
     ``[x, y]`` cell), ``in-taxi`` (boolean), ``states`` (explicit id
     list), or raw variable names. Missing keys are unconstrained.
+    ``states`` overrides every other key. The rest becomes raw variable
+    constraints, which `expand_generic` expands like any domain's.
     """
     space = mdp.space
     if "states" in spec:
-        return explicit_states(mdp, spec["states"])
+        return expand_generic(mdp, spec)
     constraints: dict[str, object] = {}
 
     def place(key: str, prefix: str, value) -> None:
@@ -304,9 +305,7 @@ def expand_constraints(
             constraints["in-taxi"] = value
         else:
             constraints[key] = value
-    result = space.where(**constraints) if constraints else GroundingSet.of(
-        0, space.states
-    )
+    result = expand_generic(mdp, constraints)
     for prefix in any_depot:
         cells = [layout.depot_cell(d) for d in layout.depot_names()]
         at_depot = GroundingSet.empty(0)

@@ -134,14 +134,13 @@ def plan_match(h, pair, query):
 def oracle_value_iteration(level, starts, goals, record=None):
     """`findplan_value_iteration` as it was written over a label dict, a
     `Counter` of queue counts and a ``waiting`` set, kept as the oracle
-    the dense-id walk must agree with: the same policy, successors,
-    edge examinations and None-ness."""
+    the dense-id walk must agree with: the same policy, edge
+    examinations and None-ness."""
     rank = {a: i for i, a in enumerate(level.actions)}
     preds = level._predecessors
     label: dict[int, tuple[float, int]] = dict.fromkeys(goals, (0.0, 0))
     is_goal = goals.bitstring(level.num_states)
     policy: dict[int, str] = {}
-    successor: dict[int, int] = {}
     times_queued: Counter[int] = Counter()
     # goal ids outside the level keep their label but are never queued
     queue = deque(g for g in goals if g < len(preds))
@@ -163,12 +162,12 @@ def oracle_value_iteration(level, starts, goals, record=None):
                     if (offer[1], rank[action]) >= (old[1], rank[policy[s]]):
                         continue
                     if offer[1] == old[1]:  # same label, so no need to queue s
-                        policy[s], successor[s] = action, t
+                        policy[s] = action
                         continue
                 elif offer[0] < old[0]:
                     continue
             label[s] = offer
-            policy[s], successor[s] = action, t
+            policy[s] = action
             if s in waiting:
                 continue
             if times_queued[s] < level.num_states:
@@ -190,10 +189,10 @@ def oracle_value_iteration(level, starts, goals, record=None):
         record.total_ops += ops
     if any(s not in label or s in stale for s in starts):
         return None
-    plan = Plan(level.level_index, policy, starts, goals, _successors=successor)
+    plan = Plan(level.level_index, policy, starts, goals)
     try:
         for s in starts:
-            plan.action_sequence(s)
+            plan.action_sequence(level, s)
     except RefinementFault:
         return None
     return plan

@@ -76,7 +76,7 @@ def test_criterion_04_q1_single_option_plan_and_full_graph(hierarchy, benchmark_
     answer = answer_query(hierarchy, benchmark_queries["Q1"])
     assert answer.level_index == 2
     start = next(iter(answer.plan.starts))
-    sequence = answer.plan.action_sequence(start)
+    sequence = answer.plan.action_sequence(hierarchy.level(2), start)
     assert sequence == ["passenger-to-red"]
     level2 = hierarchy.level(2)
     assert len(level2.transitions) == 12

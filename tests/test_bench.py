@@ -57,8 +57,8 @@ class TestFlattenedSMDP:
         flat = findplan(taxi_hierarchy.base, q.starts, q.goals)
         assert with_options is not None and flat is not None
         for s in q.starts:
-            assert len(with_options.action_sequence(s)) <= len(
-                flat.action_sequence(s)
+            assert len(with_options.action_sequence(smdp, s)) <= len(
+                flat.action_sequence(taxi_hierarchy.base, s)
             )
 
 

@@ -17,6 +17,8 @@ from hierplan import (
     Violation,
     answer_query,
     build_taxi_hierarchy,
+    findplan,
+    findplan_value_iteration,
     flatten_options,
     one_step_preimage_options,
     refine,
@@ -326,10 +328,24 @@ class TestRandomDomains:
             return
         assert h.validate() == []
         query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
+        # answer_query falls through to level 0, where it plans like flat
+        # search, so flat search is the oracle for when an answer exists
+        flat_bfs = findplan(mdp, query.starts, query.goals)
+        flat_vi = findplan_value_iteration(mdp, query.starts, query.goals)
         for plan_mode in ("reachability", "value-iteration"):
             answer = answer_query(h, query, plan_mode=plan_mode)
+            if plan_mode == "reachability":
+                assert (answer is None) == (flat_bfs is None)
+            elif flat_vi is not None:
+                assert answer is not None
             if answer is None:
                 continue
+            level = h.level(answer.level_index)
+            for s in answer.plan.starts:
+                state = s
+                for action in answer.plan.action_sequence(level, s):
+                    state, _ = level.step(state, action)
+                assert state in answer.plan.goals
             for start in starts:
                 trace = refine(h, answer.plan, start)
                 assert trace.visited[0] == start and trace.end in goals

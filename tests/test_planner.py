@@ -229,7 +229,7 @@ class TestFindplan:
             h.level(2), GroundingSet.of(2, {blue}), GroundingSet.of(2, {red})
         )
         assert plan is not None
-        assert plan.action_sequence(blue) == ["passenger-to-red"]
+        assert plan.action_sequence(h.level(2), blue) == ["passenger-to-red"]
 
     def test_q2_level1_policy_drives_to_yellow(self, taxi_hierarchy, queries):
         h = taxi_hierarchy
@@ -238,7 +238,7 @@ class TestFindplan:
         plan = findplan(h.level(1), b, g)
         assert plan is not None
         for s in b:
-            seq = plan.action_sequence(s)
+            seq = plan.action_sequence(h.level(1), s)
             assert len(seq) <= 1
             if seq:
                 assert seq[0].startswith("drive-to-yellow")
@@ -251,7 +251,7 @@ class TestFindplan:
             h.level(2), GroundingSet.of(2, {blue}), GroundingSet.of(2, {blue})
         )
         assert plan is not None  # blue is already a goal
-        assert plan.action_sequence(blue) == []
+        assert plan.action_sequence(h.level(2), blue) == []
 
     def test_some_start_cannot_reach(self):
         from hierplan import BaseMDP, StateSpace
@@ -274,7 +274,7 @@ class TestFindplan:
             assert (bfs is None) == (vi is None)
             if vi is not None:
                 for s in list(q.starts)[:3]:
-                    seq = vi.action_sequence(s)
+                    seq = vi.action_sequence(h.base, s)
                     state = s
                     for a in seq:
                         state, _ = h.base.step(state, a)
@@ -328,11 +328,6 @@ class TestFindplan:
                 assert (bfs is None) == (vi is None)
                 if bfs is not None:
                     assert vi.policy == bfs.policy, (name, j)
-                    for plan in (bfs, vi):
-                        assert plan._successors == {
-                            s: h.level(j).transition[(s, a)]
-                            for s, a in plan.policy.items()
-                        }, (name, j)
 
     @settings(max_examples=200, deadline=None)
     @given(random_domains(), st.data())
@@ -373,7 +368,7 @@ class TestFindplan:
             return
         for s in starts:
             state, total = s, 0.0
-            for a in plan.action_sequence(s):
+            for a in plan.action_sequence(mdp, s):
                 state, r = mdp.step(state, a)
                 total += r
             assert state in goals
@@ -404,7 +399,7 @@ class TestFindplan:
             return
         for s in starts:
             state = s
-            for a in plan.action_sequence(s):
+            for a in plan.action_sequence(mdp, s):
                 state, _ = mdp.step(state, a)
             assert state in goals
 
@@ -412,9 +407,8 @@ class TestFindplan:
     @settings(max_examples=200, deadline=None)
     @given(random_domains(), st.data())
     def test_successors_follow_the_policy(self, domain, data):
-        """Each policy state's successor is where its action leads, and a
-        start's action sequence replayed on the domain ends in the goals,
-        after exactly the start's distance for `findplan`."""
+        """A start's action sequence replayed on the domain ends in the
+        goals, after exactly the start's distance for `findplan`."""
         n, transition, _, starts, goals = domain
         edges = sorted(transition)
         rewards = data.draw(
@@ -433,11 +427,9 @@ class TestFindplan:
             plan = search(mdp, b, g)
             if plan is None:
                 continue
-            for s, a in plan.policy.items():
-                assert plan._successors[s] == mdp.transition[(s, a)]
             for s in starts:
                 state = s
-                sequence = plan.action_sequence(s)
+                sequence = plan.action_sequence(mdp, s)
                 for a in sequence:
                     state, _ = mdp.step(state, a)
                 assert state in goals
@@ -464,7 +456,7 @@ class TestFindplan:
         )
         b, g = GroundingSet.of(0, {2}), GroundingSet.of(0, {0})
         assert findplan_value_iteration(mdp, b, g) is None
-        assert findplan(mdp, b, g).action_sequence(2) == ["a"]
+        assert findplan(mdp, b, g).action_sequence(mdp, 2) == ["a"]
 
     @pytest.mark.parametrize("search", [findplan, findplan_value_iteration])
     @pytest.mark.parametrize(
@@ -498,13 +490,56 @@ class TestFindplan:
         assert plan.policy == policy
         assert plan.goals == g and plan.starts == b
         for s in starts:
-            assert len(plan.action_sequence(s)) == (0 if s in goals else 2 - s)
+            assert len(plan.action_sequence(mdp, s)) == (0 if s in goals else 2 - s)
+
+
+def three_states(transition, level_index=0):
+    return BaseMDP(
+        space=StateSpace(level_index=level_index, num_states=3),
+        actions=("a", "b"),
+        transition=transition,
+        reward=dict.fromkeys(transition, -1.0),
+    )
+
+
+class TestActionSequence:
+    """A plan built by hand is walked through the level it is given, and
+    every fault of the walk is typed."""
+
+    @staticmethod
+    def plan(policy):
+        return Plan(0, policy, GroundingSet.of(0, [0]), GroundingSet.of(0, [1]))
+
+    def test_walks_the_levels_transition_table(self):
+        level = three_states({(0, "a"): 2, (2, "b"): 1})
+        plan = self.plan({0: "a", 2: "b"})
+        assert plan.action_sequence(level, 0) == ["a", "b"]
+        assert plan.action_sequence(level, 1) == []
+        assert self.plan({0: "a"}).action_sequence(three_states({(0, "a"): 1}), 0) == ["a"]
+
+    @pytest.mark.parametrize(
+        "policy, transition",
+        [
+            ({0: "a"}, {(0, "b"): 1}),
+            ({0: "a"}, {(0, "a"): 2}),
+            ({0: "a", 2: "a"}, {(0, "a"): 2, (2, "a"): 0}),
+        ],
+        ids=["action-not-in-table", "state-without-action", "cycle"],
+    )
+    def test_broken_walk_raises_refinement_fault(self, policy, transition):
+        with pytest.raises(RefinementFault):
+            self.plan(policy).action_sequence(three_states(transition), 0)
+
+    def test_level_of_another_index_raises_level_mismatch(self):
+        level = three_states({(0, "a"): 1}, level_index=1)
+        with pytest.raises(LevelMismatch):
+            self.plan({0: "a"}).action_sequence(level, 0)
 
 
 def assert_same_value_iteration(level, starts, goals):
     """`findplan_value_iteration` and `oracle_value_iteration` return the
-    same policy and successors, in the same order, examine the same
-    number of edges, and fail on the same inputs."""
+    same policy, in the same order, examine the same number of edges,
+    and fail on the same inputs."""
     got_record = InstrumentationRecord(search_top=level.level_index)
     want_record = InstrumentationRecord(search_top=level.level_index)
     got = findplan_value_iteration(level, starts, goals, got_record)
@@ -513,7 +548,6 @@ def assert_same_value_iteration(level, starts, goals):
     assert (got is None) == (want is None)
     if got is not None:
         assert list(got.policy.items()) == list(want.policy.items())
-        assert list(got._successors.items()) == list(want._successors.items())
         assert (got.starts, got.goals) == (starts, goals)
 
 
@@ -668,7 +702,7 @@ class TestAnswerQuery:
         q = PlanQuery(GroundingSet.of(0, {0}), GroundingSet.of(0, {2}))
         assert findplan_value_iteration(mdp, q.starts, q.goals) is None
         assert answer_query(h, q, plan_mode="value-iteration") is None
-        assert answer_query(h, q).plan.action_sequence(0) == ["fwd", "fwd"]
+        assert answer_query(h, q).plan.action_sequence(mdp, 0) == ["fwd", "fwd"]
 
     def test_findplan_with_empty_goal_set_is_null(self, taxi_hierarchy):
         empty = GroundingSet.empty(0)
@@ -702,7 +736,7 @@ class TestRefinement:
         start = next(iter(q.starts))
         trace = refine(taxi_hierarchy, answer.plan, start)
         state = start
-        for a in answer.plan.action_sequence(start):
+        for a in answer.plan.action_sequence(taxi_hierarchy.base, start):
             state, _ = taxi_hierarchy.base.step(state, a)
         assert state == trace.end
 
