@@ -25,9 +25,8 @@ from .core import (
     StateSpace,
     Variable,
     execute_option,
-    one_step_preimage_options,
 )
-from .domain_io import load_domain, load_query
+from .domain_io import build_hierarchy, load_domain, load_query
 from .hierarchy import Hierarchy, PlanQuery, Violation
 from .pddl import export_pddl
 from .planner import (
@@ -79,6 +78,7 @@ __all__ = [
     "answer_query",
     "assign_rewards",
     "build_factored_abstraction",
+    "build_hierarchy",
     "build_plan_graph",
     "build_taxi",
     "build_taxi_hierarchy",
@@ -94,7 +94,6 @@ __all__ = [
     "flatten_options",
     "load_domain",
     "load_query",
-    "one_step_preimage_options",
     "benchmark_queries",
     "partition_option",
     "plan_option",

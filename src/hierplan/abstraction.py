@@ -37,6 +37,7 @@ from .core import (
     Option,
     StateSpace,
     default_step_bound,
+    require_within_level,
 )
 from .errors import (
     InapplicableAction,
@@ -99,13 +100,8 @@ def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
     bound). An option whose initiation or termination names a state
     outside the level raises MalformedInput before any simulation.
     """
+    require_within_level(option.name, level, option.initiation, option.termination)
     n = level.num_states
-    named = option.initiation.bits | option.termination.bits
-    if named >> n:
-        raise MalformedInput(
-            f"option {option.name!r} names state {named.bit_length() - 1}, "
-            f"outside level {level.space.level_index}'s {n} states"
-        )
     bound = default_step_bound(level)
     stop = option.termination.bitstring(n)
     policy = option.policy
@@ -426,14 +422,15 @@ def build_plan_graph(
 
     # profile-based widening: all lower states whose membership pattern
     # across every part initiation matches the effect set's containment
-    # pattern
+    # pattern, read per state by zipping one membership string per part
     inits = [p.initiation for p in parts]
-    by_profile: dict[tuple[bool, ...], list[int]] = {}
-    for s in level.space.states:
-        by_profile.setdefault(tuple(s in i for i in inits), []).append(s)
+    n = level.num_states
+    by_profile: dict[tuple[str, ...], list[int]] = {}
+    for s, profile in enumerate(zip(*(i.bitstring(n) for i in inits))):
+        by_profile.setdefault(profile, []).append(s)
     widened = [
         GroundingSet.of(
-            lvl, by_profile.get(tuple(p.effect.issubset(i) for i in inits), ())
+            lvl, by_profile.get(tuple("01"[p.effect <= i] for i in inits), ())
         )
         for p in parts
     ]

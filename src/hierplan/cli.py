@@ -15,9 +15,9 @@ import click
 from . import taxi as taxi_mod
 from .abstraction import RewardMode
 from .bench import rows_to_csv, rows_to_json, run_benchmark
-from .domain_io import expand_generic, load_domain, load_query
+from .domain_io import build_hierarchy, expand_generic, load_domain, load_query
 from .errors import HierplanError, MalformedInput
-from .hierarchy import Hierarchy, PlanQuery
+from .hierarchy import PlanQuery
 from .pddl import export_pddl
 from .planner import answer_query, planning_cost, refine
 
@@ -26,15 +26,12 @@ def _build_hierarchy(domain_file: str | None, option_sets: tuple[str, ...],
                      reward_mode: str):
     mode = RewardMode(reward_mode)
     if domain_file is None:
-        h = taxi_mod.build_taxi_hierarchy(reward_mode=mode)
-        return h, "taxi"
+        return taxi_mod.build_taxi_hierarchy(reward_mode=mode), "taxi"
     mdp, named = load_domain(domain_file)
-    h = Hierarchy(base=mdp, reward_mode=mode)
     for name in option_sets:
         if name not in named:
             raise click.ClickException(f"domain file defines no option set {name!r}")
-        h = h.add_level(named[name])
-    return h, "file"
+    return build_hierarchy(mdp, [named[n] for n in option_sets], mode), "file"
 
 
 def _json_arg(flag: str, text: str) -> dict:
@@ -57,7 +54,7 @@ domain_options = [
     click.option("--domain-file", type=click.Path(exists=True), default=None,
                  help="JSON domain instead of the built-in taxi domain."),
     click.option("--option-set", "option_sets", multiple=True,
-                 help="Named option set from the domain file (one level for now)."),
+                 help="Option set from the domain file; repeat to stack levels."),
     click.option("--reward-mode", type=click.Choice(["uniform", "empirical"]),
                  default="uniform", show_default=True),
 ]

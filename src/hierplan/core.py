@@ -281,27 +281,12 @@ def _execute_into(
     return state, total
 
 
-def one_step_preimage_options(mdp: BaseMDP) -> list[Option]:
-    """One subgoal option per state: initiation is the state's one-step
-    preimage, the policy applies any action reaching it, termination is
-    the state itself.
-
-    Wrapping every primitive transition this way yields an abstraction
-    whose plan graph mirrors the base MDP's successor structure.
-    """
-    lvl = mdp.level_index
-    by_target: dict[int, dict[int, str]] = {}
-    for (s, a), t in sorted(mdp.transition.items()):
-        by_target.setdefault(t, {}).setdefault(s, a)
-    options = []
-    for target in sorted(by_target):
-        policy = by_target[target]
-        options.append(
-            Option(
-                name=f"reach-{mdp.space.label(target)}",
-                initiation=GroundingSet.of(lvl, policy),
-                termination=GroundingSet.single(lvl, target),
-                policy=policy,
-            )
+def require_within_level(name: str, level, *sets: GroundingSet) -> None:
+    """MalformedInput when one of option ``name``'s ``sets`` names a state
+    outside ``level``."""
+    width = max(g.bits.bit_length() for g in sets)
+    if width > level.num_states:
+        raise MalformedInput(
+            f"option {name!r} names state {width - 1}, "
+            f"outside level {level.space.level_index}'s {level.num_states} states"
         )
-    return options

@@ -1,4 +1,5 @@
-"""JSON schemas for domains, option sets, and plan queries.
+"""JSON schemas for domains, option sets, and plan queries, and the
+builder that turns option sets into a hierarchy.
 
 Domain file::
 
@@ -13,22 +14,24 @@ Domain file::
       "transitions": [[0, "fwd", 1], [1, "fwd", 2, -1.0]],   // reward
                                                              // defaults -1
       "options": {
-        "level1": [
-          {"name": "to-end", "initiation": [0, 1], "termination": [2],
-           "policy": {"0": "fwd", "1": "fwd"}}
-        ]
+        "level1": {"seeds": [0], "options": [                // seeds optional
+          {"name": "to-end", "initiation": {"except": {"pos": 2}},
+           "termination": [2], "policy": {"0": "fwd", "1": "fwd"}}
+        ]},
+        "level2": [ ... ]                     // a list: options, no seeds
       }
     }
 
-Query file::
+Each option set runs over the level the sets before it build. A set is
+a constraint object or a list of that level's state ids. `plan_option`
+plans the policy of an option that gives none.
 
-    {"B": {"pos": [0, 1]}, "G": {"pos": 2}}
-    {"B": {"states": [0]}, "G": {"states": [2]}}
+Query file: ``{"B": {"pos": [0, 1]}, "G": {"states": [2]}}``.
 
 Constraint objects map variable names to a value or list of allowed
-values; ``states`` gives explicit ids. The taxi domain additionally
-understands ``taxi-at`` / ``pass-at`` / ``any-depot`` sugar (see
-`hierplan.taxi.expand_constraints`).
+values; ``states`` gives explicit ids and ``except`` removes another set.
+The taxi domain additionally understands ``taxi-at`` / ``pass-at`` /
+``any-depot`` sugar (see `hierplan.taxi.expand_constraints`).
 """
 
 from __future__ import annotations
@@ -36,11 +39,31 @@ from __future__ import annotations
 import json
 from os import PathLike
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
+from .abstraction import RewardMode
 from .core import BaseMDP, Option, StateSpace, Variable
 from .errors import MalformedInput
-from .hierarchy import PlanQuery
+from .hierarchy import Hierarchy, PlanQuery
+from .planner import plan_option
 from .symbols import GroundingSet
+
+
+class OptionSpec(NamedTuple):
+    """One skill, unresolved: a name, initiation and termination sets,
+    and a policy that `plan_option` plans when it is None."""
+
+    name: str
+    initiation: dict | list
+    termination: dict | list
+    policy: dict[int, str] | None = None
+
+
+class OptionSetSpec(NamedTuple):
+    """The skills that build one level, and its factored closure seeds."""
+
+    options: tuple[OptionSpec, ...]
+    seeds: dict | list | None = None
 
 
 def _object(value) -> dict:
@@ -81,13 +104,17 @@ def _parse(data: dict, key: str, what: str, convert):
         raise MalformedInput(f"{what} has a malformed {key!r}: {value!r}") from None
 
 
-def _base_states(ids) -> GroundingSet:
-    return GroundingSet.of(0, ids)
+def _set_spec(value) -> dict | list:
+    """``value`` itself; TypeError unless it is a list of state ids or a
+    constraint object."""
+    if isinstance(value, list) and all(type(s) is int for s in value):
+        return value
+    return _object(value)
 
 
-def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
-    """Build a BaseMDP (and any named option sets) from a JSON file or an
-    already-parsed dict."""
+def load_domain(source) -> tuple[BaseMDP, dict[str, OptionSetSpec]]:
+    """Build a BaseMDP from a JSON file or an already-parsed dict, with
+    its named option sets unresolved, for `build_hierarchy`."""
     data = {"gamma": 1.0, "options": {}, **_read(source)}
     labels = _parse(data, "labels", "domain", tuple) if "labels" in data else None
     if data.get("variables") is not None:
@@ -131,54 +158,93 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, list[Option]]]:
         reward=reward,
         gamma=_parse(data, "gamma", "domain", float),
     )
-    option_sets: dict[str, list[Option]] = {}
-    options = _parse(data, "options", "domain", _object)
-    for set_name in options:
-        entries = _parse(
-            options, set_name, "the 'options' object",
-            lambda v: [_object(e) for e in v],
-        )
-        what = f"an option of set {set_name!r}"
-        option_sets[set_name] = [
-            Option(
+    sets, what = _parse(data, "options", "domain", _object), "the 'options' object"
+    return mdp, {n: _parse(sets, n, what, lambda v: _option_set(n, v)) for n in sets}
+
+
+def _option_set(name: str, value) -> OptionSetSpec:
+    """An option set: a list of options, or an object that holds them
+    under ``options`` and may give ``seeds``. Policy keys become ids.
+    TypeError when an option is not a JSON object."""
+    spec = {"options": value} if isinstance(value, list) else _object(value)
+    what, where = f"an option of set {name!r}", f"option set {name!r}"
+    return OptionSetSpec(
+        options=tuple(
+            OptionSpec(
                 name=_require(e, "name", what),
-                initiation=_parse(e, "initiation", what, _base_states),
-                termination=_parse(e, "termination", what, _base_states),
+                initiation=_parse(e, "initiation", what, _set_spec),
+                termination=_parse(e, "termination", what, _set_spec),
                 policy=_parse(
                     e, "policy", what, lambda p: {int(k): v for k, v in p.items()}
-                ),
+                ) if "policy" in e else None,
             )
-            for e in entries
-        ]
-    return mdp, option_sets
+            for e in map(_object, _parse(spec, "options", where, list))
+        ),
+        seeds=_parse(spec, "seeds", where, _set_spec) if "seeds" in spec else None,
+    )
 
 
-def explicit_states(mdp: BaseMDP, ids) -> GroundingSet:
-    """A constraint's ``states`` value as base states; MalformedInput
-    unless it is a list of state ids of ``mdp``."""
-    states = mdp.space.states
-    if not isinstance(ids, list) or not all(type(s) is int and s in states for s in ids):
-        raise MalformedInput(
-            f"'states' must list state ids in 0..{len(states) - 1}, got {ids!r}"
+def expand_generic(level, spec: dict | list) -> GroundingSet:
+    """A set as states of ``level``, without domain-specific sugar: a
+    list names state ids; a constraint object holds every state when it
+    is empty, else those its ``states`` list (which must name states of
+    the level) or variable constraints give, less its ``except`` set."""
+    if isinstance(spec, list):
+        return GroundingSet.of(level.level_index, spec)
+    rest = {k: v for k, v in spec.items() if k != "except"}
+    states = level.space.states
+    if "states" in rest:
+        ids = rest["states"]
+        if not isinstance(ids, list) or not all(type(s) is int and s in states for s in ids):
+            raise MalformedInput(
+                f"'states' must list state ids in 0..{len(states) - 1}, got {ids!r}"
+            )
+        result = GroundingSet.of(level.level_index, ids)
+    elif rest:
+        result = level.space.where(**rest)
+    else:
+        result = GroundingSet(level.level_index, (1 << len(states)) - 1)
+    if "except" in spec:
+        result = result - expand_generic(
+            level, _parse(spec, "except", "a constraint object", _set_spec)
         )
-    return GroundingSet.of(0, ids)
+    return result
 
 
-def expand_generic(mdp: BaseMDP, spec: dict) -> GroundingSet:
-    """Constraint object to base states, without domain-specific sugar."""
-    if "states" in spec:
-        return explicit_states(mdp, spec["states"])
-    if not spec:
-        return GroundingSet.of(0, mdp.space.states)
-    return mdp.space.where(**spec)
+def resolve_options(level, spec: OptionSetSpec) -> list[Option]:
+    """``spec``'s options over ``level``; `plan_option` plans each one
+    given without a policy."""
+    options = []
+    for o in spec.options:
+        sets = expand_generic(level, o.initiation), expand_generic(level, o.termination)
+        options.append(
+            plan_option(o.name, level, *sets) if o.policy is None
+            else Option(o.name, *sets, o.policy)
+        )
+    return options
 
 
-def load_query(mdp: BaseMDP, source, expand=None) -> PlanQuery:
+def build_hierarchy(
+    base: BaseMDP,
+    sets: Iterable[OptionSetSpec],
+    reward_mode: RewardMode = RewardMode.UNIFORM_PENALTY,
+) -> Hierarchy:
+    """The hierarchy over ``base`` with one level per option set, built
+    bottom-up: each set's options and seeds are resolved against the
+    level the sets before it built."""
+    h = Hierarchy(base=base, reward_mode=reward_mode)
+    for spec in sets:
+        top = h.level(h.num_levels)
+        seeds = None if spec.seeds is None else expand_generic(top, spec.seeds)
+        h = h.add_level(resolve_options(top, spec), seeds=seeds)
+    return h
+
+
+def load_query(mdp: BaseMDP, source, expand=expand_generic) -> PlanQuery:
     """Read ``{"B": ..., "G": ...}``; ``expand`` overrides constraint
     expansion (the CLI passes the taxi-aware expander for taxi runs)."""
     data = _read(source)
-    expander = expand if expand is not None else expand_generic
     return PlanQuery(
-        expander(mdp, _parse(data, "B", "query", _object)),
-        expander(mdp, _parse(data, "G", "query", _object)),
+        expand(mdp, _parse(data, "B", "query", _object)),
+        expand(mdp, _parse(data, "G", "query", _object)),
     )

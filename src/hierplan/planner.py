@@ -26,7 +26,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import ExecutionTrace, Option, _execute_into, default_step_bound
+from .core import ExecutionTrace, Option, _execute_into, default_step_bound, require_within_level
 from .errors import (
     HierplanError,
     InapplicableAction,
@@ -261,8 +261,9 @@ def plan_option(
 ) -> Option:
     """An option over ``level`` planned by `findplan`: from every state
     that can reach ``termination``, the first declared action that steps
-    one closer. MalformedInput when some initiation state cannot reach
-    ``termination``."""
+    one closer. MalformedInput when either set names a state outside
+    ``level`` or some initiation state cannot reach ``termination``."""
+    require_within_level(name, level, initiation, termination)
     plan = findplan(level, initiation, termination)
     if plan is None:
         raise MalformedInput(

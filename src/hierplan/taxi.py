@@ -9,9 +9,9 @@ self-loops; every step costs -1.
 
 The layout (size, walls, depots) is data, so other maps can be swapped
 in. The default is the classic 5x5 four-depot map with three two-cell
-interior wall segments, which has 650 states. The navigation and
-ferrying skills are planned with `plan_option` from their initiation and
-termination sets.
+interior wall segments, which has 650 states. Every skill is a name, an
+initiation set and a termination set in `taxi_spec`, the option-set spec
+domain files state too; `build_hierarchy` plans each policy.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 from .abstraction import RewardMode
 from .core import BaseMDP, Option, StateSpace, Variable
-from .domain_io import expand_generic
+from .domain_io import OptionSetSpec, OptionSpec, build_hierarchy, expand_generic, resolve_options
 from .errors import MalformedInput, UnknownName
 from .hierarchy import Hierarchy, PlanQuery
-from .planner import plan_option
 from .symbols import GroundingSet
 
 Cell = tuple[int, int]
@@ -154,106 +153,60 @@ def build_taxi(layout: TaxiLayout = DEFAULT_LAYOUT) -> BaseMDP:
     return BaseMDP(space=space, actions=ACTIONS, transition=transition, reward=reward)
 
 
-def taxi_options_level1(
-    mdp: BaseMDP, layout: TaxiLayout = DEFAULT_LAYOUT
-) -> list[Option]:
-    """The first option set: shortest-path navigation to each depot, plus
-    pick-up and put-down.
+def taxi_spec(mdp: BaseMDP, layout: TaxiLayout = DEFAULT_LAYOUT) -> list[OptionSetSpec]:
+    """The taxi's two option sets; `build_hierarchy` plans every policy.
 
-    Navigation starts anywhere and stops when the taxi reaches the depot;
-    a riding passenger arrives with it. Its policy is planned by
-    `plan_option`. Pick-up starts whenever taxi and passenger share a
-    cell and stops once the passenger rides; put-down starts anywhere and
-    stops once the passenger is outside.
+    Level 1 drives the taxi, with any riding passenger, to each depot
+    from anywhere; picks up wherever taxi and passenger share a cell; and
+    puts down anywhere. Its closure seeds put taxi and passenger each at
+    a depot, passenger outside. Level 2 ferries a passenger not at a
+    depot to it, leaving the passenger outside with the taxi there.
     """
     space = mdp.space
-    everything = GroundingSet(0, (1 << space.num_states) - 1)
-    options: list[Option] = []
-    for depot in layout.depot_names():
-        x, y = layout.depot_cell(depot)
-        at_depot = space.where(**{"taxi-x": x, "taxi-y": y})
-        options.append(plan_option(f"drive-to-{depot}", mdp, everything, at_depot))
+    depots = [(d, *cell) for d, cell in layout.depots]
     # the taxi's coordinate domains, so the set depends on the MDP alone
     xs, ys = (v.domain for v in space.variables[:2])
-    colocated = GroundingSet.of(
-        0,
-        [
-            space.state_of((x, y, x, y, riding))
-            for x in xs
-            for y in ys
-            for riding in (False, True)
-        ],
-    )
-    riding = space.where(**{"in-taxi": True})
-    options.append(
-        Option(
-            name="pick-up",
-            initiation=colocated,
-            termination=riding,
-            policy={s: "pick-up" for s in colocated - riding},
+    colocated = [space.state_of((x, y, x, y, r)) for x in xs for y in ys for r in (False, True)]
+    seeds = [space.state_of((*t, *p, False)) for _, *t in depots for _, *p in depots]
+    drive = [OptionSpec(f"drive-to-{d}", {}, {"taxi-x": x, "taxi-y": y}) for d, x, y in depots]
+    pick_up = OptionSpec("pick-up", colocated, {"in-taxi": True})
+    put_down = OptionSpec("put-down", {}, {"in-taxi": False})
+    ferry = [
+        OptionSpec(
+            f"passenger-to-{d}",
+            {"except": {"pass-x": x, "pass-y": y}},
+            {"taxi-x": x, "taxi-y": y, "pass-x": x, "pass-y": y, "in-taxi": False},
         )
-    )
-    options.append(
-        Option(
-            name="put-down",
-            initiation=everything,
-            termination=everything - riding,
-            policy={s: "put-down" for s in riding},
-        )
-    )
-    return options
-
-
-def taxi_options_level2(
-    h: Hierarchy, layout: TaxiLayout = DEFAULT_LAYOUT
-) -> list[Option]:
-    """The second option set: ferry the passenger to each depot.
-
-    Each option runs over the factored first level, starts whenever the
-    passenger is not already at its depot, and ends with taxi and
-    passenger at the depot, passenger outside. Its policy over the first
-    level's parts is planned by `plan_option`.
-    """
-    level = h.level(1)
-    space = level.space
-    options: list[Option] = []
-    for depot in layout.depot_names():
-        x, y = layout.depot_cell(depot)
-        pass_here = space.where(**{"pass-x": x, "pass-y": y})
-        initiation = GroundingSet.of(1, space.states) - pass_here
-        termination = space.where(
-            **{"taxi-x": x, "taxi-y": y, "pass-x": x, "pass-y": y, "in-taxi": False}
-        )
-        options.append(
-            plan_option(f"passenger-to-{depot}", level, initiation, termination)
-        )
-    return options
-
-
-def depot_seed_states(
-    mdp: BaseMDP, layout: TaxiLayout = DEFAULT_LAYOUT
-) -> GroundingSet:
-    """Task-distribution seeds: taxi and passenger each at a depot,
-    passenger outside."""
-    cells = [layout.depot_cell(d) for d in layout.depot_names()]
-    seeds = [
-        mdp.space.state_of((tx, ty, px, py, False))
-        for tx, ty in cells
-        for px, py in cells
+        for d, x, y in depots
     ]
-    return GroundingSet.of(0, [s for s in seeds if s is not None])
+    return [
+        OptionSetSpec((*drive, pick_up, put_down), seeds=[s for s in seeds if s is not None]),
+        OptionSetSpec(tuple(ferry)),
+    ]
+
+
+def taxi_options_level1(mdp: BaseMDP, layout: TaxiLayout = DEFAULT_LAYOUT) -> list[Option]:
+    """The first option set of `taxi_spec`, over ``mdp``."""
+    return resolve_options(mdp, taxi_spec(mdp, layout)[0])
+
+
+def taxi_options_level2(h: Hierarchy, layout: TaxiLayout = DEFAULT_LAYOUT) -> list[Option]:
+    """The second option set of `taxi_spec`, over the first level of ``h``."""
+    return resolve_options(h.level(1), taxi_spec(h.base, layout)[1])
+
+
+def depot_seed_states(mdp: BaseMDP, layout: TaxiLayout = DEFAULT_LAYOUT) -> GroundingSet:
+    """The first option set's closure seeds."""
+    return expand_generic(mdp, taxi_spec(mdp, layout)[0].seeds)
 
 
 def build_taxi_hierarchy(
     layout: TaxiLayout = DEFAULT_LAYOUT,
     reward_mode: RewardMode = RewardMode.UNIFORM_PENALTY,
 ) -> Hierarchy:
-    """Base MDP, navigation level, ferry level."""
+    """Base MDP, navigation level, ferry level: `build_taxi` plus `taxi_spec`."""
     mdp = build_taxi(layout)
-    h = Hierarchy(base=mdp, reward_mode=reward_mode)
-    h = h.add_level(taxi_options_level1(mdp, layout), seeds=depot_seed_states(mdp, layout))
-    h = h.add_level(taxi_options_level2(h, layout))
-    return h
+    return build_hierarchy(mdp, taxi_spec(mdp, layout), reward_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hierplan import (
     ExecutionTrace,
     GroundingSet,
+    Option,
     PlanQuery,
     RewardMode,
     benchmark_queries,
@@ -26,11 +27,19 @@ from hierplan import (
     build_taxi_hierarchy,
     execute_option,
 )
+from hierplan.domain_io import OptionSetSpec, OptionSpec
 from hierplan.errors import HierplanError, RefinementFault
 from hierplan.planner import Plan
-from hierplan.taxi import expand_constraints
+from hierplan.taxi import TaxiLayout, expand_constraints
 
 DEPOTS = {"red": (0, 4), "green": (4, 4), "blue": (3, 0), "yellow": (0, 0)}
+
+# an open 8x8 grid with a depot in each corner
+OPEN_8X8 = TaxiLayout(
+    width=8,
+    height=8,
+    depots=(("red", (0, 7)), ("green", (7, 7)), ("blue", (7, 0)), ("yellow", (0, 0))),
+)
 
 # canonical wall segments, written out independently of the layout data
 WALL_PAIRS = {
@@ -129,6 +138,93 @@ def plan_match(h, pair, query):
     return query.starts.issubset(grounded_starts) and grounded_goals.issubset(
         query.goals
     )
+
+
+def one_step_preimage_options(mdp):
+    """One subgoal option per state: initiation is the state's one-step
+    preimage, the policy applies any action reaching it, termination is
+    the state itself.
+
+    Wrapping every primitive transition this way yields an abstraction
+    whose plan graph mirrors the base MDP's successor structure.
+    """
+    lvl = mdp.level_index
+    by_target: dict[int, dict[int, str]] = {}
+    for (s, a), t in sorted(mdp.transition.items()):
+        by_target.setdefault(t, {}).setdefault(s, a)
+    options = []
+    for target in sorted(by_target):
+        policy = by_target[target]
+        options.append(
+            Option(
+                name=f"reach-{mdp.space.label(target)}",
+                initiation=GroundingSet.of(lvl, policy),
+                termination=GroundingSet.single(lvl, target),
+                policy=policy,
+            )
+        )
+    return options
+
+
+def oracle_widened_groundings(below, parts):
+    """`build_plan_graph`'s node groundings as they were computed, with
+    one ``in`` test per state and part initiation: the states whose
+    membership pattern across the initiations matches each part's effect
+    containment pattern."""
+    inits = [p.initiation for p in parts]
+    by_profile = {}
+    for s in below.space.states:
+        by_profile.setdefault(tuple(s in i for i in inits), []).append(s)
+    return [by_profile.get(tuple(p.effect.issubset(i) for i in inits), []) for p in parts]
+
+
+def taxi_domain(layout):
+    """The taxi over ``layout`` as a domain file's JSON object: the base
+    transitions of `build_taxi`, and both option sets written out here
+    from the layout's depots, with seeds and no policies."""
+    mdp = build_taxi(layout)
+    assignments = mdp.space.assignments
+    ids = {asg: sid for sid, asg in enumerate(assignments)}
+
+    def at(prefix, cell):
+        return {f"{prefix}-x": cell[0], f"{prefix}-y": cell[1]}
+
+    cells = [cell for _, cell in layout.depots]
+    level1 = [
+        {"name": f"drive-to-{name}", "initiation": {}, "termination": at("taxi", cell)}
+        for name, cell in layout.depots
+    ] + [
+        {
+            "name": "pick-up",
+            "initiation": [
+                sid for sid, (tx, ty, px, py, _) in enumerate(assignments)
+                if (tx, ty) == (px, py)
+            ],
+            "termination": {"in-taxi": True},
+        },
+        {"name": "put-down", "initiation": {}, "termination": {"in-taxi": False}},
+    ]
+    level2 = [
+        {
+            "name": f"passenger-to-{name}",
+            "initiation": {"except": at("pass", cell)},
+            "termination": {**at("taxi", cell), **at("pass", cell), "in-taxi": False},
+        }
+        for name, cell in layout.depots
+    ]
+    return {
+        "actions": list(mdp.actions),
+        "variables": [[v.name, list(v.domain)] for v in mdp.space.variables],
+        "states": [list(asg) for asg in assignments],
+        "transitions": [[s, a, t] for (s, a), t in mdp.transition.items()],
+        "options": {
+            "level1": {
+                "seeds": [ids[(*t, *p, False)] for t in cells for p in cells],
+                "options": level1,
+            },
+            "level2": level2,
+        },
+    }
 
 
 def oracle_value_iteration(level, starts, goals, record=None):
@@ -332,3 +428,18 @@ def random_domains(draw):
                 transition[(s, a)] = t
     states = st.sets(st.integers(0, n - 1), min_size=1)
     return n, transition, draw(st.sampled_from(RewardMode)), draw(states), draw(states)
+
+
+def draw_option_set(data, num_states, prefix):
+    """An option set over a level of ``num_states`` states, drawn with
+    hypothesis' ``data``: one to three (initiation, termination) pairs,
+    each set an id list or an ``except`` object naming its complement,
+    and no policies, so the builder plans them."""
+    ids = st.sets(st.integers(0, num_states - 1), min_size=1).map(sorted)
+    spec = ids | ids.map(
+        lambda kept: {"except": [s for s in range(num_states) if s not in kept]}
+    )
+    pairs = data.draw(st.lists(st.tuples(spec, spec), min_size=1, max_size=3))
+    return OptionSetSpec(
+        tuple(OptionSpec(f"{prefix}{i}", a, b) for i, (a, b) in enumerate(pairs))
+    )

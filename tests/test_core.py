@@ -10,7 +10,6 @@ from hierplan import (
     PlanQuery,
     StateSpace,
     execute_option,
-    one_step_preimage_options,
 )
 from hierplan.errors import (
     InapplicableAction,
@@ -22,7 +21,13 @@ from hierplan.errors import (
 )
 from hierplan.taxi import taxi_options_level1
 
-from conftest import DEPOTS, oracle_grid_distance, oracle_taxi_states, state_of
+from conftest import (
+    DEPOTS,
+    one_step_preimage_options,
+    oracle_grid_distance,
+    oracle_taxi_states,
+    state_of,
+)
 
 
 class TestTaxiDynamics:

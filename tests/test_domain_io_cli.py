@@ -2,13 +2,29 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from hierplan import Hierarchy, answer_query, load_domain, load_query
+from hierplan import (
+    GroundingSet,
+    PlanQuery,
+    RewardMode,
+    answer_query,
+    build_hierarchy,
+    build_taxi_hierarchy,
+    load_domain,
+    load_query,
+)
 from hierplan.cli import cli
+from hierplan.domain_io import OptionSetSpec, OptionSpec, expand_generic
 from hierplan.errors import MalformedInput, UnknownName
+from hierplan.taxi import DEFAULT_LAYOUT
+
+from conftest import OPEN_8X8, taxi_domain
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 CHAIN_DOMAIN = {
     "name": "chain",
@@ -36,6 +52,24 @@ CHAIN_DOMAIN = {
 }
 
 
+# the chain stacked twice, every policy planned: level 1 has one plan-graph
+# node per option (0: to-mid, 1: to-end); level 2 runs over those nodes
+STACKED_CHAIN = {
+    **CHAIN_DOMAIN,
+    "options": {
+        "level1": {
+            "seeds": [0],
+            "options": [
+                {"name": "to-mid", "initiation": [0, 1], "termination": {"pos": 2}},
+                {"name": "to-end", "initiation": {"except": {"pos": 3}},
+                 "termination": [3]},
+            ],
+        },
+        "level2": [{"name": "finish", "initiation": [0], "termination": [1]}],
+    },
+}
+
+
 @pytest.fixture()
 def chain_file(tmp_path):
     path = tmp_path / "chain.json"
@@ -49,7 +83,7 @@ class TestDomainIO:
         assert mdp.num_states == 4
         assert mdp.step(0, "fwd") == (1, -1.0)
         assert list(option_sets) == ["level1"]
-        assert [o.name for o in option_sets["level1"]] == ["to-mid", "to-end"]
+        assert [o.name for o in option_sets["level1"].options] == ["to-mid", "to-end"]
 
     def test_load_query_with_constraints(self, chain_file):
         mdp, _ = load_domain(chain_file)
@@ -150,7 +184,7 @@ class TestDomainIO:
 
     def test_chain_hierarchy_plans_at_level1(self, chain_file):
         mdp, option_sets = load_domain(chain_file)
-        h = Hierarchy(base=mdp).add_level(option_sets["level1"])
+        h = build_hierarchy(mdp, [option_sets["level1"]])
         # plan-graph nodes ground to the options' effect states, so a
         # level-1 match needs starts covered by {2} or {3}
         q = load_query(mdp, {"B": {"pos": 2}, "G": {"pos": 3}})
@@ -158,6 +192,144 @@ class TestDomainIO:
         assert answer.level_index == 1
         wide = load_query(mdp, {"B": {"pos": [0, 1, 2]}, "G": {"pos": 3}})
         assert answer_query(h, wide).level_index == 0
+
+
+class TestOptionSetSpec:
+    def test_load_domain_keeps_sets_unresolved(self):
+        _, option_sets = load_domain(STACKED_CHAIN)
+        assert option_sets["level1"] == OptionSetSpec(
+            options=(
+                OptionSpec("to-mid", [0, 1], {"pos": 2}),
+                OptionSpec("to-end", {"except": {"pos": 3}}, [3]),
+            ),
+            seeds=[0],
+        )
+        assert option_sets["level2"] == OptionSetSpec((OptionSpec("finish", [0], [1]),))
+
+    def test_policies_given_in_the_file_are_kept(self):
+        """``skip`` reaches the termination state in one step, so only a
+        policy taken from the file walks ``fwd`` twice."""
+        mdp, option_sets = load_domain({
+            "actions": ["fwd", "skip"],
+            "num_states": 3,
+            "transitions": [[0, "fwd", 1], [1, "fwd", 2], [0, "skip", 2]],
+            "options": {"l1": [
+                {"name": "given", "initiation": [0], "termination": [2],
+                 "policy": {"0": "fwd", "1": "fwd"}},
+                {"name": "planned", "initiation": [0], "termination": [2]},
+            ]},
+        })
+        given, planned = build_hierarchy(mdp, [option_sets["l1"]]).option_sets[0]
+        assert dict(given.policy) == {0: "fwd", 1: "fwd"}
+        assert dict(planned.policy) == {0: "skip", 1: "fwd"}
+
+    def test_two_levels_from_one_file_with_planned_policies(self):
+        mdp, option_sets = load_domain(STACKED_CHAIN)
+        h = build_hierarchy(mdp, [option_sets["level1"], option_sets["level2"]])
+        assert [h.num_states(j) for j in range(3)] == [4, 2, 1]
+        assert h.validate() == []
+        to_mid, to_end = h.option_sets[0]
+        # planned over the whole backward closure of each termination set
+        assert dict(to_mid.policy) == {0: "fwd", 1: "fwd"}
+        assert dict(to_end.policy) == {0: "fwd", 1: "fwd", 2: "fwd"}
+        assert dict(h.option_sets[1][0].policy) == {0: "to-end"}
+        q = PlanQuery(GroundingSet.of(0, {2}), GroundingSet.of(0, {3}))
+        assert answer_query(h, q).level_index == 1
+
+    @pytest.mark.parametrize(
+        "spec, members",
+        [
+            ({}, {0, 1, 2, 3}),
+            ({"except": {"pos": 3}}, {0, 1, 2}),
+            ({"pos": [1, 2, 3], "except": [2]}, {1, 3}),
+            ({"states": [0, 3], "except": {"except": {"pos": 0}}}, {0}),
+            ([2, 0], {0, 2}),
+        ],
+    )
+    def test_expand_generic_sets(self, spec, members):
+        mdp, _ = load_domain(CHAIN_DOMAIN)
+        assert set(expand_generic(mdp, spec)) == members
+
+    def test_sets_resolve_at_the_level_they_run_over(self):
+        mdp, option_sets = load_domain(STACKED_CHAIN)
+        level = build_hierarchy(mdp, [option_sets["level1"]]).level(1)
+        assert expand_generic(level, {}) == GroundingSet.of(1, {0, 1})
+        assert expand_generic(level, {"except": [0]}) == GroundingSet.of(1, {1})
+        assert expand_generic(level, {"states": [1]}) == GroundingSet.of(1, {1})
+        with pytest.raises(MalformedInput, match=re.escape("in 0..1, got [2]")):
+            expand_generic(level, {"states": [2]})
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ({"l1": {"seeds": "x", "options": []}},
+             "option set 'l1' has a malformed 'seeds': 'x'"),
+            ({"l1": {"seeds": [0]}}, "option set 'l1' has no 'options' key"),
+            ({"l1": {"options": 5}}, "option set 'l1' has a malformed 'options': 5"),
+            ({"l1": {"options": [5]}},
+             "the 'options' object has a malformed 'l1': {'options': [5]}"),
+            ({"l1": [{"name": "o", "initiation": 0, "termination": [1]}]},
+             "an option of set 'l1' has a malformed 'initiation': 0"),
+            ({"l1": [{"name": "o", "initiation": [0], "termination": [True]}]},
+             "an option of set 'l1' has a malformed 'termination': [True]"),
+        ],
+    )
+    def test_malformed_option_set_rejected(self, sets, message):
+        with pytest.raises(MalformedInput, match=re.escape(message)):
+            load_domain({**CHAIN_DOMAIN, "options": sets})
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"initiation": {"except": 5}, "termination": [3]},
+             "a constraint object has a malformed 'except': 5"),
+            ({"initiation": [0, 9], "termination": [3]},
+             "option 'o' names state 9, outside level 0's 4 states"),
+            ({"initiation": [3], "termination": [0]},
+             "option 'o': some initiation state cannot reach termination"),
+            ({"initiation": {"except": {}}, "termination": [0]},
+             "option 'o' has an empty initiation set"),
+        ],
+    )
+    def test_bad_planned_option_rejected(self, option, message):
+        mdp, option_sets = load_domain(
+            {**CHAIN_DOMAIN, "options": {"l1": [{"name": "o", **option}]}}
+        )
+        with pytest.raises(MalformedInput, match=re.escape(message)):
+            build_hierarchy(mdp, [option_sets["l1"]])
+
+
+class TestTaxiDomainFile:
+    """The taxi written out as a domain file, both option sets as sets
+    with seeds and no policies, builds the built-in hierarchy."""
+
+    @pytest.mark.parametrize("mode", list(RewardMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "layout", [DEFAULT_LAYOUT, OPEN_8X8], ids=["taxi5", "taxi8-open"]
+    )
+    def test_build_matches_built_in_hierarchy(self, tmp_path, layout, mode):
+        domain = tmp_path / "taxi.json"
+        domain.write_text(json.dumps(taxi_domain(layout)))
+        out = tmp_path / "snapshot.json"
+        result = CliRunner().invoke(cli, [
+            "build", "--domain-file", str(domain), "--option-set", "level1",
+            "--option-set", "level2", "--reward-mode", mode.value, "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert out.read_text() == build_taxi_hierarchy(layout, reward_mode=mode).to_json()
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_pddl_matches_goldens(self, tmp_path, level):
+        domain = tmp_path / "taxi.json"
+        domain.write_text(json.dumps(taxi_domain(DEFAULT_LAYOUT)))
+        result = CliRunner().invoke(cli, [
+            "export-pddl", "--domain-file", str(domain), "--option-set", "level1",
+            "--option-set", "level2", "--level", str(level), "--out-dir", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+        for kind in ("domain", "problem"):
+            golden = GOLDEN_DIR / f"taxi_level{level}_{kind}.pddl"
+            assert (tmp_path / f"{kind}.pddl").read_text() == golden.read_text()
 
 
 class TestCLI:
@@ -406,6 +578,28 @@ class TestCLI:
         assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message), result.output
+
+    @pytest.mark.parametrize(
+        "level2, message",
+        [
+            ({"initiation": [0, 5], "termination": [1]},
+             "error: option 'finish' names state 5, outside level 1's 2 states"),
+            ({"initiation": {"pos": 0}, "termination": [1]},
+             "error: unknown variable 'pos'"),
+        ],
+        ids=["id-outside-level1", "variable-of-level0"],
+    )
+    def test_bad_level2_set_prints_one_error_line(self, tmp_path, level2, message):
+        options = {**STACKED_CHAIN["options"], "level2": [{"name": "finish", **level2}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**STACKED_CHAIN, "options": options}))
+        result = CliRunner().invoke(cli, [
+            "build", "--domain-file", str(path),
+            "--option-set", "level1", "--option-set", "level2",
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [message], result.output
 
     def test_plan_empty_start_set_prints_one_error_line(self):
         runner = CliRunner()

@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hierplan import (
     BaseMDP,
@@ -16,11 +16,11 @@ from hierplan import (
     StateSpace,
     Violation,
     answer_query,
+    build_hierarchy,
     build_taxi_hierarchy,
     findplan,
     findplan_value_iteration,
     flatten_options,
-    one_step_preimage_options,
     refine,
 )
 from hierplan.errors import (
@@ -32,21 +32,20 @@ from hierplan.errors import (
 )
 from hierplan.taxi import (
     DEFAULT_LAYOUT,
-    TaxiLayout,
     depot_seed_states,
     taxi_options_level1,
 )
 
-from conftest import random_domains, random_queries
+from conftest import (
+    OPEN_8X8,
+    draw_option_set,
+    one_step_preimage_options,
+    oracle_widened_groundings,
+    random_domains,
+    random_queries,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-
-# an open 8x8 grid with a depot in each corner
-OPEN_8X8 = TaxiLayout(
-    width=8,
-    height=8,
-    depots=(("red", (0, 7)), ("green", (7, 7)), ("blue", (7, 0)), ("yellow", (0, 0))),
-)
 
 
 class TestAddLevel:
@@ -309,6 +308,40 @@ class TestSnapshot:
         assert h.to_snapshot()["reward_mode"] == "empirical"
 
 
+def assert_flat_search_oracle(h, query, transition):
+    """Searching from every level keeps the flat-search oracle's
+    properties: a reachability answer exists exactly when flat `findplan`
+    finds one, value iteration answers whenever flat value iteration
+    does, every plan start's action sequence replays into the plan's
+    goals, and every query start refines into the query's goals along
+    base edges."""
+    mdp = h.base
+    # answer_query falls through to level 0, where it plans like flat
+    # search, so flat search is the oracle for when an answer exists
+    flat_bfs = findplan(mdp, query.starts, query.goals)
+    flat_vi = findplan_value_iteration(mdp, query.starts, query.goals)
+    for at_level in range(h.num_levels + 1):
+        for plan_mode in ("reachability", "value-iteration"):
+            answer = answer_query(h, query, at_level=at_level, plan_mode=plan_mode)
+            if plan_mode == "reachability":
+                assert (answer is None) == (flat_bfs is None)
+            elif flat_vi is not None:
+                assert answer is not None
+            if answer is None:
+                continue
+            level = h.level(answer.level_index)
+            for s in answer.plan.starts:
+                state = s
+                for action in answer.plan.action_sequence(level, s):
+                    state, _ = level.step(state, action)
+                assert state in answer.plan.goals
+            for start in query.starts:
+                trace = refine(h, answer.plan, start)
+                assert trace.visited[0] == start and trace.end in query.goals
+                for here, there in zip(trace.visited, trace.visited[1:]):
+                    assert there in (transition.get((here, a)) for a in mdp.actions)
+
+
 class TestRandomDomains:
     @settings(max_examples=200, deadline=None)
     @given(random_domains())
@@ -328,26 +361,41 @@ class TestRandomDomains:
             return
         assert h.validate() == []
         query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
-        # answer_query falls through to level 0, where it plans like flat
-        # search, so flat search is the oracle for when an answer exists
-        flat_bfs = findplan(mdp, query.starts, query.goals)
-        flat_vi = findplan_value_iteration(mdp, query.starts, query.goals)
-        for plan_mode in ("reachability", "value-iteration"):
-            answer = answer_query(h, query, plan_mode=plan_mode)
-            if plan_mode == "reachability":
-                assert (answer is None) == (flat_bfs is None)
-            elif flat_vi is not None:
-                assert answer is not None
-            if answer is None:
-                continue
-            level = h.level(answer.level_index)
-            for s in answer.plan.starts:
-                state = s
-                for action in answer.plan.action_sequence(level, s):
-                    state, _ = level.step(state, action)
-                assert state in answer.plan.goals
-            for start in starts:
-                trace = refine(h, answer.plan, start)
-                assert trace.visited[0] == start and trace.end in goals
-                for here, there in zip(trace.visited, trace.visited[1:]):
-                    assert there in (transition.get((here, a)) for a in ("a", "b"))
+        assert_flat_search_oracle(h, query, transition)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_domains(), st.data())
+    def test_two_level_spec_stacks(self, domain, data):
+        """Two option sets of drawn (initiation, termination) pairs, the
+        second drawn over the level the first builds, stacked by
+        `build_hierarchy` with every policy planned. Each construction
+        raises a typed error, or `validate()` finds no violation, a
+        rebuild gives the same snapshot, every plan-graph level's groundings are
+        the per-state profile widening, and the flat-search oracle holds
+        on the highest stack built."""
+        n, transition, mode, starts, goals = domain
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=("a", "b"),
+            transition=transition,
+            reward=dict.fromkeys(transition, -1.0),
+        )
+        sets = [draw_option_set(data, n, "o")]
+        try:
+            h = build_hierarchy(mdp, sets, mode)
+        except HierplanError:
+            return
+        sets.append(draw_option_set(data, h.num_states(1), "p"))
+        try:
+            h = build_hierarchy(mdp, sets, mode)
+        except HierplanError:
+            sets.pop()  # the one-level stack is still checked
+        assert h.validate() == []
+        assert build_hierarchy(mdp, sets, mode).to_json() == h.to_json()
+        for j in range(1, h.num_levels + 1):
+            level = h.level(j)
+            assert [list(level.grounding_of(s)) for s in level.space.states] == (
+                oracle_widened_groundings(h.level(j - 1), level.parts)
+            )
+        query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
+        assert_flat_search_oracle(h, query, transition)

@@ -24,7 +24,6 @@ from hierplan import (
     findplan,
     findplan_value_iteration,
     load_domain,
-    one_step_preimage_options,
     plan_option,
     planning_cost,
     refine,
@@ -41,6 +40,7 @@ from hierplan.planner import InstrumentationRecord, Plan
 
 from conftest import (
     MatchPair,
+    one_step_preimage_options,
     oracle_refine,
     oracle_value_iteration,
     plan_match,

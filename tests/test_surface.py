@@ -15,7 +15,9 @@ def test_no_name_exported_twice():
     assert len(set(hierplan.__all__)) == len(hierplan.__all__)
 
 
-@pytest.mark.parametrize("name", ["MatchPair", "plan_match"])
+@pytest.mark.parametrize(
+    "name", ["MatchPair", "plan_match", "one_step_preimage_options"]
+)
 def test_oracles_are_not_exported(name):
     assert name not in hierplan.__all__
     assert not hasattr(hierplan, name)
