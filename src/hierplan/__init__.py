@@ -31,12 +31,11 @@ from .hierarchy import Hierarchy, PlanQuery, Violation
 from .pddl import export_pddl
 from .planner import (
     InstrumentationRecord,
-    Plan,
     PlanAnswer,
+    action_sequence,
     answer_query,
     candidate_goals,
     candidate_starts,
-    execute_refined,
     findplan,
     findplan_value_iteration,
     plan_option,
@@ -67,7 +66,6 @@ __all__ = [
     "InstrumentationRecord",
     "Option",
     "OptionPart",
-    "Plan",
     "PlanAnswer",
     "PlanQuery",
     "RewardMode",
@@ -75,6 +73,7 @@ __all__ = [
     "TaxiLayout",
     "Variable",
     "Violation",
+    "action_sequence",
     "answer_query",
     "assign_rewards",
     "build_factored_abstraction",
@@ -87,7 +86,6 @@ __all__ = [
     "compute_effect_set",
     "depot_seed_states",
     "execute_option",
-    "execute_refined",
     "export_pddl",
     "findplan",
     "findplan_value_iteration",

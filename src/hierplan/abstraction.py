@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -155,21 +154,15 @@ class _Summary(NamedTuple):
     union, so classifying a union never revisits the pairs.
     """
 
-    # distinct terminal states; only "exactly one" matters, so at most two
-    terminals: tuple[int, ...]
     changed: frozenset[int]  # indexes of variables some start changes
     values: tuple[Any, ...]  # per variable: its one terminal value, or _MANY
 
     def merge(self, other: _Summary) -> _Summary:
-        terminals = self.terminals
-        for t in other.terminals:
-            if len(terminals) < 2 and t not in terminals:
-                terminals += (t,)
         values = tuple(
             a if a is not _MANY and a == b else _MANY
             for a, b in zip(self.values, other.values)
         )
-        return _Summary(terminals, self.changed | other.changed, values)
+        return _Summary(self.changed | other.changed, values)
 
 
 def _summarize_groups(
@@ -195,7 +188,7 @@ def _summarize_groups(
         columns = zip(*(assignments[t] for t in distinct))
         values = tuple(col[0] if len(set(col)) == 1 else _MANY for col in columns)
         changed = frozenset(i for i, _ in key)
-        summary = _Summary(tuple(islice(distinct, 2)), changed, values)
+        summary = _Summary(changed, values)
         out[key] = (pairs, summary)
     return out
 
@@ -211,9 +204,10 @@ def _classify(names: Sequence[str], summary: _Summary) -> tuple[int, ...] | None
     single check is complete. A constant terminal with no variable or
     every variable changed gets the full mask, so the pairs form a
     subgoal; otherwise the changed variables are the tighter description
-    and every other variable is left alone.
+    and every other variable is left alone. Assignments are distinct, so
+    the terminal is constant exactly when every terminal value is.
     """
-    if len(summary.terminals) == 1 and len(summary.changed) in (0, len(names)):
+    if _MANY not in summary.values and len(summary.changed) in (0, len(names)):
         return tuple(range(len(names)))
     if any(summary.values[i] is _MANY for i in summary.changed):
         return None
@@ -457,6 +451,13 @@ def build_plan_graph(
     )
 
 
+def require_seeds_within(level, seeds: GroundingSet) -> None:
+    """InvalidSeed when a seed state lies outside ``level``."""
+    for s in seeds:
+        if not 0 <= s < level.num_states:
+            raise InvalidSeed(f"seed state {s} outside level {level.level_index}")
+
+
 def build_factored_abstraction(
     options: Sequence[Option],
     level,
@@ -474,9 +475,7 @@ def build_factored_abstraction(
     space: StateSpace = level.space
     if not space.is_factored:
         raise NoFactoredStructure(f"level {space.level_index} space is not factored")
-    for s in seed_states:
-        if not 0 <= s < space.num_states:
-            raise InvalidSeed(f"seed state {s} outside level {space.level_index}")
+    require_seeds_within(level, seed_states)
     parts = list(_parts) if _parts is not None else _partition_all(options, level)
 
     names = space.variable_names()

@@ -29,7 +29,7 @@ from typing import Mapping
 from .core import BaseMDP
 from .errors import MalformedInput
 from .hierarchy import Hierarchy, PlanQuery
-from .planner import answer_query, execute_refined, findplan
+from .planner import answer_query, findplan, refine
 
 
 def flatten_options(h: Hierarchy) -> BaseMDP:
@@ -44,7 +44,7 @@ def flatten_options(h: Hierarchy) -> BaseMDP:
             name = f"{option.name}@{j}"
             names.append(name)
             for x in h.final_ground(j - 1, option.initiation):
-                trace = execute_refined(h, j, option, x)
+                trace = refine(h, option, x)
                 if trace.steps == 0:
                     continue
                 transition[(x, name)] = trace.end

@@ -19,7 +19,7 @@ from .domain_io import build_hierarchy, expand_generic, load_domain, load_query
 from .errors import HierplanError, MalformedInput
 from .hierarchy import PlanQuery
 from .pddl import export_pddl
-from .planner import answer_query, planning_cost, refine
+from .planner import action_sequence, answer_query, planning_cost, refine
 
 
 def _build_hierarchy(domain_file: str | None, option_sets: tuple[str, ...],
@@ -135,16 +135,16 @@ def plan(domain_file, option_sets, reward_mode, query_file, b_spec, g_spec,
         sys.exit(2)
     rec = answer.record
     click.echo(f"solution level: {answer.level_index}")
-    click.echo(f"start candidates: {sorted(answer.plan.starts)}")
-    click.echo(f"goal candidates: {sorted(answer.plan.goals)}")
+    click.echo(f"start candidates: {sorted(answer.plan.initiation)}")
+    click.echo(f"goal candidates: {sorted(answer.plan.termination)}")
     click.echo(
         f"first match at level {rec.first_match_level}; "
         f"cost {planning_cost(rec)} ops "
         f"(match {rec.match_seconds * 1000:.3f} ms, plan {rec.plan_seconds * 1000:.3f} ms)"
     )
     level = h.level(answer.level_index)
-    for s in sorted(answer.plan.starts):
-        seq = answer.plan.action_sequence(level, s)
+    for s in sorted(answer.plan.initiation):
+        seq = action_sequence(level, answer.plan, s)
         label = level.space.label(s)
         click.echo(f"  from {label}: {' -> '.join(seq) if seq else '(already at goal)'}")
     if refine_from is not None:

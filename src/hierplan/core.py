@@ -17,6 +17,7 @@ from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import (
     InapplicableAction,
+    LevelMismatch,
     MalformedInput,
     NotInInitiationSet,
     StepBoundExceeded,
@@ -282,8 +283,14 @@ def _execute_into(
 
 
 def require_within_level(name: str, level, *sets: GroundingSet) -> None:
-    """MalformedInput when one of option ``name``'s ``sets`` names a state
+    """LevelMismatch when one of option ``name``'s ``sets`` is over
+    another level than ``level``; MalformedInput when one names a state
     outside ``level``."""
+    for g in sets:
+        if g.level_index != level.level_index:
+            raise LevelMismatch(
+                f"option {name!r} is over level {g.level_index}, not {level.level_index}"
+            )
     width = max(g.bits.bit_length() for g in sets)
     if width > level.num_states:
         raise MalformedInput(

@@ -32,6 +32,7 @@ from .abstraction import (
     build_factored_abstraction,
     build_plan_graph,
     part_reward,
+    require_seeds_within,
 )
 from .core import BaseMDP, Option, execute_option
 from .errors import (
@@ -155,7 +156,9 @@ class Hierarchy:
         Options are partitioned; if every part is a subgoal (has a
         terminal state) the new level is a plan graph, otherwise (over a
         factored space) the factored closure from ``seeds`` is built.
-        Rewards follow the hierarchy's ``reward_mode``.
+        Rewards follow the hierarchy's ``reward_mode``. InvalidSeed when a
+        seed lies outside the current top level, whichever way the level
+        is built.
         """
         if not options:
             raise EmptyOptionSet("add_level needs at least one option")
@@ -166,6 +169,8 @@ class Hierarchy:
                     f"option {o.name!r} is over level {o.level_index}, "
                     f"expected {top.level_index}"
                 )
+        if seeds is not None:
+            require_seeds_within(top, seeds)
         parts = _partition_all(options, top)
         if all(p.terminal_state is not None for p in parts):
             level = build_plan_graph(options, top, _parts=parts)
@@ -288,5 +293,5 @@ class Hierarchy:
             "levels": levels,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_snapshot(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_snapshot(), indent=2, sort_keys=True)

@@ -12,19 +12,22 @@ metered in grounding tests per level (matching) and edge examinations
 (planning), and the record of a successful run reproduces the
 closed-form cost of the search.
 
-A returned plan is refined to base actions in one depth-first walk: each
-abstract step resolves the part that applies at the level's cursor and
-runs that part's option one level down before the cursor moves on along
-the part's own transition; at the base, `execute_option`'s loop appends
-every state to the one refined trace. Each level keeps its own step
-bound, and every fault surfaces as RefinementFault.
+A plan is an option over the level it was found at, named ``plan@j``:
+its starts are the initiation set, its goals the termination set.
+`refine` takes it, or any other option of the hierarchy, to base
+actions in one depth-first walk: each abstract step resolves the part
+that applies at the level's cursor and runs that part's option one level
+down before the cursor moves on along the part's own transition; at the
+base, `execute_option`'s loop appends every state to the one refined
+trace. Each level keeps its own step bound, and every fault surfaces as
+RefinementFault.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import ExecutionTrace, Option, _execute_into, default_step_bound, require_within_level
 from .errors import (
@@ -44,47 +47,27 @@ from .hierarchy import Hierarchy, PlanQuery
 from .symbols import GroundingSet
 
 
-@dataclass(frozen=True)
-class Plan:
-    """A goal-reaching policy over one level: an option over that level.
-
-    ``policy`` maps every settled state to the action that steps one edge
-    closer to ``goals``; following it from any state in ``starts`` reaches
-    a goal in at most ``num_states`` steps. `action_sequence` reads each
-    step's successor from the level it is given; a plan keeps no
-    reference to its level, so an answer kept alive does not keep its
-    hierarchy alive.
-    """
-
-    level_index: int
-    policy: dict[int, str]
-    starts: GroundingSet
-    goals: GroundingSet
-
-    def action_sequence(self, level, start: int) -> list[str]:
-        """Actions taken following the policy from ``start`` to a goal,
-        each step through ``level.transition``. LevelMismatch when
-        ``level`` is not the plan's; RefinementFault when the walk meets a
-        state without a policy action or an action the level lacks there,
-        or comes back to a state it left."""
-        if level.level_index != self.level_index:
-            raise LevelMismatch(f"plan level {self.level_index} vs {level.level_index}")
-        transition = level.transition
-        seq: list[str] = []
-        state = start
-        while state not in self.goals:
-            action = self.policy.get(state)
-            state = transition.get((state, action))
-            # len(seq) + 1 states with actions so far: past len(policy), one repeats
-            if state is None or len(seq) == len(self.policy):
-                raise RefinementFault(f"no policy path from state {start}")
-            seq.append(action)
-        return seq
-
-    def as_option(self, name: str) -> Option:
-        """The plan as an option over its level: its starts are the
-        initiation set, its goals the termination set."""
-        return Option(name, self.starts, self.goals, self.policy)
+def action_sequence(level, plan: Option, start: int) -> list[str]:
+    """Actions taken following ``plan``'s policy from ``start`` into its
+    termination set, each step through ``level.transition``.
+    LevelMismatch when ``level`` is not the plan's; RefinementFault when
+    the walk meets a state without a policy action or an action the level
+    lacks there, or comes back to a state it left."""
+    if level.level_index != plan.level_index:
+        raise LevelMismatch(f"plan level {plan.level_index} vs {level.level_index}")
+    transition = level.transition
+    policy = plan.policy
+    goals = plan.termination
+    seq: list[str] = []
+    state = start
+    while state not in goals:
+        action = policy.get(state)
+        state = transition.get((state, action))
+        # len(seq) + 1 states with actions so far: past len(policy), one repeats
+        if state is None or len(seq) == len(policy):
+            raise RefinementFault(f"no policy path from state {start}")
+        seq.append(action)
+    return seq
 
 
 @dataclass
@@ -197,14 +180,29 @@ def _charge(record: InstrumentationRecord | None, j: int, ops: int) -> None:
         record.total_ops += ops
 
 
+def _require_level(level, starts: GroundingSet, goals: GroundingSet) -> int:
+    """The index of ``level``; LevelMismatch unless ``starts`` and
+    ``goals`` are both over it."""
+    j = level.level_index
+    if starts.level_index != j or goals.level_index != j:
+        raise LevelMismatch(
+            f"sets over levels {starts.level_index} and {goals.level_index}, "
+            f"searched level {j}"
+        )
+    return j
+
+
 def findplan(
     level,
     starts: GroundingSet,
     goals: GroundingSet,
     record: InstrumentationRecord | None = None,
-) -> Plan | None:
-    """Feasibility planning: a policy reaching ``goals`` from every state
-    in ``starts``, or None when some start cannot reach any goal.
+) -> Option | None:
+    """Feasibility planning: an option over ``level`` named ``plan@j``
+    whose policy reaches ``goals`` from every state in ``starts``, its
+    initiation and termination sets, or None when some start cannot
+    reach any goal. LevelMismatch when either set is over another level;
+    MalformedInput when ``starts`` is empty.
 
     One backward breadth-first pass from ``goals``. The full backward
     closure of the goal set is computed, so the policy covers every state
@@ -225,6 +223,7 @@ def findplan(
     start id outside the level makes the result None unless it is itself
     a goal.
     """
+    j = _require_level(level, starts, goals)
     rank = level._action_rank
     preds = level._predecessors
     n = len(preds)
@@ -250,10 +249,10 @@ def findplan(
                     continue
                 policy[s] = action
         frontier = nxt
-    _charge(record, level.level_index, ops)
+    _charge(record, j, ops)
     if any(dist[s] < 0 if s < n else s not in goals for s in starts):
         return None
-    return Plan(level.level_index, policy, starts, goals)
+    return Option(f"plan@{j}", starts, goals, policy)
 
 
 def plan_option(
@@ -261,15 +260,18 @@ def plan_option(
 ) -> Option:
     """An option over ``level`` planned by `findplan`: from every state
     that can reach ``termination``, the first declared action that steps
-    one closer. MalformedInput when either set names a state outside
-    ``level`` or some initiation state cannot reach ``termination``."""
+    one closer. Every error names the option: LevelMismatch when either
+    set is over another level, MalformedInput when one names a state
+    outside ``level``, the initiation set is empty or some initiation
+    state cannot reach ``termination``."""
     require_within_level(name, level, initiation, termination)
+    option = Option(name, initiation, termination, {})
     plan = findplan(level, initiation, termination)
     if plan is None:
         raise MalformedInput(
             f"option {name!r}: some initiation state cannot reach termination"
         )
-    return plan.as_option(name)
+    return replace(option, policy=plan.policy)
 
 
 def findplan_value_iteration(
@@ -277,7 +279,7 @@ def findplan_value_iteration(
     starts: GroundingSet,
     goals: GroundingSet,
     record: InstrumentationRecord | None = None,
-) -> Plan | None:
+) -> Option | None:
     """Reward-optimal variant: `findplan`'s backward search from ``goals``
     (absorbing, value zero), made FIFO label-correcting (Bellman 1958).
 
@@ -293,7 +295,7 @@ def findplan_value_iteration(
     walked through the level's transition table, does not lead every
     start into ``goals``. Each predecessor edge examined counts one
     operation in ``record``, when one is given. Ids outside the level
-    follow `findplan`'s rule.
+    follow `findplan`'s rule, and so do the errors and the plan returned.
 
     As in `findplan`, states are dense ids: each state's value, step
     count, queue count and waiting and stale flags are held in lists of
@@ -301,6 +303,7 @@ def findplan_value_iteration(
     table's own key, and ties read the level's action-rank table, built
     once per level.
     """
+    j = _require_level(level, starts, goals)
     rank = level._action_rank
     preds = level._predecessors
     reward = level.reward
@@ -366,15 +369,15 @@ def findplan_value_iteration(
             if not (is_stale[s] or is_goal[s]):
                 is_stale[s] = True
                 stale.append(s)
-    _charge(record, level.level_index, ops)
+    _charge(record, j, ops)
     if any(
         (steps[s] < 0 or is_stale[s]) if s < n else s not in goals for s in starts
     ):
         return None
-    plan = Plan(level.level_index, policy, starts, goals)
+    plan = Option(f"plan@{j}", starts, goals, policy)
     try:
         for s in starts:
-            plan.action_sequence(level, s)
+            action_sequence(level, plan, s)
     except RefinementFault:
         return None
     return plan
@@ -387,7 +390,7 @@ def findplan_value_iteration(
 
 @dataclass(frozen=True)
 class PlanAnswer:
-    plan: Plan
+    plan: Option
     record: InstrumentationRecord
 
     @property
@@ -515,49 +518,30 @@ def _walk(
     return total
 
 
-def execute_refined(
-    h: Hierarchy, level_of_option: int, option: Option, base_start: int
-) -> ExecutionTrace:
-    """Execute an option from any hierarchy level as a base-action trace.
+def refine(h: Hierarchy, option: Option, start: int) -> ExecutionTrace:
+    """Execute an option over any level of ``h`` as a base-action trace.
 
-    ``level_of_option`` is the level whose action set the option belongs
-    to (so the option's own policy runs over ``level_of_option - 1``).
-    The base start must be grounded by some initiation state. The cursor
-    at each level below is localized once, then advanced with the level's
-    own transition map (never re-localized), which is exactly the
-    no-backtracking refinement the hierarchy's soundness invariants
-    guarantee. The refinement is one depth-first walk: each abstract step
-    is refined to base actions before the next one is taken, and every
-    base run appends to one trace, so a fault at an abstract level
-    surfaces after the base steps of the abstract steps before it. Any
-    fault surfaces as RefinementFault.
+    The option runs over the level its sets name; a plan at level ``j``
+    is such an option. Some initiation state must ground the base state
+    ``start``. The cursor at each level below is localized once, then
+    advanced with the level's own transition map (never re-localized),
+    which is exactly the no-backtracking refinement the hierarchy's
+    soundness invariants guarantee. The refinement is one depth-first
+    walk: each abstract step is refined to base actions before the next
+    one is taken, and every base run appends to one trace, so a fault at
+    an abstract level surfaces after the base steps of the abstract steps
+    before it. Any fault surfaces as RefinementFault.
     """
-    if level_of_option < 1:
-        raise LevelOutOfRange("options live at levels 1 and above")
-    j = level_of_option - 1
-    cursor = [base_start] * level_of_option
-    cursor[j] = _localize(h, j, option.initiation, base_start)
+    j = option.level_index
+    cursor = [start] * (j + 1)
+    cursor[j] = _localize(h, j, option.initiation, start)
     for i in range(j, 1, -1):
-        cursor[i - 1] = _localize(h, i - 1, h.grounding_of(i, cursor[i]), base_start)
-    visited = [base_start]
+        cursor[i - 1] = _localize(h, i - 1, h.grounding_of(i, cursor[i]), start)
+    visited = [start]
     try:
         total = _walk(h, j, option, cursor, visited, 0.0)
     except HierplanError as exc:
         raise RefinementFault(str(exc)) from exc
     return ExecutionTrace(
-        base_start, visited[-1], len(visited) - 1, total, tuple(visited)
+        start, visited[-1], len(visited) - 1, total, tuple(visited)
     )
-
-
-def refine(h: Hierarchy, plan: Plan, start: int) -> ExecutionTrace:
-    """Execute a plan from one base state down to primitive actions.
-
-    A plan at level ``j`` is an option over level ``j``: its starts are
-    the initiation set, its goals the termination set and its policy the
-    option's policy. Refining it is executing that option as an action of
-    level ``j + 1``.
-    """
-    if plan.starts.is_empty():
-        raise RefinementFault("plan has no start states")
-    option = plan.as_option(f"plan@{plan.level_index}")
-    return execute_refined(h, plan.level_index + 1, option, start)

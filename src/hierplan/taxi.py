@@ -221,11 +221,16 @@ def expand_constraints(
 
     Keys: ``taxi-at`` / ``pass-at`` (a depot name, ``"any-depot"``, or an
     ``[x, y]`` cell), ``in-taxi`` (boolean), ``states`` (explicit id
-    list), or raw variable names. Missing keys are unconstrained.
-    ``states`` overrides every other key. The rest becomes raw variable
-    constraints, which `expand_generic` expands like any domain's.
+    list), ``except`` (a set to remove, itself expanded here when it is
+    a constraint object), or raw variable names. Missing keys are
+    unconstrained. ``states`` overrides every other key but ``except``.
+    The rest becomes raw variable constraints, which `expand_generic`
+    expands like any domain's.
     """
     space = mdp.space
+    if isinstance(spec.get("except"), dict):
+        removed = expand_constraints(mdp, spec["except"], layout)
+        spec = {**spec, "except": list(removed)}
     if "states" in spec:
         return expand_generic(mdp, spec)
     constraints: dict[str, object] = {}

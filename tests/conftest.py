@@ -29,7 +29,7 @@ from hierplan import (
 )
 from hierplan.domain_io import OptionSetSpec, OptionSpec
 from hierplan.errors import HierplanError, RefinementFault
-from hierplan.planner import Plan
+from hierplan.planner import action_sequence
 from hierplan.taxi import TaxiLayout, expand_constraints
 
 DEPOTS = {"red": (0, 4), "green": (4, 4), "blue": (3, 0), "yellow": (0, 0)}
@@ -285,27 +285,24 @@ def oracle_value_iteration(level, starts, goals, record=None):
         record.total_ops += ops
     if any(s not in label or s in stale for s in starts):
         return None
-    plan = Plan(level.level_index, policy, starts, goals)
+    plan = Option(f"plan@{level.level_index}", starts, goals, policy)
     try:
         for s in starts:
-            plan.action_sequence(level, s)
+            action_sequence(level, plan, s)
     except RefinementFault:
         return None
     return plan
 
 
-def oracle_refine(h, plan, start):
-    """Refine ``plan`` from base state ``start`` by composing whole option
-    executions: run the plan's option over its own level with
-    `execute_option`, then for each state it visits run the option of the
-    part applied there one level down the same way, and concatenate the
-    base traces in order. Each level's cursor is first placed on the
-    lowest candidate state grounding ``start``, then only moves with that
-    level's executions. Every fault is a RefinementFault."""
-    if plan.starts.is_empty():
-        raise RefinementFault("plan has no start states")
-    top = plan.level_index
-    option = plan.as_option(f"plan@{top}")
+def oracle_refine(h, option, start):
+    """Refine ``option`` from base state ``start`` by composing whole
+    option executions: run it over its own level with `execute_option`,
+    then for each state it visits run the option of the part applied
+    there one level down the same way, and concatenate the base traces in
+    order. Each level's cursor is first placed on the lowest candidate
+    state grounding ``start``, then only moves with that level's
+    executions. Every fault is a RefinementFault."""
+    top = option.level_index
 
     def localize(j, candidates):
         if j == 0:

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from hierplan import (
+    action_sequence,
     answer_query,
     build_taxi_hierarchy,
     candidate_goals,
@@ -75,8 +76,8 @@ def test_criterion_03_refinement_sound_for_every_start(hierarchy, benchmark_quer
 def test_criterion_04_q1_single_option_plan_and_full_graph(hierarchy, benchmark_queries):
     answer = answer_query(hierarchy, benchmark_queries["Q1"])
     assert answer.level_index == 2
-    start = next(iter(answer.plan.starts))
-    sequence = answer.plan.action_sequence(hierarchy.level(2), start)
+    start = next(iter(answer.plan.initiation))
+    sequence = action_sequence(hierarchy.level(2), answer.plan, start)
     assert sequence == ["passenger-to-red"]
     level2 = hierarchy.level(2)
     assert len(level2.transitions) == 12

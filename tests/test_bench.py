@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hierplan import findplan, flatten_options
+from hierplan import action_sequence, findplan, flatten_options
 from hierplan.bench import CSV_HEADER, rows_to_csv, rows_to_json, run_benchmark
 
 
@@ -57,8 +57,8 @@ class TestFlattenedSMDP:
         flat = findplan(taxi_hierarchy.base, q.starts, q.goals)
         assert with_options is not None and flat is not None
         for s in q.starts:
-            assert len(with_options.action_sequence(smdp, s)) <= len(
-                flat.action_sequence(taxi_hierarchy.base, s)
+            assert len(action_sequence(smdp, with_options, s)) <= len(
+                action_sequence(taxi_hierarchy.base, flat, s)
             )
 
 

@@ -495,6 +495,7 @@ class TestCLI:
                 "error: 'in-taxi' must be true or false, got 'false'",
             ),
             ('{"in-taxi": null}', "error: 'in-taxi' must be true or false, got None"),
+            ('{"except": 5}', "error: a constraint object has a malformed 'except': 5"),
         ],
     )
     def test_plan_unknown_name_prints_one_error_line(self, b_spec, message):
@@ -553,12 +554,15 @@ class TestCLI:
             ({"variables": [["pos", [0, 1, 2]]], "states": [[0], [1], [2]]},
              {"initiation": [0, 7], "termination": [1, 7]},
              "error: option 'to-one' names state 7, outside level 0's 3 states"),
+            ({"options": {"l1": {"seeds": [0, 99], "options": [
+                {"name": "to-one", "initiation": [0], "termination": [1]}]}}}, {},
+             "error: seed state 99 outside level 0"),
         ],
         ids=["target-outside", "short-entry", "empty-initiation", "num-states-text",
              "initiation-text", "policy-key-text", "factored-states-flat",
              "options-list", "option-set-number", "option-entry-number",
              "transitions-number", "option-state-outside",
-             "factored-option-state-outside"],
+             "factored-option-state-outside", "seed-outside"],
     )
     def test_bad_domain_input_prints_one_error_line(
         self, tmp_path, domain_patch, option_patch, message

@@ -11,21 +11,25 @@ from hierplan import (
     BaseMDP,
     GroundingSet,
     Hierarchy,
+    Option,
     PlanQuery,
     RewardMode,
     StateSpace,
     Violation,
+    action_sequence,
     answer_query,
     build_hierarchy,
     build_taxi_hierarchy,
     findplan,
     findplan_value_iteration,
     flatten_options,
+    load_domain,
     refine,
 )
 from hierplan.errors import (
     EmptyOptionSet,
     HierplanError,
+    InvalidSeed,
     LevelOutOfRange,
     MalformedInput,
     NoFactoredStructure,
@@ -67,6 +71,22 @@ class TestAddLevel:
         h = Hierarchy(base=taxi_mdp)
         with pytest.raises(NoFactoredStructure):
             h.add_level(taxi_options_level1(taxi_mdp), seeds=None)
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["plan-graph", "factored"])
+    def test_seed_outside_the_top_level_rejected(self, factored):
+        """Seeds are checked whichever way the level is built: a chain's
+        one option is a subgoal, so its level is a plan graph unless the
+        chain is factored and the option leaves a variable alone."""
+        mdp, _ = load_domain({
+            "actions": ["fwd"], "transitions": [[0, "fwd", 1], [1, "fwd", 2]],
+            **({"variables": [["pos", [0, 1]], ["tag", [0, 1]]],
+                "states": [[0, 0], [1, 0], [1, 1]]} if factored else {"num_states": 3}),
+        })
+        to_one = Option(
+            "to-one", GroundingSet.of(0, [0]), GroundingSet.of(0, [1]), {0: "fwd"}
+        )
+        with pytest.raises(InvalidSeed, match="seed state 99 outside level 0"):
+            Hierarchy(base=mdp).add_level([to_one], seeds=GroundingSet.of(0, [0, 99]))
 
     def test_add_level_returns_new_value(self, taxi_mdp):
         h0 = Hierarchy(base=taxi_mdp)
@@ -330,11 +350,11 @@ def assert_flat_search_oracle(h, query, transition):
             if answer is None:
                 continue
             level = h.level(answer.level_index)
-            for s in answer.plan.starts:
+            for s in answer.plan.initiation:
                 state = s
-                for action in answer.plan.action_sequence(level, s):
+                for action in action_sequence(level, answer.plan, s):
                     state, _ = level.step(state, action)
-                assert state in answer.plan.goals
+                assert state in answer.plan.termination
             for start in query.starts:
                 trace = refine(h, answer.plan, start)
                 assert trace.visited[0] == start and trace.end in query.goals

@@ -15,12 +15,12 @@ from hierplan import (
     PlanQuery,
     RewardMode,
     StateSpace,
+    action_sequence,
     answer_query,
     build_taxi_hierarchy,
     candidate_goals,
     candidate_starts,
     execute_option,
-    execute_refined,
     findplan,
     findplan_value_iteration,
     load_domain,
@@ -36,7 +36,7 @@ from hierplan.errors import (
     NoMatch,
     RefinementFault,
 )
-from hierplan.planner import InstrumentationRecord, Plan
+from hierplan.planner import InstrumentationRecord
 
 from conftest import (
     MatchPair,
@@ -229,7 +229,7 @@ class TestFindplan:
             h.level(2), GroundingSet.of(2, {blue}), GroundingSet.of(2, {red})
         )
         assert plan is not None
-        assert plan.action_sequence(h.level(2), blue) == ["passenger-to-red"]
+        assert action_sequence(h.level(2), plan, blue) == ["passenger-to-red"]
 
     def test_q2_level1_policy_drives_to_yellow(self, taxi_hierarchy, queries):
         h = taxi_hierarchy
@@ -238,7 +238,7 @@ class TestFindplan:
         plan = findplan(h.level(1), b, g)
         assert plan is not None
         for s in b:
-            seq = plan.action_sequence(h.level(1), s)
+            seq = action_sequence(h.level(1), plan, s)
             assert len(seq) <= 1
             if seq:
                 assert seq[0].startswith("drive-to-yellow")
@@ -251,7 +251,7 @@ class TestFindplan:
             h.level(2), GroundingSet.of(2, {blue}), GroundingSet.of(2, {blue})
         )
         assert plan is not None  # blue is already a goal
-        assert plan.action_sequence(h.level(2), blue) == []
+        assert action_sequence(h.level(2), plan, blue) == []
 
     def test_some_start_cannot_reach(self):
         from hierplan import BaseMDP, StateSpace
@@ -266,6 +266,28 @@ class TestFindplan:
         plan = findplan(mdp, GroundingSet.of(0, {0, 2}), GroundingSet.of(0, {1}))
         assert plan is None
 
+    def test_sets_of_another_level_raise_level_mismatch(self, taxi_hierarchy):
+        """A plan's level is its sets', so both must be over the level
+        searched."""
+        level = taxi_hierarchy.level(1)
+        here, there = GroundingSet.of(1, {0}), GroundingSet.of(0, {0})
+        for search in (findplan, findplan_value_iteration):
+            for starts, goals in ((there, here), (here, there), (there, there)):
+                with pytest.raises(LevelMismatch):
+                    search(level, starts, goals)
+
+    def test_plan_option_names_itself_on_another_level(self, taxi_hierarchy):
+        sets = GroundingSet.of(1, {0}), GroundingSet.of(1, {1})
+        with pytest.raises(LevelMismatch, match="option 'o' is over level 1, not 0"):
+            plan_option("o", taxi_hierarchy.base, *sets)
+
+    def test_empty_starts_raise_malformed_input(self, taxi_hierarchy, queries):
+        """A plan is an option, and an option needs an initiation state."""
+        goals = queries["Q3"].goals
+        for search in (findplan, findplan_value_iteration):
+            with pytest.raises(MalformedInput, match="empty initiation set"):
+                search(taxi_hierarchy.base, GroundingSet.empty(0), goals)
+
     def test_value_iteration_agrees_on_feasibility(self, taxi_hierarchy, queries):
         h = taxi_hierarchy
         for q in queries.values():
@@ -274,7 +296,7 @@ class TestFindplan:
             assert (bfs is None) == (vi is None)
             if vi is not None:
                 for s in list(q.starts)[:3]:
-                    seq = vi.action_sequence(h.base, s)
+                    seq = action_sequence(h.base, vi, s)
                     state = s
                     for a in seq:
                         state, _ = h.base.step(state, a)
@@ -368,7 +390,7 @@ class TestFindplan:
             return
         for s in starts:
             state, total = s, 0.0
-            for a in plan.action_sequence(mdp, s):
+            for a in action_sequence(mdp, plan, s):
                 state, r = mdp.step(state, a)
                 total += r
             assert state in goals
@@ -399,7 +421,7 @@ class TestFindplan:
             return
         for s in starts:
             state = s
-            for a in plan.action_sequence(mdp, s):
+            for a in action_sequence(mdp, plan, s):
                 state, _ = mdp.step(state, a)
             assert state in goals
 
@@ -429,7 +451,7 @@ class TestFindplan:
                 continue
             for s in starts:
                 state = s
-                sequence = plan.action_sequence(mdp, s)
+                sequence = action_sequence(mdp, plan, s)
                 for a in sequence:
                     state, _ = mdp.step(state, a)
                 assert state in goals
@@ -456,7 +478,7 @@ class TestFindplan:
         )
         b, g = GroundingSet.of(0, {2}), GroundingSet.of(0, {0})
         assert findplan_value_iteration(mdp, b, g) is None
-        assert findplan(mdp, b, g).action_sequence(mdp, 2) == ["a"]
+        assert action_sequence(mdp, findplan(mdp, b, g), 2) == ["a"]
 
     @pytest.mark.parametrize("search", [findplan, findplan_value_iteration])
     @pytest.mark.parametrize(
@@ -488,9 +510,9 @@ class TestFindplan:
             assert plan is None
             return
         assert plan.policy == policy
-        assert plan.goals == g and plan.starts == b
+        assert plan.termination == g and plan.initiation == b
         for s in starts:
-            assert len(plan.action_sequence(mdp, s)) == (0 if s in goals else 2 - s)
+            assert len(action_sequence(mdp, plan, s)) == (0 if s in goals else 2 - s)
 
 
 def three_states(transition, level_index=0):
@@ -508,14 +530,14 @@ class TestActionSequence:
 
     @staticmethod
     def plan(policy):
-        return Plan(0, policy, GroundingSet.of(0, [0]), GroundingSet.of(0, [1]))
+        return Option("p", GroundingSet.of(0, [0]), GroundingSet.of(0, [1]), policy)
 
     def test_walks_the_levels_transition_table(self):
         level = three_states({(0, "a"): 2, (2, "b"): 1})
         plan = self.plan({0: "a", 2: "b"})
-        assert plan.action_sequence(level, 0) == ["a", "b"]
-        assert plan.action_sequence(level, 1) == []
-        assert self.plan({0: "a"}).action_sequence(three_states({(0, "a"): 1}), 0) == ["a"]
+        assert action_sequence(level, plan, 0) == ["a", "b"]
+        assert action_sequence(level, plan, 1) == []
+        assert action_sequence(three_states({(0, "a"): 1}), self.plan({0: "a"}), 0) == ["a"]
 
     @pytest.mark.parametrize(
         "policy, transition",
@@ -528,12 +550,12 @@ class TestActionSequence:
     )
     def test_broken_walk_raises_refinement_fault(self, policy, transition):
         with pytest.raises(RefinementFault):
-            self.plan(policy).action_sequence(three_states(transition), 0)
+            action_sequence(three_states(transition), self.plan(policy), 0)
 
     def test_level_of_another_index_raises_level_mismatch(self):
         level = three_states({(0, "a"): 1}, level_index=1)
         with pytest.raises(LevelMismatch):
-            self.plan({0: "a"}).action_sequence(level, 0)
+            action_sequence(level, self.plan({0: "a"}), 0)
 
 
 def assert_same_value_iteration(level, starts, goals):
@@ -548,7 +570,7 @@ def assert_same_value_iteration(level, starts, goals):
     assert (got is None) == (want is None)
     if got is not None:
         assert list(got.policy.items()) == list(want.policy.items())
-        assert (got.starts, got.goals) == (starts, goals)
+        assert (got.initiation, got.termination) == (starts, goals)
 
 
 class TestValueIterationOracle:
@@ -702,7 +724,7 @@ class TestAnswerQuery:
         q = PlanQuery(GroundingSet.of(0, {0}), GroundingSet.of(0, {2}))
         assert findplan_value_iteration(mdp, q.starts, q.goals) is None
         assert answer_query(h, q, plan_mode="value-iteration") is None
-        assert answer_query(h, q).plan.action_sequence(mdp, 0) == ["fwd", "fwd"]
+        assert action_sequence(mdp, answer_query(h, q).plan, 0) == ["fwd", "fwd"]
 
     def test_findplan_with_empty_goal_set_is_null(self, taxi_hierarchy):
         empty = GroundingSet.empty(0)
@@ -736,7 +758,7 @@ class TestRefinement:
         start = next(iter(q.starts))
         trace = refine(taxi_hierarchy, answer.plan, start)
         state = start
-        for a in answer.plan.action_sequence(taxi_hierarchy.base, start):
+        for a in action_sequence(taxi_hierarchy.base, answer.plan, start):
             state, _ = taxi_hierarchy.base.step(state, a)
         assert state == trace.end
 
@@ -750,12 +772,6 @@ class TestRefinement:
         with pytest.raises(RefinementFault):
             refine(taxi_hierarchy, answer.plan, stranger)
 
-    def test_refine_plan_without_starts_faults(self, taxi_hierarchy, queries):
-        q = queries["Q3"]
-        plan = findplan(taxi_hierarchy.base, GroundingSet.empty(0), q.goals)
-        with pytest.raises(RefinementFault):
-            refine(taxi_hierarchy, plan, next(iter(q.starts)))
-
     def test_trace_reward_counts_base_steps(self, taxi_hierarchy, queries):
         q = queries["Q1"]
         answer = answer_query(taxi_hierarchy, q)
@@ -767,7 +783,7 @@ class TestRefinement:
         h = taxi_hierarchy
         ferry = [o for o in h.option_sets[1] if o.name == "passenger-to-green"][0]
         start = state_of(h.base, 0, 0, 3, 0)  # taxi at yellow, passenger at blue
-        trace = execute_refined(h, 2, ferry, start)
+        trace = refine(h, ferry, start)
         end = h.base.space.assignment(trace.end)
         assert end == (4, 4, 4, 4, False)
 
@@ -786,7 +802,7 @@ class TestRefinement:
             policy={at_red: "drive-to-green", at_green: "drive-to-red"},
         )
         with pytest.raises(RefinementFault, match="ping-pong"):
-            execute_refined(h, 2, ping_pong, state_of(h.base, 0, 4, 3, 0))
+            refine(h, ping_pong, state_of(h.base, 0, 4, 3, 0))
 
     def test_execute_refined_outside_initiation_faults(self, taxi_hierarchy):
         h = taxi_hierarchy
@@ -794,7 +810,7 @@ class TestRefinement:
         start = state_of(h.base, 2, 2, 1, 1)  # taxi away from the passenger
         assert start not in pick_up.initiation
         with pytest.raises(RefinementFault):
-            execute_refined(h, 1, pick_up, start)
+            refine(h, pick_up, start)
 
 
     def test_execute_refined_level3_ping_pong_stops_at_level2_bound(
@@ -813,7 +829,7 @@ class TestRefinement:
         bound = 10 * h.num_states(2)
         message = f"'ferry-ping-pong' exceeded {bound} steps"
         with pytest.raises(RefinementFault, match=message):
-            execute_refined(h, 3, ping_pong, state_of(h.base, 3, 0, 3, 0))
+            refine(h, ping_pong, state_of(h.base, 3, 0, 3, 0))
 
     def test_execute_refined_inapplicable_option_faults(self, taxi_hierarchy):
         """A level-2 option whose policy names a level-1 option none of
@@ -829,7 +845,7 @@ class TestRefinement:
         )
         assert h.level(1).resolve_part(at_red, "pick-up") is None
         with pytest.raises(RefinementFault, match="'stuck'"):
-            execute_refined(h, 2, stuck, state_of(h.base, 0, 4, 3, 0))
+            refine(h, stuck, state_of(h.base, 0, 4, 3, 0))
 
     def test_execute_refined_level1_state_off_policy_faults(self, taxi_hierarchy):
         """A level-2 option whose policy stops covering the level-1 state
@@ -844,7 +860,7 @@ class TestRefinement:
             policy={at_red: "drive-to-green"},
         )
         with pytest.raises(RefinementFault, match="'half-way' has no action"):
-            execute_refined(h, 2, half_way, state_of(h.base, 0, 4, 3, 0))
+            refine(h, half_way, state_of(h.base, 0, 4, 3, 0))
 
     def test_execute_refined_level2_state_off_policy_faults(self, taxi_hierarchy):
         """An option over level 2, run as a level-3 action, whose policy
@@ -859,7 +875,7 @@ class TestRefinement:
         )
         message = f"'onward' has no action for state {green}"
         with pytest.raises(RefinementFault, match=message):
-            execute_refined(h, 3, onward, state_of(h.base, 3, 0, 3, 0))
+            refine(h, onward, state_of(h.base, 3, 0, 3, 0))
 
     def test_execute_refined_lower_option_outside_initiation_faults(
         self, taxi_hierarchy
@@ -884,12 +900,12 @@ class TestRefinement:
             termination=GroundingSet.of(2, {green}),
             policy={blue: "passenger-to-green"},
         )
-        assert execute_refined(h, 3, ferry, state_of(h.base, 3, 0, 3, 0)).end in (
+        assert refine(h, ferry, state_of(h.base, 3, 0, 3, 0)).end in (
             h.final_grounding_of(2, green)
         )
         message = f"'passenger-to-green' from state {at_blue}"
         with pytest.raises(RefinementFault, match=message):
-            execute_refined(broken, 3, ferry, state_of(h.base, 3, 0, 3, 0))
+            refine(broken, ferry, state_of(h.base, 3, 0, 3, 0))
 
 
 @pytest.fixture(scope="module", params=list(RewardMode), ids=lambda m: m.value)
@@ -918,7 +934,7 @@ class TestRefinementOracle:
         for tour in itertools.permutations(range(h.num_states(2))):
             policy = {s: ferry_to[t] for s, t in zip(tour, tour[1:])}
             first, last = (GroundingSet.single(2, tour[i]) for i in (0, -1))
-            plan = Plan(2, policy, first, last)
+            plan = Option("tour", first, last, policy)
             for start in h.final_ground(2, first):
                 trace = refine(h, plan, start)
                 assert trace == oracle_refine(h, plan, start)
@@ -973,7 +989,7 @@ class TestRefinementOracle:
             ids = st.integers(0, level.num_states - 1)
             policy = data.draw(st.dictionaries(ids, st.sampled_from(names)))
             drawn = [GroundingSet.of(j, data.draw(st.sets(ids, min_size=k))) for k in (1, 0)]
-            plans.append(Plan(j, policy, *drawn))
+            plans.append(Option("drawn", *drawn, policy))
 
         def outcome(refinement, plan, start):
             try:

@@ -3,6 +3,7 @@
 import pytest
 
 import hierplan
+import hierplan.planner
 from hierplan import BaseMDP, GroundingSet, Hierarchy, OptionPart, StateSpace
 
 
@@ -21,6 +22,13 @@ def test_no_name_exported_twice():
 def test_oracles_are_not_exported(name):
     assert name not in hierplan.__all__
     assert not hasattr(hierplan, name)
+
+
+@pytest.mark.parametrize("name", ["Plan", "execute_refined"])
+def test_plans_are_options_and_refine_is_the_one_refiner(name):
+    assert name not in hierplan.__all__
+    assert not hasattr(hierplan, name)
+    assert not hasattr(hierplan.planner, name)
 
 
 @pytest.mark.parametrize(

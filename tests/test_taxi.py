@@ -214,6 +214,17 @@ class TestQueryExpansion:
         with pytest.raises(MalformedInput, match="'in-taxi' must be true or false"):
             expand_constraints(taxi_mdp, spec)
 
+    def test_except_expands_taxi_sugar(self, taxi_mdp):
+        """An ``except`` object is expanded like the query around it, in
+        the ``states`` branch too, and subtracted."""
+        outside = expand_constraints(taxi_mdp, {"in-taxi": False})
+        red = expand_constraints(taxi_mdp, {"pass-at": "red"})
+        for spec in (
+            {"except": {"pass-at": "red"}, "in-taxi": False},
+            {"states": sorted(outside), "except": {"pass-at": "red"}},
+        ):
+            assert expand_constraints(taxi_mdp, spec) == outside - red
+
     def test_empty_constraint_is_everything(self, taxi_mdp):
         g = expand_constraints(taxi_mdp, {})
         assert len(g) == 650
