@@ -10,18 +10,19 @@ unfactored level there are no variables, so every part is one. The next
 level is built in one of two ways:
 
 * every part is a subgoal: a plan graph, one abstract state per part,
-  with an edge ``i -> j`` whenever part ``i``'s effect set is contained
-  in part ``j``'s initiation set;
-* otherwise, over a factored space: a factored space built by closure
-  from seed assignments, each part overwriting its variables with its
-  effect values.
+  with an edge ``i -> j`` whenever part ``i``'s terminal state lies in
+  part ``j``'s initiation set;
+* otherwise, over a factored space: the seed states' closure over lower
+  states, each part taking a state of its initiation set to the lower
+  state whose assignment is the start's with the part's effect values
+  written over it.
 
-Groundings of plan-graph nodes are widened from the raw effect set to all
+Groundings of plan-graph nodes are widened from the terminal state to all
 lower states with the same initiation-membership profile, which keeps
 applicability sound (edge existence already implies the widened set lies
 inside every usable initiation set) while letting node groundings cover
-every state the node is interchangeable with. Factored-level groundings
-are exact assignment matches and are never widened.
+every state the node is interchangeable with. A factored-level state
+copies one lower state's assignment and grounds to that state alone.
 """
 
 from __future__ import annotations
@@ -67,23 +68,17 @@ class OptionPart:
     part sets and their values: execution from every start in the part
     ends with each of them at its value and every other variable
     unchanged. When those variables are all of the level's (always, over
-    an unfactored level) the part is a subgoal:
-    ``terminal_state`` is its one terminal state, the only member of
-    ``effect``. ``mean_return`` is the parent option's mean return over
-    its whole initiation set, zero-step starts included.
+    an unfactored level) the part is a subgoal: ``terminal_state`` is the
+    one state all its starts reach. ``mean_return`` is the parent option's
+    mean return over its whole initiation set, zero-step starts included.
     """
 
     part_id: str
     option: Option
     initiation: GroundingSet
-    effect: GroundingSet
     mean_return: float
     terminal_state: int | None = None
     effect_values: tuple[tuple[str, Any], ...] = ()
-
-    @property
-    def option_id(self) -> str:
-        return self.option.name
 
 
 def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
@@ -278,7 +273,6 @@ def partition_option(option: Option, level) -> tuple[OptionPart, ...]:
                 part_id=f"{option.name}#{k}" if multi else option.name,
                 option=option,
                 initiation=GroundingSet.of(lvl, [s for s, _ in pairs]),
-                effect=GroundingSet.of(lvl, {t for _, t in pairs}),
                 mean_return=mean_return,
                 terminal_state=end if len(mask) == len(names) else None,
                 effect_values=tuple(
@@ -344,7 +338,7 @@ class AbstractLevel(BaseMDP):
             raise MalformedInput("an abstract level's actions must be its part ids")
         by_option: dict[str, list[OptionPart]] = {}
         for p in self.parts:
-            by_option.setdefault(p.option_id, []).append(p)
+            by_option.setdefault(p.option.name, []).append(p)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(
             self, "_by_option", {k: tuple(v) for k, v in by_option.items()}
@@ -403,8 +397,9 @@ def build_plan_graph(
     """Abstract level whose states are the subgoal parts of ``options``.
 
     Node ``i`` reaches node ``j`` by part ``j`` exactly when part ``i``'s
-    effect set is inside part ``j``'s initiation set. Node groundings are
-    the initiation-profile widening of the effect sets.
+    terminal state lies in part ``j``'s initiation set. A node grounds to
+    every lower state whose initiation profile (its membership in each
+    part's initiation set) is its terminal state's.
     """
     parts = list(_parts) if _parts is not None else _partition_all(options, level)
     bad = [p.part_id for p in parts if p.terminal_state is None]
@@ -424,7 +419,7 @@ def build_plan_graph(
         by_profile.setdefault(profile, []).append(s)
     widened = [
         GroundingSet.of(
-            lvl, by_profile.get(tuple("01"[p.effect <= i] for i in inits), ())
+            lvl, by_profile.get(tuple("01"[p.terminal_state in i] for i in inits), ())
         )
         for p in parts
     ]
@@ -432,7 +427,7 @@ def build_plan_graph(
     transition: dict[tuple[int, str], int] = {}
     for i, pi in enumerate(parts):
         for j, pj in enumerate(parts):
-            if pi.effect.issubset(pj.initiation):
+            if pi.terminal_state in pj.initiation:
                 transition[(i, pj.part_id)] = j
 
     space = StateSpace(
@@ -464,13 +459,13 @@ def build_factored_abstraction(
     seed_states: GroundingSet,
     _parts: Sequence[OptionPart] | None = None,
 ) -> AbstractLevel:
-    """Abstract level over the lower space's variables, closed from the
-    seed states' assignments under the parts' variable-update rules.
+    """Abstract level over the lower space's variables: the closure of
+    the seed states, in ascending order, over lower states.
 
-    A part applies to an assignment when every matching lower state lies
-    in its initiation set; the successor assignment overwrites the mask
-    with the part's effect values. Groundings are exact-match lower
-    states, never widened, so distinct assignments stay distinct states.
+    A part applies to a state of its initiation set and leads to the
+    lower state whose assignment is that state's with the part's effect
+    values written over it. Each abstract state copies one lower state's
+    assignment and grounds to that state alone, never widened.
     """
     space: StateSpace = level.space
     if not space.is_factored:
@@ -481,49 +476,35 @@ def build_factored_abstraction(
     names = space.variable_names()
     lvl = space.level_index
 
-    def grounding_of(asg: Assignment) -> GroundingSet:
-        sid = space.state_of(asg)
-        if sid is None:
-            return GroundingSet.empty(lvl)
-        return GroundingSet.single(lvl, sid)
-
     def apply_part(asg: Assignment, part: OptionPart) -> Assignment:
         out = list(asg)
         for var, value in part.effect_values:
             out[names.index(var)] = value
         return tuple(out)
 
-    seeds = sorted(seed_states)
-    order: dict[Assignment, int] = {}
-    for s in seeds:
-        asg = space.assignment(s)
-        if asg not in order:
-            order[asg] = len(order)
+    # a part applies only at its own starts, where its effect values give
+    # the terminal state the start reaches, so the closure stays in the space
+    order = {s: i for i, s in enumerate(sorted(seed_states))}
     queue = list(order)
     transition: dict[tuple[int, str], int] = {}
     while queue:
-        asg = queue.pop(0)
-        sid = order[asg]
-        g = grounding_of(asg)
+        s = queue.pop(0)
         for part in parts:
-            if g.is_empty() or not g.issubset(part.initiation):
+            if s not in part.initiation:
                 continue
-            nxt = apply_part(asg, part)
+            nxt = space.state_of(apply_part(space.assignment(s), part))
             if nxt not in order:
                 order[nxt] = len(order)
                 queue.append(nxt)
-            transition[(sid, part.part_id)] = order[nxt]
+            transition[(order[s], part.part_id)] = order[nxt]
 
-    assignments = tuple(order)
     new_space = StateSpace(
         level_index=lvl + 1,
-        num_states=len(assignments),
+        num_states=len(order),
         variables=space.variables,
-        assignments=assignments,
+        assignments=tuple(space.assignment(s) for s in order),
     )
-    groundings = {
-        i: grounding_of(asg) for i, asg in enumerate(assignments)
-    }
+    groundings = {i: GroundingSet.single(lvl, s) for s, i in order.items()}
     return AbstractLevel(
         space=new_space,
         actions=tuple(p.part_id for p in parts),

@@ -73,6 +73,20 @@ def _object(value) -> dict:
     return value
 
 
+def _string(value) -> str:
+    """``value`` itself; TypeError unless it is a JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _scalar(value):
+    """``value`` itself; TypeError unless it is a JSON scalar."""
+    if value is not None and not isinstance(value, (str, int, float)):
+        raise TypeError(f"{value!r} is not a scalar")
+    return value
+
+
 def _read(source) -> dict:
     """The JSON object in the file at ``source``, or ``source`` itself
     when it is already parsed."""
@@ -87,17 +101,13 @@ def _read(source) -> dict:
     return data
 
 
-def _require(data: dict, key: str, what: str):
-    try:
-        return data[key]
-    except KeyError:
-        raise MalformedInput(f"{what} has no {key!r} key") from None
-
-
 def _parse(data: dict, key: str, what: str, convert):
     """``convert(data[key])``; MalformedInput when the key is missing or
     its value does not have the shape ``convert`` reads."""
-    value = _require(data, key, what)
+    try:
+        value = data[key]
+    except KeyError:
+        raise MalformedInput(f"{what} has no {key!r} key") from None
     try:
         return convert(value)
     except (AttributeError, TypeError, ValueError):
@@ -118,7 +128,9 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, OptionSetSpec]]:
     data = {"gamma": 1.0, "options": {}, **_read(source)}
     labels = _parse(data, "labels", "domain", tuple) if "labels" in data else None
     if data.get("variables") is not None:
-        assignments = _parse(data, "states", "domain", lambda v: tuple(map(tuple, v)))
+        assignments = _parse(
+            data, "states", "domain", lambda v: tuple(tuple(map(_scalar, a)) for a in v)
+        )
         space = StateSpace(
             level_index=0,
             num_states=len(assignments),
@@ -126,7 +138,7 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, OptionSetSpec]]:
                 data,
                 "variables",
                 "domain",
-                lambda v: tuple(Variable(n, tuple(dom)) for n, dom in v),
+                lambda v: tuple(Variable(_string(n), tuple(map(_scalar, d))) for n, d in v),
             ),
             assignments=assignments,
             labels=labels,
@@ -141,7 +153,7 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, OptionSetSpec]]:
     reward: dict[tuple[int, str], float] = {}
     for entry in _parse(data, "transitions", "domain", list):
         try:
-            s, a, t = int(entry[0]), entry[1], int(entry[2])
+            s, a, t = int(entry[0]), _string(entry[1]), int(entry[2])
             r = float(entry[3]) if len(entry) > 3 else -1.0
         except (IndexError, KeyError, TypeError, ValueError):
             raise MalformedInput(
@@ -153,7 +165,7 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, OptionSetSpec]]:
         reward[(s, a)] = r
     mdp = BaseMDP(
         space=space,
-        actions=_parse(data, "actions", "domain", tuple),
+        actions=_parse(data, "actions", "domain", lambda v: tuple(map(_string, v))),
         transition=transition,
         reward=reward,
         gamma=_parse(data, "gamma", "domain", float),
@@ -171,11 +183,11 @@ def _option_set(name: str, value) -> OptionSetSpec:
     return OptionSetSpec(
         options=tuple(
             OptionSpec(
-                name=_require(e, "name", what),
+                name=_parse(e, "name", what, _string),
                 initiation=_parse(e, "initiation", what, _set_spec),
                 termination=_parse(e, "termination", what, _set_spec),
                 policy=_parse(
-                    e, "policy", what, lambda p: {int(k): v for k, v in p.items()}
+                    e, "policy", what, lambda p: {int(k): _string(v) for k, v in p.items()}
                 ) if "policy" in e else None,
             )
             for e in map(_object, _parse(spec, "options", where, list))
@@ -187,28 +199,34 @@ def _option_set(name: str, value) -> OptionSetSpec:
 def expand_generic(level, spec: dict | list) -> GroundingSet:
     """A set as states of ``level``, without domain-specific sugar: a
     list names state ids; a constraint object holds every state when it
-    is empty, else those its ``states`` list (which must name states of
-    the level) or variable constraints give, less its ``except`` set."""
+    is empty, else those its ``states`` list or variable constraints
+    give, less its ``except`` set. A ``states`` or ``except`` id list
+    must name states of the level."""
+    lvl = level.level_index
     if isinstance(spec, list):
-        return GroundingSet.of(level.level_index, spec)
+        return GroundingSet.of(lvl, spec)
     rest = {k: v for k, v in spec.items() if k != "except"}
-    states = level.space.states
     if "states" in rest:
-        ids = rest["states"]
-        if not isinstance(ids, list) or not all(type(s) is int and s in states for s in ids):
-            raise MalformedInput(
-                f"'states' must list state ids in 0..{len(states) - 1}, got {ids!r}"
-            )
-        result = GroundingSet.of(level.level_index, ids)
+        result = GroundingSet.of(lvl, _state_ids(level, "states", rest["states"]))
     elif rest:
         result = level.space.where(**rest)
     else:
-        result = GroundingSet(level.level_index, (1 << len(states)) - 1)
+        result = GroundingSet(lvl, (1 << level.num_states) - 1)
     if "except" in spec:
-        result = result - expand_generic(
-            level, _parse(spec, "except", "a constraint object", _set_spec)
-        )
+        removed = _parse(spec, "except", "a constraint object", _set_spec)
+        if isinstance(removed, list):
+            _state_ids(level, "except", removed)
+        result = result - expand_generic(level, removed)
     return result
+
+
+def _state_ids(level, key: str, ids) -> list[int]:
+    """``ids`` itself; MalformedInput naming ``key`` unless it lists
+    states of ``level``."""
+    n = level.num_states
+    if not isinstance(ids, list) or not all(type(s) is int and 0 <= s < n for s in ids):
+        raise MalformedInput(f"{key!r} must list state ids in 0..{n - 1}, got {ids!r}")
+    return ids
 
 
 def resolve_options(level, spec: OptionSetSpec) -> list[Option]:

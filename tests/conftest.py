@@ -9,6 +9,7 @@ computation of the same quantity.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -17,11 +18,14 @@ import pytest
 from hypothesis import strategies as st
 
 from hierplan import (
+    BaseMDP,
     ExecutionTrace,
     GroundingSet,
     Option,
     PlanQuery,
     RewardMode,
+    StateSpace,
+    Variable,
     benchmark_queries,
     build_taxi,
     build_taxi_hierarchy,
@@ -169,13 +173,13 @@ def one_step_preimage_options(mdp):
 def oracle_widened_groundings(below, parts):
     """`build_plan_graph`'s node groundings as they were computed, with
     one ``in`` test per state and part initiation: the states whose
-    membership pattern across the initiations matches each part's effect
-    containment pattern."""
+    membership pattern across the initiations matches each part's terminal
+    state's."""
     inits = [p.initiation for p in parts]
     by_profile = {}
     for s in below.space.states:
         by_profile.setdefault(tuple(s in i for i in inits), []).append(s)
-    return [by_profile.get(tuple(p.effect.issubset(i) for i in inits), []) for p in parts]
+    return [by_profile.get(tuple(p.terminal_state in i for i in inits), []) for p in parts]
 
 
 def taxi_domain(layout):
@@ -425,6 +429,55 @@ def random_domains(draw):
                 transition[(s, a)] = t
     states = st.sets(st.integers(0, n - 1), min_size=1)
     return n, transition, draw(st.sampled_from(RewardMode)), draw(states), draw(states)
+
+
+# the rewards and discounts random domains draw from
+REWARDS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
+GAMMAS = (1.0, 0.9, 0.5)
+
+FACTORED_VARIABLES = (
+    Variable("x", (0, 1, 2)),
+    Variable("y", (0, 1)),
+    Variable("z", (False, True)),
+)
+
+
+@st.composite
+def random_factored_domains(draw):
+    """A factored base MDP and one option set over it: two or three
+    variables of `FACTORED_VARIABLES`, a random nonempty subset of their
+    assignments as states, partial ``a``/``b``/``c`` transitions with
+    drawn rewards and gamma, one to four (initiation, termination) id
+    pairs with no policies, and closure seeds."""
+    variables = tuple(
+        draw(st.permutations(FACTORED_VARIABLES))[: draw(st.integers(2, 3))]
+    )
+    every = list(itertools.product(*(v.domain for v in variables)))
+    kept = draw(st.sets(st.integers(0, len(every) - 1), min_size=1))
+    assignments = tuple(every[i] for i in sorted(kept))
+    n = len(assignments)
+    transition = {}
+    for s in range(n):
+        for a in ("a", "b", "c"):
+            t = draw(st.none() | st.integers(0, n - 1))
+            if t is not None:
+                transition[(s, a)] = t
+    mdp = BaseMDP(
+        space=StateSpace(
+            level_index=0, num_states=n, variables=variables, assignments=assignments
+        ),
+        actions=("a", "b", "c"),
+        transition=transition,
+        reward={edge: draw(st.sampled_from(REWARDS)) for edge in sorted(transition)},
+        gamma=draw(st.sampled_from(GAMMAS)),
+    )
+    ids = st.sets(st.integers(0, n - 1), min_size=1).map(sorted)
+    pairs = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=4))
+    spec = OptionSetSpec(
+        tuple(OptionSpec(f"o{i}", a, b) for i, (a, b) in enumerate(pairs)),
+        seeds=draw(ids),
+    )
+    return mdp, spec, draw(st.sampled_from(RewardMode))
 
 
 def draw_option_set(data, num_states, prefix):

@@ -155,6 +155,38 @@ class TestDomainIO:
                 "the 'options' object has a malformed 'l1': [5]",
             ),
             ({**CHAIN_DOMAIN, "transitions": 5}, "domain has a malformed 'transitions': 5"),
+            (
+                {**CHAIN_DOMAIN, "transitions": [[0, ["fwd"], 1]]},
+                "transition [0, ['fwd'], 1] is not [state, action, state(, reward)]",
+            ),
+            (
+                {**CHAIN_DOMAIN, "actions": ["fwd", ["x"]]},
+                "domain has a malformed 'actions': ['fwd', ['x']]",
+            ),
+            (
+                {**CHAIN_DOMAIN, "states": [[[0]], [1], [2], [3]]},
+                "domain has a malformed 'states': [[[0]], [1], [2], [3]]",
+            ),
+            (
+                {**CHAIN_DOMAIN, "options": {"l1": [{
+                    "name": ["o"], "initiation": [0], "termination": [1]}]}},
+                "an option of set 'l1' has a malformed 'name': ['o']",
+            ),
+            (
+                {**CHAIN_DOMAIN, "options": {"l1": [{
+                    "name": 7, "initiation": [0], "termination": [1]}]}},
+                "an option of set 'l1' has a malformed 'name': 7",
+            ),
+            (
+                {**CHAIN_DOMAIN, "options": {"l1": [{
+                    "name": "o", "initiation": [0], "termination": [1],
+                    "policy": {"0": ["fwd"]}}]}},
+                "an option of set 'l1' has a malformed 'policy': {'0': ['fwd']}",
+            ),
+            (
+                {**CHAIN_DOMAIN, "variables": [[["pos"], [0, 1, 2, 3]]]},
+                "domain has a malformed 'variables': [[['pos'], [0, 1, 2, 3]]]",
+            ),
         ],
     )
     def test_malformed_domain_rejected(self, domain, message):
@@ -174,6 +206,14 @@ class TestDomainIO:
             (
                 {"B": {"states": [9999]}, "G": {"pos": 3}},
                 "'states' must list state ids in 0..3, got [9999]",
+            ),
+            (
+                {"B": {"pos": [0, 1], "except": [0, 99]}, "G": {"pos": 3}},
+                "'except' must list state ids in 0..3, got [0, 99]",
+            ),
+            (
+                {"B": {"except": {"except": [-1]}}, "G": {"pos": 3}},
+                "'except' must list state ids in 0..3, got [-1]",
             ),
         ],
     )
@@ -289,6 +329,8 @@ class TestOptionSetSpec:
              "option 'o': some initiation state cannot reach termination"),
             ({"initiation": {"except": {}}, "termination": [0]},
              "option 'o' has an empty initiation set"),
+            ({"initiation": {"except": [3, 99]}, "termination": [3]},
+             "'except' must list state ids in 0..3, got [3, 99]"),
         ],
     )
     def test_bad_planned_option_rejected(self, option, message):
@@ -496,6 +538,10 @@ class TestCLI:
             ),
             ('{"in-taxi": null}', "error: 'in-taxi' must be true or false, got None"),
             ('{"except": 5}', "error: a constraint object has a malformed 'except': 5"),
+            (
+                '{"except": [9999], "pass-at": "blue", "taxi-at": "red", "in-taxi": false}',
+                "error: 'except' must list state ids in 0..649, got [9999]",
+            ),
         ],
     )
     def test_plan_unknown_name_prints_one_error_line(self, b_spec, message):

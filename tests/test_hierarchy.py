@@ -41,11 +41,14 @@ from hierplan.taxi import (
 )
 
 from conftest import (
+    GAMMAS,
     OPEN_8X8,
+    REWARDS,
     draw_option_set,
     one_step_preimage_options,
     oracle_widened_groundings,
     random_domains,
+    random_factored_domains,
     random_queries,
 )
 
@@ -388,17 +391,23 @@ class TestRandomDomains:
     def test_two_level_spec_stacks(self, domain, data):
         """Two option sets of drawn (initiation, termination) pairs, the
         second drawn over the level the first builds, stacked by
-        `build_hierarchy` with every policy planned. Each construction
+        `build_hierarchy` with every policy planned, over drawn rewards
+        and gamma. Each construction
         raises a typed error, or `validate()` finds no violation, a
         rebuild gives the same snapshot, every plan-graph level's groundings are
         the per-state profile widening, and the flat-search oracle holds
         on the highest stack built."""
         n, transition, mode, starts, goals = domain
+        edges = sorted(transition)
+        rewards = data.draw(
+            st.lists(st.sampled_from(REWARDS), min_size=len(edges), max_size=len(edges))
+        )
         mdp = BaseMDP(
             space=StateSpace(level_index=0, num_states=n),
             actions=("a", "b"),
             transition=transition,
-            reward=dict.fromkeys(transition, -1.0),
+            reward=dict(zip(edges, rewards)),
+            gamma=data.draw(st.sampled_from(GAMMAS)),
         )
         sets = [draw_option_set(data, n, "o")]
         try:
@@ -419,3 +428,23 @@ class TestRandomDomains:
             )
         query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
         assert_flat_search_oracle(h, query, transition)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_factored_domains())
+    def test_factored_levels_ground_to_one_state(self, domain):
+        """A factored level is its seeds' closure over lower states: the
+        build raises a typed error, or `validate()` finds no violation, a
+        rebuild gives the same snapshot, and every factored state grounds
+        to exactly one lower state carrying the same assignment."""
+        mdp, spec, mode = domain
+        try:
+            h = build_hierarchy(mdp, [spec], mode)
+        except HierplanError:
+            return
+        assert h.validate() == []
+        assert build_hierarchy(mdp, [spec], mode).to_json() == h.to_json()
+        level = h.level(1)
+        if level.space.is_factored:
+            for s in level.space.states:
+                (below,) = level.grounding_of(s)
+                assert mdp.space.assignment(below) == level.space.assignment(s)

@@ -889,7 +889,7 @@ class TestRefinement:
         away = GroundingSet.single(1, at_blue)
         parts = tuple(
             replace(p, option=replace(p.option, initiation=p.option.initiation - away))
-            if p.option_id == "passenger-to-green" else p
+            if p.option.name == "passenger-to-green" else p
             for p in level.parts
         )
         broken = replace(h, levels_above=(h.level(1), replace(level, parts=parts)))

@@ -206,7 +206,6 @@ class TestOverlappingGroundings:
             part_id="advance",
             option=opt,
             initiation=opt.initiation,
-            effect=GroundingSet.of(0, {3}),
             mean_return=-2.0,
             terminal_state=3,
         )
