@@ -93,12 +93,17 @@ def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
     failing start raises the same error (a policy cycle exceeds the step
     bound). An option whose initiation or termination names a state
     outside the level raises MalformedInput before any simulation.
+    Termination is read off the option's own membership string and each
+    step off the level's tables, as in `execute_option`.
     """
     require_within_level(option.name, level, option.initiation, option.termination)
     n = level.num_states
     bound = default_step_bound(level)
-    stop = option.termination.bitstring(n)
+    stop = option._termination_bits
+    width = len(stop)
     policy = option.policy
+    transition = level.transition
+    reward = level.reward
     end = [-1] * n  # -1: not yet known, -2: on the walk being followed
     ret = [0.0] * n
     terminals: dict[int, int] = {}
@@ -111,7 +116,7 @@ def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
                 raise StepBoundExceeded(
                     f"option {option.name!r} exceeded {bound} steps from state {start}"
                 )
-            if stop[s] == "1":
+            if s < width and stop[s] == "1":
                 end[s] = s
                 break
             action = policy.get(s)
@@ -120,7 +125,12 @@ def _terminal_map(option: Option, level) -> tuple[dict[int, int], float]:
                     f"option {option.name!r} has no action for state {s}"
                 )
             end[s] = -2
-            nxt, r = level.step(s, action)
+            key = (s, action)
+            nxt = transition.get(key)
+            if nxt is None:
+                nxt, r = level.step(s, action)
+            else:
+                r = reward[key]
             walk.append((s, r))
             s = nxt
         e, g = end[s], ret[s]

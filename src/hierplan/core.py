@@ -191,19 +191,26 @@ class Option:
     during execution from the initiation set before termination.
     Termination is deterministic: execution stops exactly when the
     current state lies in the termination set, so invoking an option from
-    a termination state is a zero-step execution.
+    a termination state is a zero-step execution. Both sets are indexed
+    once, at construction, as `GroundingSet.bitstring` strings: a
+    membership test is one string index (`member`), where ``in`` on the
+    set shifts an int as wide as the level.
     """
 
     name: str
     initiation: GroundingSet
     termination: GroundingSet
     policy: Mapping[int, str]
+    _initiation_bits: str = field(init=False, repr=False, compare=False, default="")
+    _termination_bits: str = field(init=False, repr=False, compare=False, default="")
 
     def __post_init__(self) -> None:
         if self.initiation.is_empty():
             raise MalformedInput(f"option {self.name!r} has an empty initiation set")
         if self.initiation.level_index != self.termination.level_index:
             raise MalformedInput(f"option {self.name!r} mixes levels")
+        object.__setattr__(self, "_initiation_bits", self.initiation.bitstring())
+        object.__setattr__(self, "_termination_bits", self.termination.bitstring())
 
     @property
     def level_index(self) -> int:
@@ -243,7 +250,7 @@ def execute_option(level, option: Option, start: int, *,
 
     ``level`` is the level the option runs over: the base MDP or an
     abstract level, whose ``step`` takes an option id as well as a part
-    id. Each policy action is one ``level.step``, so over an abstract
+    id. Each policy action is one step of ``level``, so over an abstract
     level a trace visits abstract states and sums abstract rewards.
     Execution fails with StepBoundExceeded after
     ``default_step_bound(level)`` steps. ``record_stats`` does nothing: it
@@ -260,18 +267,35 @@ def _execute_into(
 ) -> tuple[int, float]:
     """`execute_option`'s loop: run ``option`` from ``start``, append every
     state entered to ``visited`` and return the end state and the summed
-    reward."""
-    if start not in option.initiation:
+    reward.
+
+    Each step costs one index into the option's termination string and
+    one read of ``level.transition`` and ``level.reward``, whatever the
+    level's width; ``level.step`` runs only for a key the tables lack (an
+    option id over an abstract level, or an inapplicable action), so the
+    successors, rewards and errors are ``level.step``'s."""
+    if not member(option._initiation_bits, start):
         raise NotInInitiationSet(f"option {option.name!r} from state {start}")
     bound = default_step_bound(level)
+    policy = option.policy
+    stop = option._termination_bits
+    width = len(stop)
+    transition = level.transition
+    reward = level.reward
     state = start
     total = 0.0
     steps = 0
-    while state not in option.termination:
-        action = option.policy.get(state)
+    # every state after the start is a successor, so none is negative
+    while state >= width or stop[state] != "1":
+        action = policy.get(state)
         if action is None:
             raise UndefinedPolicy(f"option {option.name!r} has no action for state {state}")
-        state, r = level.step(state, action)
+        key = (state, action)
+        nxt = transition.get(key)
+        if nxt is None:
+            state, r = level.step(state, action)
+        else:
+            state, r = nxt, reward[key]
         total += r
         visited.append(state)
         steps += 1
@@ -280,6 +304,13 @@ def _execute_into(
                 f"option {option.name!r} exceeded {bound} steps from state {start}"
             )
     return state, total
+
+
+def member(bitstring: str, state: int) -> bool:
+    """Whether ``state`` is in the set a `GroundingSet.bitstring` string
+    indexes: one string index. A negative id, or one past the string's
+    end, is not a member."""
+    return 0 <= state < len(bitstring) and bitstring[state] == "1"
 
 
 def require_within_level(name: str, level, *sets: GroundingSet) -> None:

@@ -143,6 +143,7 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, OptionSetSpec]]:
             assignments=assignments,
             labels=labels,
         )
+        _require_in_domains(space)
     else:
         space = StateSpace(
             level_index=0,
@@ -172,6 +173,22 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, OptionSetSpec]]:
     )
     sets, what = _parse(data, "options", "domain", _object), "the 'options' object"
     return mdp, {n: _parse(sets, n, what, lambda v: _option_set(n, v)) for n in sets}
+
+
+def _require_in_domains(space: StateSpace) -> None:
+    """MalformedInput naming the first state, in id order, that gives a
+    variable a value its declared domain lacks. Values compare with their
+    JSON type, so ``true`` is not ``1`` and ``1.0`` is not ``1``. Checked
+    here, at the file boundary, because spaces built in code (`build_taxi`)
+    hold their domains by construction."""
+    allowed = [{(type(d), d) for d in v.domain} for v in space.variables]
+    for sid, asg in enumerate(space.assignments):
+        for var, values, value in zip(space.variables, allowed, asg):
+            if (type(value), value) not in values:
+                raise MalformedInput(
+                    f"state {sid} gives {var.name!r} the value {value!r}, "
+                    f"outside its domain {list(var.domain)!r}"
+                )
 
 
 def _option_set(name: str, value) -> OptionSetSpec:

@@ -27,9 +27,16 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .core import ExecutionTrace, Option, _execute_into, default_step_bound, require_within_level
+from .core import (
+    ExecutionTrace,
+    Option,
+    _execute_into,
+    default_step_bound,
+    member,
+    require_within_level,
+)
 from .errors import (
     HierplanError,
     InapplicableAction,
@@ -57,10 +64,10 @@ def action_sequence(level, plan: Option, start: int) -> list[str]:
         raise LevelMismatch(f"plan level {plan.level_index} vs {level.level_index}")
     transition = level.transition
     policy = plan.policy
-    goals = plan.termination
+    goals = plan._termination_bits
     seq: list[str] = []
     state = start
-    while state not in goals:
+    while not member(goals, state):
         action = policy.get(state)
         state = transition.get((state, action))
         # len(seq) + 1 states with actions so far: past len(policy), one repeats
@@ -151,7 +158,8 @@ def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     """Maximal goal candidate at level ``j``: every state whose base
     grounding lies inside ``goals``. NoMatch when there is none. Level 0
     keeps the goals that are base states, with no test; above it, one
-    ``.bits`` test per state against the goals' complement, taken once."""
+    ``.bits`` test per state, ``g & goals == g``, which never negates a
+    set as wide as the base."""
     if not 0 <= j <= h.num_levels:
         raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
     if j == 0:
@@ -159,9 +167,9 @@ def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     elif goals.level_index != 0:
         raise LevelMismatch(f"level {goals.level_index} vs level 0")
     else:
-        outside = ~goals.bits
+        bits = goals.bits
         members = sum(
-            1 << s for s, g in h.base_groundings[j - 1].items() if not g.bits & outside
+            1 << s for s, g in h.base_groundings[j - 1].items() if g.bits & bits == g.bits
         )
     if not members:
         raise NoMatch(f"no state grounds inside the goal set at level {j}")
@@ -223,6 +231,20 @@ def findplan(
     start id outside the level makes the result None unless it is itself
     a goal.
     """
+    policy = _backward_policy(level, starts, goals, record)
+    if policy is None:
+        return None
+    return Option(f"plan@{level.level_index}", starts, goals, policy)
+
+
+def _backward_policy(
+    level,
+    starts: GroundingSet,
+    goals: GroundingSet,
+    record: InstrumentationRecord | None,
+) -> dict[int, str] | None:
+    """`findplan`'s search: the plan's policy, or None when some start
+    cannot reach a goal."""
     j = _require_level(level, starts, goals)
     rank = level._action_rank
     preds = level._predecessors
@@ -252,7 +274,7 @@ def findplan(
     _charge(record, j, ops)
     if any(dist[s] < 0 if s < n else s not in goals for s in starts):
         return None
-    return Option(f"plan@{j}", starts, goals, policy)
+    return policy
 
 
 def plan_option(
@@ -263,15 +285,15 @@ def plan_option(
     one closer. Every error names the option: LevelMismatch when either
     set is over another level, MalformedInput when one names a state
     outside ``level``, the initiation set is empty or some initiation
-    state cannot reach ``termination``."""
+    state cannot reach ``termination``. The option is built once, after
+    the search, so its sets are indexed once."""
     require_within_level(name, level, initiation, termination)
-    option = Option(name, initiation, termination, {})
-    plan = findplan(level, initiation, termination)
-    if plan is None:
+    policy = _backward_policy(level, initiation, termination, None)
+    if policy is None:
         raise MalformedInput(
             f"option {name!r}: some initiation state cannot reach termination"
         )
-    return replace(option, policy=plan.policy)
+    return Option(name, initiation, termination, policy)
 
 
 def findplan_value_iteration(
@@ -487,18 +509,18 @@ def _walk(
     every state entered to ``visited``. Above it, each policy step resolves
     the part applicable at the cursor, walks that part's option one level
     down, then moves the cursor along the part's own transition. Every
-    level keeps `execute_option`'s checks and its step bound, and each
-    fault names the option."""
+    level keeps `execute_option`'s checks, made on the option's membership
+    strings, and its step bound, and each fault names the option."""
     level = h.level(j)
     if j == 0:
         cursor[0], reward = _execute_into(level, option, cursor[0], visited)
         return total + reward
     start = state = cursor[j]
-    if start not in option.initiation:
+    if not member(option._initiation_bits, start):
         raise NotInInitiationSet(f"option {option.name!r} from state {start}")
     bound = default_step_bound(level)
     steps = 0
-    while state not in option.termination:
+    while not member(option._termination_bits, state):
         action = option.policy.get(state)
         if action is None:
             raise UndefinedPolicy(f"option {option.name!r} has no action for state {state}")

@@ -74,13 +74,16 @@ class GroundingSet:
         self._check(other)
         return GroundingSet(self.level_index, self.bits & other.bits)
 
+    # neither test negates: ``~b`` is a new int as wide as ``b``, and ``&``
+    # with a negative int converts both operands
     def difference(self, other: GroundingSet) -> GroundingSet:
         self._check(other)
-        return GroundingSet(self.level_index, self.bits & ~other.bits)
+        a = self.bits
+        return GroundingSet(self.level_index, a ^ (a & other.bits))
 
     def issubset(self, other: GroundingSet) -> bool:
         self._check(other)
-        return self.bits & ~other.bits == 0
+        return self.bits & other.bits == self.bits
 
     def is_empty(self) -> bool:
         return self.bits == 0
@@ -96,8 +99,9 @@ class GroundingSet:
 
     def bitstring(self, width: int = 0) -> str:
         """Membership as ``"1"``/``"0"`` characters, index 0 first, padded
-        with ``"0"`` to at least ``width``. Indexing it tests membership in
-        constant time, where ``in`` shifts the whole int."""
+        with ``"0"`` to at least ``width``. Indexing it tests membership
+        with one string index whatever the set's width, where ``in``
+        shifts the whole int; `core.Option` builds one per set, once."""
         return bin(self.bits)[:1:-1].ljust(width, "0")
 
     def __iter__(self) -> Iterator[int]:

@@ -29,10 +29,15 @@ from hierplan import (
     benchmark_queries,
     build_taxi,
     build_taxi_hierarchy,
-    execute_option,
 )
 from hierplan.domain_io import OptionSetSpec, OptionSpec
-from hierplan.errors import HierplanError, RefinementFault
+from hierplan.errors import (
+    HierplanError,
+    NotInInitiationSet,
+    RefinementFault,
+    StepBoundExceeded,
+    UndefinedPolicy,
+)
 from hierplan.planner import action_sequence
 from hierplan.taxi import TaxiLayout, expand_constraints
 
@@ -298,9 +303,32 @@ def oracle_value_iteration(level, starts, goals, record=None):
     return plan
 
 
+def oracle_execute(level, option, start):
+    """`execute_option` as it was written before options indexed their
+    sets: ``in`` on the option's initiation and termination sets, and one
+    ``level.step`` per policy action. The string-indexed, table-reading
+    loop must give the same trace, or the same error type and message."""
+    if start not in option.initiation:
+        raise NotInInitiationSet(f"option {option.name!r} from state {start}")
+    bound = 10 * level.num_states
+    state, total, visited = start, 0.0, [start]
+    while state not in option.termination:
+        action = option.policy.get(state)
+        if action is None:
+            raise UndefinedPolicy(f"option {option.name!r} has no action for state {state}")
+        state, r = level.step(state, action)
+        total += r
+        visited.append(state)
+        if len(visited) - 1 > bound:
+            raise StepBoundExceeded(
+                f"option {option.name!r} exceeded {bound} steps from state {start}"
+            )
+    return ExecutionTrace(start, state, len(visited) - 1, total, tuple(visited))
+
+
 def oracle_refine(h, option, start):
     """Refine ``option`` from base state ``start`` by composing whole
-    option executions: run it over its own level with `execute_option`,
+    option executions: run it over its own level with `oracle_execute`,
     then for each state it visits run the option of the part applied
     there one level down the same way, and concatenate the base traces in
     order. Each level's cursor is first placed on the lowest candidate
@@ -326,7 +354,7 @@ def oracle_refine(h, option, start):
     def run(j, opt):
         level = h.level(j)
         try:
-            trace = execute_option(level, opt, cursor[j])
+            trace = oracle_execute(level, opt, cursor[j])
         except HierplanError as exc:
             raise RefinementFault(str(exc)) from exc
         if j == 0:

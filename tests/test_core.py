@@ -11,7 +11,9 @@ from hierplan import (
     StateSpace,
     execute_option,
 )
+from hierplan.core import member
 from hierplan.errors import (
+    HierplanError,
     InapplicableAction,
     MalformedInput,
     NotInInitiationSet,
@@ -24,6 +26,7 @@ from hierplan.taxi import taxi_options_level1
 from conftest import (
     DEPOTS,
     one_step_preimage_options,
+    oracle_execute,
     oracle_grid_distance,
     oracle_taxi_states,
     state_of,
@@ -161,6 +164,68 @@ class TestOptionExecution:
         )
         with pytest.raises(UndefinedPolicy):
             execute_option(taxi_mdp, partial, 0)
+
+
+def outcome(run, level, option, start):
+    """An execution's trace, or its error's type and message."""
+    try:
+        return run(level, option, start)
+    except HierplanError as exc:
+        return type(exc), str(exc)
+
+
+class TestMembershipStrings:
+    """Options test membership by indexing a string built once per set;
+    the answers, traces and errors are those of ``in`` on the sets."""
+
+    @given(
+        st.sets(st.integers(0, 3000), min_size=1),
+        st.sets(st.integers(0, 3000)),
+    )
+    def test_string_test_matches_contains(self, initiation, termination):
+        option = Option(
+            "o", GroundingSet.of(0, initiation), GroundingSet.of(0, termination), {}
+        )
+        for g, bits in (
+            (option.initiation, option._initiation_bits),
+            (option.termination, option._termination_bits),
+        ):
+            for i in range(-2, g.bits.bit_length() + 3):
+                assert member(bits, i) == (i in g)
+
+    def test_strings_take_no_part_in_equality(self):
+        a = Option("o", GroundingSet.of(0, {1}), GroundingSet.of(0, {2}), {1: "x"})
+        assert a == Option("o", GroundingSet.of(0, {1}), GroundingSet.of(0, {2}), {1: "x"})
+        assert "_initiation_bits" not in repr(a)
+
+    def test_every_start_matches_the_in_loop(self, taxi_hierarchy):
+        """Every option of both sets, from every state of its level, gives
+        `oracle_execute`'s trace or error, and from the ids -2, -1, the
+        state count and 10**6 raises NotInInitiationSet. The level-2
+        options step over level 1 by option id, which the tables lack, so
+        those steps take the ``level.step`` fallback."""
+        for j, options in enumerate(taxi_hierarchy.option_sets):
+            level = taxi_hierarchy.level(j)
+            n = level.num_states
+            for option in options:
+                for s in range(n):
+                    assert outcome(execute_option, level, option, s) == outcome(
+                        oracle_execute, level, option, s
+                    )
+                for s in (-2, -1, n, 10**6):
+                    got = outcome(execute_option, level, option, s)
+                    assert got == outcome(oracle_execute, level, option, s)
+                    assert got[0] is NotInInitiationSet
+
+    def test_inapplicable_action_matches_the_in_loop(self, taxi_mdp):
+        """A policy action the tables lack in a state raises the base
+        step's InapplicableAction, message included."""
+        put = Option(
+            "put", GroundingSet.of(0, {0}), GroundingSet.of(0, {649}), {0: "put-down"}
+        )
+        got = outcome(execute_option, taxi_mdp, put, 0)
+        assert got == outcome(oracle_execute, taxi_mdp, put, 0)
+        assert got[0] is InapplicableAction
 
 
 # domain values of the taxi variables, plus one no variable takes

@@ -187,6 +187,23 @@ class TestDomainIO:
                 {**CHAIN_DOMAIN, "variables": [[["pos"], [0, 1, 2, 3]]]},
                 "domain has a malformed 'variables': [[['pos'], [0, 1, 2, 3]]]",
             ),
+            # a value outside its variable's declared domain, which the
+            # PDDL export would write as a predicate it never declares
+            (
+                {"actions": ["fwd"], "variables": [["p", [0, 1]], ["q", [0, 1]]],
+                 "states": [[0, 7], [1, 7]], "transitions": []},
+                "state 0 gives 'q' the value 7, outside its domain [0, 1]",
+            ),
+            # ``true`` equals 1, which the domain holds, but is not a number
+            (
+                {**CHAIN_DOMAIN, "states": [[0], [2], [True]],
+                 "transitions": [[0, "fwd", 1]]},
+                "state 2 gives 'pos' the value True, outside its domain [0, 1, 2, 3]",
+            ),
+            (
+                {**CHAIN_DOMAIN, "states": [[0], [1.0], [2], [3]]},
+                "state 1 gives 'pos' the value 1.0, outside its domain [0, 1, 2, 3]",
+            ),
         ],
     )
     def test_malformed_domain_rejected(self, domain, message):

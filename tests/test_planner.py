@@ -953,6 +953,22 @@ class TestRefinementOracle:
                 assert refine(h, answer.plan, start) == oracle_refine(h, answer.plan, start)
         assert levels == {0, 1, 2}
 
+    @pytest.mark.parametrize("start", [-1, -2, "num_states", 10**6])
+    def test_start_outside_the_base_faults(self, taxi_hierarchy, queries, start):
+        """A start that is no base state faults, from the same cause as the
+        oracle's, for every option of both sets and every benchmark query's
+        plan."""
+        h = taxi_hierarchy
+        s = h.num_states(0) if start == "num_states" else start
+        options = [o for options in h.option_sets for o in options]
+        options += [answer_query(h, q).plan for q in queries.values()]
+        for option in options:
+            with pytest.raises(RefinementFault) as got:
+                refine(h, option, s)
+            with pytest.raises(RefinementFault) as want:
+                oracle_refine(h, option, s)
+            assert type(got.value.__cause__) is type(want.value.__cause__)
+
     @settings(max_examples=200, deadline=None)
     @given(random_domains(), st.integers(1, 2), st.data())
     def test_random_stacks(self, domain, num_levels, data):

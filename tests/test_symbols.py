@@ -11,6 +11,8 @@ from conftest import value_of
 
 # wider than the 20,880 states of a 12x12 taxi grid; includes the empty set
 indices = st.sets(st.integers(min_value=0, max_value=25_000))
+# at most 65 bits wide, to pair with the wide sets above
+narrow = st.sets(st.integers(min_value=0, max_value=64))
 
 
 def gs(members, level=0):
@@ -36,6 +38,19 @@ class TestSetAlgebra:
     @given(indices, indices)
     def test_subset_matches_set_oracle(self, a, b):
         assert gs(a).issubset(gs(b)) == a.issubset(b)
+
+    @given(st.tuples(narrow, indices) | st.tuples(indices, narrow))
+    @example(({0}, {0, 25_000}))
+    @example(({0, 25_000}, {0}))
+    def test_subset_and_difference_across_widths(self, pair):
+        """Neither test negates a set, so a narrow and a wide operand, in
+        either order, give Python's answers and a non-negative mask."""
+        a, b = pair
+        assert gs(a).issubset(gs(b)) == a.issubset(b)
+        assert (gs(a) <= gs(b)) == (a <= b)
+        diff = gs(a) - gs(b)
+        assert list(diff) == sorted(a - b)
+        assert diff.bits >= 0
 
     @given(indices)
     def test_intersection_idempotent(self, a):
