@@ -88,14 +88,17 @@ def _scalar(value):
 
 
 def _read(source) -> dict:
-    """The JSON object in the file at ``source``, or ``source`` itself
-    when it is already parsed."""
+    """The JSON object in the UTF-8 file at ``source``, or ``source``
+    itself when it is already parsed. MalformedInput naming the path when
+    the file cannot be read, is not UTF-8 or is not valid JSON."""
     data = source
     if isinstance(source, (str, PathLike)):
         try:
-            data = json.loads(Path(source).read_text())
+            data = json.loads(Path(source).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"{source} is not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedInput(f"cannot read {source}: {exc}") from None
     if not isinstance(data, dict):
         raise MalformedInput(f"{source} does not hold a JSON object")
     return data

@@ -15,12 +15,13 @@ closed-form cost of the search.
 A plan is an option over the level it was found at, named ``plan@j``:
 its starts are the initiation set, its goals the termination set.
 `refine` takes it, or any other option of the hierarchy, to base
-actions in one depth-first walk: each abstract step resolves the part
-that applies at the level's cursor and runs that part's option one level
-down before the cursor moves on along the part's own transition; at the
-base, `execute_option`'s loop appends every state to the one refined
-trace. Each level keeps its own step bound, and every fault surfaces as
-RefinementFault.
+actions by composing option runs: the option runs over its own level
+with `execute_option`'s loop, then the option of the part applied at
+each state that run left runs one level down the same way, down to the
+base, whose runs append every state to the one refined trace. Every
+walk of a policy here, `action_sequence`'s too, is that one loop, with
+its checks and its level's step bound, and every fault surfaces as a
+RefinementFault caused by the loop's own error.
 """
 
 from __future__ import annotations
@@ -29,26 +30,15 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import (
-    ExecutionTrace,
-    Option,
-    _execute_into,
-    default_step_bound,
-    member,
-    require_within_level,
-)
+from .core import ExecutionTrace, Option, _execute_into, require_within_level
 from .errors import (
     HierplanError,
-    InapplicableAction,
     InconsistentRecord,
     LevelMismatch,
     LevelOutOfRange,
     MalformedInput,
     NoMatch,
-    NotInInitiationSet,
     RefinementFault,
-    StepBoundExceeded,
-    UndefinedPolicy,
 )
 from .hierarchy import Hierarchy, PlanQuery
 from .symbols import GroundingSet
@@ -56,25 +46,18 @@ from .symbols import GroundingSet
 
 def action_sequence(level, plan: Option, start: int) -> list[str]:
     """Actions taken following ``plan``'s policy from ``start`` into its
-    termination set, each step through ``level.transition``.
-    LevelMismatch when ``level`` is not the plan's; RefinementFault when
-    the walk meets a state without a policy action or an action the level
-    lacks there, or comes back to a state it left."""
+    termination set: the policy action at each state `execute_option`'s
+    run over ``level`` leaves. LevelMismatch when ``level`` is not the
+    plan's; RefinementFault when that run faults, from the run's error."""
     if level.level_index != plan.level_index:
         raise LevelMismatch(f"plan level {plan.level_index} vs {level.level_index}")
-    transition = level.transition
+    states = [start]
+    try:
+        _execute_into(level, plan, start, states)
+    except HierplanError as exc:
+        raise RefinementFault(str(exc)) from exc
     policy = plan.policy
-    goals = plan._termination_bits
-    seq: list[str] = []
-    state = start
-    while not member(goals, state):
-        action = policy.get(state)
-        state = transition.get((state, action))
-        # len(seq) + 1 states with actions so far: past len(policy), one repeats
-        if state is None or len(seq) == len(policy):
-            raise RefinementFault(f"no policy path from state {start}")
-        seq.append(action)
-    return seq
+    return [policy[s] for s in states[:-1]]
 
 
 @dataclass
@@ -494,49 +477,32 @@ def _localize(h: Hierarchy, j: int, candidates: GroundingSet, base_state: int) -
 
 
 def _walk(
-    h: Hierarchy,
+    levels: tuple,
     j: int,
     option: Option,
     cursor: list[int],
     visited: list[int],
     total: float,
 ) -> float:
-    """Run ``option`` over level ``j`` from ``cursor[j]`` down to base
+    """Run ``option`` over ``levels[j]`` from ``cursor[j]`` down to base
     actions, leaving its end in ``cursor[j]``; returns ``total`` plus the
     reward of each base run, added in order.
 
-    At the base the option runs `execute_option`'s loop, which appends
-    every state entered to ``visited``. Above it, each policy step resolves
-    the part applicable at the cursor, walks that part's option one level
-    down, then moves the cursor along the part's own transition. Every
-    level keeps `execute_option`'s checks, made on the option's membership
-    strings, and its step bound, and each fault names the option."""
-    level = h.level(j)
+    Every level runs `execute_option`'s loop, with its checks and its
+    step bound. At the base that loop appends every state entered to
+    ``visited``. Above it, the whole run over level ``j`` is made first;
+    then, for each state the run left, the option of the part its policy
+    action resolves to there is walked one level down."""
+    level = levels[j]
     if j == 0:
         cursor[0], reward = _execute_into(level, option, cursor[0], visited)
         return total + reward
-    start = state = cursor[j]
-    if not member(option._initiation_bits, start):
-        raise NotInInitiationSet(f"option {option.name!r} from state {start}")
-    bound = default_step_bound(level)
-    steps = 0
-    while not member(option._termination_bits, state):
-        action = option.policy.get(state)
-        if action is None:
-            raise UndefinedPolicy(f"option {option.name!r} has no action for state {state}")
-        part_id = level.resolve_part(state, action)
-        if part_id is None:
-            raise InapplicableAction(
-                f"option {option.name!r}: {action!r} has no part in abstract state {state}"
-            )
-        steps += 1
-        if steps > bound:
-            raise StepBoundExceeded(
-                f"option {option.name!r} exceeded {bound} steps from state {start}"
-            )
-        total = _walk(h, j - 1, level.part(part_id).option, cursor, visited, total)
-        state = level.transition[(state, part_id)]
-    cursor[j] = state
+    states = [cursor[j]]
+    cursor[j], _ = _execute_into(level, option, cursor[j], states)
+    policy = option.policy
+    for s in states[:-1]:
+        part = level.part(level.resolve_part(s, policy[s]))
+        total = _walk(levels, j - 1, part.option, cursor, visited, total)
     return total
 
 
@@ -548,11 +514,11 @@ def refine(h: Hierarchy, option: Option, start: int) -> ExecutionTrace:
     ``start``. The cursor at each level below is localized once, then
     advanced with the level's own transition map (never re-localized),
     which is exactly the no-backtracking refinement the hierarchy's
-    soundness invariants guarantee. The refinement is one depth-first
-    walk: each abstract step is refined to base actions before the next
-    one is taken, and every base run appends to one trace, so a fault at
-    an abstract level surfaces after the base steps of the abstract steps
-    before it. Any fault surfaces as RefinementFault.
+    soundness invariants guarantee. The refinement composes option runs
+    (`_walk`): a run over a level is made whole, with `execute_option`'s
+    checks and step bound, before any of its steps is refined, and every
+    base run appends to one trace. So a fault is the one `execute_option`
+    raises at the level where it occurs, surfaced as RefinementFault.
     """
     j = option.level_index
     cursor = [start] * (j + 1)
@@ -561,7 +527,7 @@ def refine(h: Hierarchy, option: Option, start: int) -> ExecutionTrace:
         cursor[i - 1] = _localize(h, i - 1, h.grounding_of(i, cursor[i]), start)
     visited = [start]
     try:
-        total = _walk(h, j, option, cursor, visited, 0.0)
+        total = _walk((h.base, *h.levels_above), j, option, cursor, visited, 0.0)
     except HierplanError as exc:
         raise RefinementFault(str(exc)) from exc
     return ExecutionTrace(

@@ -211,6 +211,25 @@ class TestDomainIO:
             load_domain(domain)
 
     @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda path: None, "No such file or directory"),
+            (lambda path: path.mkdir(), "Is a directory"),
+            (lambda path: path.write_bytes(b'{"name": "caf\xe9"}'), "can't decode byte 0xe9"),
+        ],
+        ids=["missing", "directory", "not-utf8"],
+    )
+    def test_unreadable_file_rejected(self, tmp_path, make, message):
+        """A path that is no readable UTF-8 file is MalformedInput naming
+        the path, for domains and queries alike."""
+        path = tmp_path / "domain.json"
+        make(path)
+        for load in (load_domain, lambda p: load_query(None, p)):
+            with pytest.raises(MalformedInput, match=re.escape(f"cannot read {path}: ")) as got:
+                load(str(path))
+            assert message in str(got.value)
+
+    @pytest.mark.parametrize(
         "query, message",
         [
             ({"B": 5, "G": {"pos": 3}}, "query has a malformed 'B': 5"),
@@ -679,6 +698,21 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith(
             "error: plan queries need non-empty start and goal sets"
         ), result.output
+
+    @pytest.mark.parametrize("command", ["build", "plan"])
+    @pytest.mark.parametrize(
+        "make", [lambda path: path.mkdir(), lambda path: path.write_bytes(b"\xff{}")],
+        ids=["directory", "not-utf8"],
+    )
+    def test_unreadable_file_prints_one_error_line(self, tmp_path, command, make):
+        path = tmp_path / "input.json"
+        make(path)
+        flag = "--domain-file" if command == "build" else "--query-file"
+        result = CliRunner().invoke(cli, [command, flag, str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
 
     @pytest.mark.parametrize(
         "domain, message",

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hierplan import (
     BaseMDP,
+    Construction,
     GroundingSet,
     Hierarchy,
     Option,
@@ -46,6 +47,7 @@ from conftest import (
     REWARDS,
     draw_option_set,
     one_step_preimage_options,
+    oracle_refine,
     oracle_widened_groundings,
     random_domains,
     random_factored_domains,
@@ -448,3 +450,51 @@ class TestRandomDomains:
             for s in level.space.states:
                 (below,) = level.grounding_of(s)
                 assert mdp.space.assignment(below) == level.space.assignment(s)
+
+
+def set_variable(name: str, value: int) -> dict:
+    """A skill that sets variable ``name`` to ``value`` from everywhere."""
+    return {"name": f"{name}-to-{value}", "initiation": {}, "termination": {name: value}}
+
+
+# x in {0, 1, 2} and y in {0, 1}; state id 2x + y
+XY_STATES = [[x, y] for x in range(3) for y in range(2)]
+XY_DOMAIN = {
+    "actions": ["right", "left", "flip"],
+    "variables": [["x", [0, 1, 2]], ["y", [0, 1]]],
+    "states": XY_STATES,
+    "transitions": [
+        [2 * x + y, action, 2 * (x + dx) + (1 - y if action == "flip" else y)]
+        for x, y in XY_STATES
+        for action, dx in (("right", 1), ("left", -1), ("flip", 0))
+        if 0 <= x + dx <= 2
+    ],
+    "options": {
+        "level1": {"seeds": [0], "options": [
+            set_variable("x", 0), set_variable("x", 2),
+            set_variable("y", 0), set_variable("y", 1),
+        ]},
+        "level2": {"seeds": [0], "options": [
+            set_variable("x", 2), set_variable("y", 0), set_variable("y", 1),
+        ]},
+    },
+}
+
+
+class TestFactoredStack:
+    def test_factored_level_over_a_factored_level(self):
+        """Set-x and set-y skills stacked twice over an (x, y) grid build
+        two factored levels; a query answered at level 2 refines as the
+        oracle composes it."""
+        mdp, sets = load_domain(XY_DOMAIN)
+        h = build_hierarchy(mdp, [sets["level1"], sets["level2"]])
+        assert [h.num_states(j) for j in range(3)] == [6, 4, 4]
+        assert [h.level(j).construction for j in (1, 2)] == [Construction.FACTORED] * 2
+        assert h.validate() == []
+        answer = answer_query(
+            h, PlanQuery(GroundingSet.of(0, [0]), GroundingSet.of(0, [5]))
+        )
+        assert answer.level_index == 2
+        trace = refine(h, answer.plan, 0)
+        assert trace.visited == (0, 2, 4, 5)
+        assert trace == oracle_refine(h, answer.plan, 0)

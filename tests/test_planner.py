@@ -30,11 +30,15 @@ from hierplan import (
 )
 from hierplan.errors import (
     HierplanError,
+    InapplicableAction,
     InconsistentRecord,
     LevelMismatch,
     MalformedInput,
     NoMatch,
+    NotInInitiationSet,
     RefinementFault,
+    StepBoundExceeded,
+    UndefinedPolicy,
 )
 from hierplan.planner import InstrumentationRecord
 
@@ -54,6 +58,21 @@ PLAN_MODES = ("reachability", "value-iteration")
 
 def level2_node(h, depot):
     return h.level(2).space.labels.index(f"passenger-to-{depot}")
+
+
+def green_ferry_not_from_blue(h):
+    """``h`` with the ``passenger-to-green`` option of level 2's parts
+    unable to start from the level-1 state where taxi and passenger are
+    at blue, though its part still applies there; and that state."""
+    level = h.level(2)
+    at_blue = h.level(1).space.state_of((3, 0, 3, 0, False))
+    away = GroundingSet.single(1, at_blue)
+    parts = tuple(
+        replace(p, option=replace(p.option, initiation=p.option.initiation - away))
+        if p.option.name == "passenger-to-green" else p
+        for p in level.parts
+    )
+    return replace(h, levels_above=(h.level(1), replace(level, parts=parts))), at_blue
 
 
 def goal_distances(transition, goals):
@@ -536,21 +555,25 @@ class TestActionSequence:
         level = three_states({(0, "a"): 2, (2, "b"): 1})
         plan = self.plan({0: "a", 2: "b"})
         assert action_sequence(level, plan, 0) == ["a", "b"]
-        assert action_sequence(level, plan, 1) == []
         assert action_sequence(three_states({(0, "a"): 1}), self.plan({0: "a"}), 0) == ["a"]
 
     @pytest.mark.parametrize(
-        "policy, transition",
+        "policy, transition, start, cause",
         [
-            ({0: "a"}, {(0, "b"): 1}),
-            ({0: "a"}, {(0, "a"): 2}),
-            ({0: "a", 2: "a"}, {(0, "a"): 2, (2, "a"): 0}),
+            ({0: "a"}, {(0, "b"): 1}, 0, InapplicableAction),
+            ({0: "a"}, {(0, "a"): 2}, 0, UndefinedPolicy),
+            ({0: "a", 2: "a"}, {(0, "a"): 2, (2, "a"): 0}, 0, StepBoundExceeded),
+            ({0: "a"}, {(0, "a"): 1}, 2, NotInInitiationSet),
         ],
-        ids=["action-not-in-table", "state-without-action", "cycle"],
+        ids=["action-not-in-table", "state-without-action", "cycle",
+             "start-outside-initiation"],
     )
-    def test_broken_walk_raises_refinement_fault(self, policy, transition):
-        with pytest.raises(RefinementFault):
-            action_sequence(three_states(transition), self.plan(policy), 0)
+    def test_broken_walk_raises_refinement_fault(self, policy, transition, start, cause):
+        """Each fault is the one `execute_option`'s run over the level
+        raises, as a RefinementFault."""
+        with pytest.raises(RefinementFault) as fault:
+            action_sequence(three_states(transition), self.plan(policy), start)
+        assert type(fault.value.__cause__) is cause
 
     def test_level_of_another_index_raises_level_mismatch(self):
         level = three_states({(0, "a"): 1}, level_index=1)
@@ -844,8 +867,11 @@ class TestRefinement:
             policy={at_red: "pick-up"},
         )
         assert h.level(1).resolve_part(at_red, "pick-up") is None
-        with pytest.raises(RefinementFault, match="'stuck'"):
+        with pytest.raises(InapplicableAction) as run:
+            execute_option(h.level(1), stuck, at_red)
+        with pytest.raises(RefinementFault) as fault:
             refine(h, stuck, state_of(h.base, 0, 4, 3, 0))
+        assert str(fault.value) == str(run.value)
 
     def test_execute_refined_level1_state_off_policy_faults(self, taxi_hierarchy):
         """A level-2 option whose policy stops covering the level-1 state
@@ -884,15 +910,7 @@ class TestRefinement:
         state the cursor is on (an applicability violation) faults when
         an option over level 2 applies it."""
         h = taxi_hierarchy
-        level = h.level(2)
-        at_blue = h.level(1).space.state_of((3, 0, 3, 0, False))
-        away = GroundingSet.single(1, at_blue)
-        parts = tuple(
-            replace(p, option=replace(p.option, initiation=p.option.initiation - away))
-            if p.option.name == "passenger-to-green" else p
-            for p in level.parts
-        )
-        broken = replace(h, levels_above=(h.level(1), replace(level, parts=parts)))
+        broken, at_blue = green_ferry_not_from_blue(h)
         blue, green = level2_node(h, "blue"), level2_node(h, "green")
         ferry = Option(
             name="ferry",
@@ -906,6 +924,28 @@ class TestRefinement:
         message = f"'passenger-to-green' from state {at_blue}"
         with pytest.raises(RefinementFault, match=message):
             refine(broken, ferry, state_of(h.base, 3, 0, 3, 0))
+
+    def test_abstract_run_is_checked_before_it_is_refined(self, taxi_hierarchy):
+        """With two faults, the one in the run over the option's own level
+        is reported: ``onward`` applies ``passenger-to-green`` where that
+        option cannot start, then has no action at green. The whole
+        level-2 run is made before any of its steps is refined, so the
+        fault is ``onward``'s, as it is the oracle's."""
+        h = taxi_hierarchy
+        broken, _ = green_ferry_not_from_blue(h)
+        blue, green, red = (level2_node(h, d) for d in ("blue", "green", "red"))
+        onward = Option(
+            name="onward",
+            initiation=GroundingSet.of(2, {blue}),
+            termination=GroundingSet.of(2, {red}),
+            policy={blue: "passenger-to-green"},
+        )
+        start = state_of(h.base, 3, 0, 3, 0)
+        for refinement in (refine, oracle_refine):
+            with pytest.raises(RefinementFault) as fault:
+                refinement(broken, onward, start)
+            assert type(fault.value.__cause__) is UndefinedPolicy
+            assert str(fault.value) == f"option 'onward' has no action for state {green}"
 
 
 @pytest.fixture(scope="module", params=list(RewardMode), ids=lambda m: m.value)
@@ -975,7 +1015,7 @@ class TestRefinementOracle:
         """On random one- and two-level stacks, answers searched from every
         level and plans with drawn policies at every level refine from
         every base state to the oracle's trace, and fault exactly when the
-        oracle does."""
+        oracle does, from a cause of the same type."""
         n, transition, mode, starts, goals = domain
         mdp = BaseMDP(
             space=StateSpace(level_index=0, num_states=n),
@@ -1010,8 +1050,8 @@ class TestRefinementOracle:
         def outcome(refinement, plan, start):
             try:
                 return refinement(h, plan, start)
-            except RefinementFault:
-                return RefinementFault
+            except RefinementFault as fault:
+                return type(fault.__cause__)
 
         for plan in plans:
             for start in range(n):
