@@ -497,8 +497,9 @@ def build_factored_abstraction(
     order = {s: i for i, s in enumerate(sorted(seed_states))}
     queue = list(order)
     transition: dict[tuple[int, str], int] = {}
-    while queue:
-        s = queue.pop(0)
+    # walked by index, reaching the states appended while it runs;
+    # popping the front would copy the rest of the queue each time
+    for s in queue:
         for part in parts:
             if s not in part.initiation:
                 continue

@@ -10,8 +10,9 @@ initiation set, and abstract transitions are sound with respect to actual
 option execution.
 
 Hierarchies are immutable; `add_level` returns a new value, and the
-base-level groundings of every state are precomputed so that concurrent
-reads never race a lazy cache. Options and abstract rewards are plain
+base-level groundings of every state are precomputed, and indexed per
+level for matching and refinement, so that concurrent reads never race a
+lazy cache. Options and abstract rewards are plain
 data fixed at construction (an empirical reward is the option's mean
 return over its initiation set, computed while partitioning), so
 planning, refinement and validation never change a hierarchy, and
@@ -42,7 +43,7 @@ from .errors import (
     MalformedInput,
     NoFactoredStructure,
 )
-from .symbols import GroundingSet
+from .symbols import GroundingSet, _mask_of
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,65 @@ class Violation:
 
 
 @dataclass(frozen=True)
+class GroundingIndex:
+    """One abstract level's base groundings, indexed for matching.
+
+    ``union`` is the bitmask of every base state some grounding holds,
+    ``position`` maps each of those base ids to its rank among them in
+    ascending order, and ``masks[s]`` is state ``s``'s base grounding as
+    a mask over those ranks. The union is as narrow as the level, not the
+    base (20 ids at taxi12, whose base is 20,880 wide), so a test against
+    a state's mask is a small-int operation.
+    """
+
+    union: int
+    position: dict[int, int]
+    masks: dict[int, int]
+
+    @classmethod
+    def of(cls, groundings: dict[int, GroundingSet]) -> GroundingIndex:
+        union = 0
+        for g in groundings.values():
+            union |= g.bits
+        position = {x: i for i, x in enumerate(GroundingSet(0, union))}
+        masks = {s: _mask_of(position[x] for x in g) for s, g in groundings.items()}
+        return cls(union, position, masks)
+
+    def ranks(self, bits: int) -> int | None:
+        """The mask of the ranks of the members of ``bits``, or None at
+        the first member outside ``union``. Members are read off highest
+        first, each with two operations as wide as what is left of
+        ``bits``, so at most ``len(position) + 1`` are read."""
+        position = self.position
+        out = 0
+        while bits:
+            x = bits.bit_length() - 1
+            rank = position.get(x)
+            if rank is None:
+                return None
+            out |= 1 << rank
+            bits ^= 1 << x
+        return out
+
+
+@dataclass(frozen=True)
 class Hierarchy:
-    """Base MDP plus abstract levels M_1..M_n and their option sets."""
+    """Base MDP plus abstract levels M_1..M_n and their option sets.
+
+    Beside each abstract level's base groundings (``base_groundings``),
+    built once, sits their `GroundingIndex` (``grounding_index``), which
+    matching and refinement read so that their tests cost what the
+    level's groundings cost, not what the base's width costs.
+    """
 
     base: BaseMDP
     levels_above: tuple[AbstractLevel, ...] = ()
     option_sets: tuple[tuple[Option, ...], ...] = ()
     reward_mode: RewardMode = RewardMode.UNIFORM_PENALTY
     base_groundings: tuple[dict[int, GroundingSet], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
+    grounding_index: tuple[GroundingIndex, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
 
@@ -101,6 +153,9 @@ class Hierarchy:
                     memo[s] = acc
             memos.append(memo)
         object.__setattr__(self, "base_groundings", tuple(memos))
+        object.__setattr__(
+            self, "grounding_index", tuple(GroundingIndex.of(m) for m in memos)
+        )
 
     @property
     def num_levels(self) -> int:

@@ -5,7 +5,10 @@ pair is built: starts are every state whose base grounding meets the
 query's start set (valid only when the union covers it), goals are every
 state whose base grounding lies inside the query's goal set. At level 0
 that is the query's own sets; above it, each state's precomputed base
-grounding is tested once per candidate. When both candidates exist the
+grounding is tested once per candidate, through the level's
+`GroundingIndex`: the query's ids inside the union of the level's
+groundings become a small mask of their ranks, and each state's test is
+one small-int test of its mask against it. When both candidates exist the
 level is planned with multi-start any-goal backward reachability; a match
 whose plan attempt fails falls through to the next lower level. Work is
 metered in grounding tests per level (matching) and edge examinations
@@ -121,28 +124,42 @@ def candidate_starts(h: Hierarchy, j: int, starts: GroundingSet) -> GroundingSet
     grounding meets ``starts``. Valid only if the union of those
     groundings covers ``starts``; otherwise no usable start set exists at
     this level and NoMatch is raised. Level 0 matches by identity, with
-    no test; above it, one ``.bits`` test per state."""
+    no test.
+
+    Above it, the starts are covered exactly when each lies in the
+    level's `GroundingIndex` union, since a start there lies in some
+    grounding, which then meets ``starts``. Their ranks in the union are
+    read off until one falls outside it, so at most one more than the
+    union holds; then each state's test is one small-int test,
+    ``mask & q``."""
     if not 0 <= j <= h.num_levels:
         raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
     if j == 0:
-        members, covered = starts.bits, (1 << h.num_states(0)) - 1
-    else:
-        members = covered = 0
-        for s, g in h.base_groundings[j - 1].items():
-            if g.bits & starts.bits:
-                members |= 1 << s
-                covered |= g.bits
-    if not starts <= GroundingSet(0, covered):
+        if not starts <= GroundingSet(0, (1 << h.num_states(0)) - 1):
+            raise NoMatch(f"start set not covered at level {j}")
+        return starts
+    if starts.level_index != 0:
+        raise LevelMismatch(f"level {starts.level_index} vs level 0")
+    index = h.grounding_index[j - 1]
+    q = index.ranks(starts.bits)
+    if q is None:
         raise NoMatch(f"start set not covered at level {j}")
+    members = 0
+    for s, m in index.masks.items():
+        if m & q:
+            members |= 1 << s
     return GroundingSet(j, members)
 
 
 def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     """Maximal goal candidate at level ``j``: every state whose base
     grounding lies inside ``goals``. NoMatch when there is none. Level 0
-    keeps the goals that are base states, with no test; above it, one
-    ``.bits`` test per state, ``g & goals == g``, which never negates a
-    set as wide as the base."""
+    keeps the goals that are base states, with no test.
+
+    Above it, one AND as wide as the base keeps the goals inside the
+    level's `GroundingIndex` union, at most as many ids as it holds, and
+    their ranks give one small-int test per state, ``mask & q == mask``.
+    Nothing negates a set as wide as the base."""
     if not 0 <= j <= h.num_levels:
         raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
     if j == 0:
@@ -150,10 +167,12 @@ def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     elif goals.level_index != 0:
         raise LevelMismatch(f"level {goals.level_index} vs level 0")
     else:
-        bits = goals.bits
-        members = sum(
-            1 << s for s, g in h.base_groundings[j - 1].items() if g.bits & bits == g.bits
-        )
+        index = h.grounding_index[j - 1]
+        q = index.ranks(goals.bits & index.union)
+        members = 0
+        for s, m in index.masks.items():
+            if m & q == m:
+                members |= 1 << s
     if not members:
         raise NoMatch(f"no state grounds inside the goal set at level {j}")
     return GroundingSet(j, members)
@@ -463,14 +482,22 @@ def _match(candidates, h: Hierarchy, j: int, states: GroundingSet) -> GroundingS
 
 
 def _localize(h: Hierarchy, j: int, candidates: GroundingSet, base_state: int) -> int:
-    """The lowest candidate level-``j`` state grounding ``base_state``."""
+    """The lowest candidate level-``j`` state grounding ``base_state``:
+    above level 0, the base state's rank in the level's `GroundingIndex`
+    is looked up once, then each candidate's mask is tested for its bit.
+    A candidate the level lacks grounds nothing."""
     if j == 0:
         if base_state in candidates:
             return base_state
     else:
-        for s in candidates:
-            if base_state in h.final_grounding_of(j, s):
-                return s
+        index = h.grounding_index[j - 1]
+        rank = index.position.get(base_state)
+        if rank is not None:
+            bit = 1 << rank
+            masks = index.masks
+            for s in candidates:
+                if masks.get(s, 0) & bit:
+                    return s
     raise RefinementFault(
         f"base state {base_state} not grounded by any candidate at level {j}"
     )
@@ -492,7 +519,9 @@ def _walk(
     step bound. At the base that loop appends every state entered to
     ``visited``. Above it, the whole run over level ``j`` is made first;
     then, for each state the run left, the option of the part its policy
-    action resolves to there is walked one level down."""
+    action resolves to there is walked one level down. A planned policy
+    names part ids, each taken by id when it is a transition of the
+    state; only an option id goes through `resolve_part`."""
     level = levels[j]
     if j == 0:
         cursor[0], reward = _execute_into(level, option, cursor[0], visited)
@@ -500,8 +529,12 @@ def _walk(
     states = [cursor[j]]
     cursor[j], _ = _execute_into(level, option, cursor[j], states)
     policy = option.policy
+    transition = level.transition
     for s in states[:-1]:
-        part = level.part(level.resolve_part(s, policy[s]))
+        action = policy[s]
+        if (s, action) not in transition:
+            action = level.resolve_part(s, action)
+        part = level.part(action)
         total = _walk(levels, j - 1, part.option, cursor, visited, total)
     return total
 

@@ -33,6 +33,9 @@ from hierplan import (
 from hierplan.domain_io import OptionSetSpec, OptionSpec
 from hierplan.errors import (
     HierplanError,
+    LevelMismatch,
+    LevelOutOfRange,
+    NoMatch,
     NotInInitiationSet,
     RefinementFault,
     StepBoundExceeded,
@@ -326,6 +329,58 @@ def oracle_execute(level, option, start):
     return ExecutionTrace(start, state, len(visited) - 1, total, tuple(visited))
 
 
+def oracle_candidate_starts(h, j, starts):
+    """`candidate_starts` as it was written before each level indexed its
+    base groundings: one ``.bits`` test per state, covering ``starts``
+    with the union of the groundings that meet it."""
+    if not 0 <= j <= h.num_levels:
+        raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
+    if j == 0:
+        members, covered = starts.bits, (1 << h.num_states(0)) - 1
+    else:
+        members = covered = 0
+        for s, g in h.base_groundings[j - 1].items():
+            if g.bits & starts.bits:
+                members |= 1 << s
+                covered |= g.bits
+    if not starts <= GroundingSet(0, covered):
+        raise NoMatch(f"start set not covered at level {j}")
+    return GroundingSet(j, members)
+
+
+def oracle_candidate_goals(h, j, goals):
+    """`candidate_goals` as it was written before each level indexed its
+    base groundings: one ``.bits`` subset test per state."""
+    if not 0 <= j <= h.num_levels:
+        raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
+    if j == 0:
+        members = (goals & GroundingSet(0, (1 << h.num_states(0)) - 1)).bits
+    elif goals.level_index != 0:
+        raise LevelMismatch(f"level {goals.level_index} vs level 0")
+    else:
+        members = sum(
+            1 << s
+            for s, g in h.base_groundings[j - 1].items()
+            if g.bits & goals.bits == g.bits
+        )
+    if not members:
+        raise NoMatch(f"no state grounds inside the goal set at level {j}")
+    return GroundingSet(j, members)
+
+
+def oracle_localize(h, j, candidates, base_state):
+    """The lowest candidate level-``j`` state grounding ``base_state``, by
+    one ``in`` test on each candidate's base grounding; RefinementFault
+    when none grounds it."""
+    if j == 0:
+        found = [base_state] if base_state in candidates else []
+    else:
+        found = [s for s in candidates if base_state in h.final_grounding_of(j, s)]
+    if not found:
+        raise RefinementFault(f"base state {base_state} grounded by no candidate at {j}")
+    return found[0]
+
+
 def oracle_refine(h, option, start):
     """Refine ``option`` from base state ``start`` by composing whole
     option executions: run it over its own level with `oracle_execute`,
@@ -335,20 +390,10 @@ def oracle_refine(h, option, start):
     state grounding ``start``, then only moves with that level's
     executions. Every fault is a RefinementFault."""
     top = option.level_index
-
-    def localize(j, candidates):
-        if j == 0:
-            found = [start] if start in candidates else []
-        else:
-            found = [s for s in candidates if start in h.final_grounding_of(j, s)]
-        if not found:
-            raise RefinementFault(f"base state {start} grounded by no candidate at {j}")
-        return found[0]
-
     cursor = [start] * (top + 1)
-    cursor[top] = localize(top, option.initiation)
+    cursor[top] = oracle_localize(h, top, option.initiation, start)
     for j in range(top, 1, -1):
-        cursor[j - 1] = localize(j - 1, h.grounding_of(j, cursor[j]))
+        cursor[j - 1] = oracle_localize(h, j - 1, h.grounding_of(j, cursor[j]), start)
     segments = []
 
     def run(j, opt):

@@ -40,11 +40,16 @@ from hierplan.errors import (
     StepBoundExceeded,
     UndefinedPolicy,
 )
-from hierplan.planner import InstrumentationRecord
+from hierplan.planner import InstrumentationRecord, _localize
+from hierplan.taxi import DEFAULT_LAYOUT
 
 from conftest import (
+    OPEN_8X8,
     MatchPair,
     one_step_preimage_options,
+    oracle_candidate_goals,
+    oracle_candidate_starts,
+    oracle_localize,
     oracle_refine,
     oracle_value_iteration,
     plan_match,
@@ -214,6 +219,147 @@ class TestCandidates:
             assert found(candidate_starts, j, starts) == expected
             inside = {s for s, g in ground.items() if g <= goals}
             assert found(candidate_goals, j, goals) == (inside or None)
+
+
+@pytest.fixture(scope="module", params=[DEFAULT_LAYOUT, OPEN_8X8], ids=["taxi5", "taxi8-open"])
+def taxi_by_layout(request):
+    return build_taxi_hierarchy(request.param)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type of the HierplanError it raises."""
+    try:
+        return f(*args)
+    except HierplanError as exc:
+        return type(exc)
+
+
+def grounded_ids(h):
+    """Every base id some abstract state of ``h`` grounds to, ascending."""
+    return sorted(
+        set().union(
+            *(
+                h.final_grounding_of(j, s)
+                for j in range(1, h.num_levels + 1)
+                for s in range(h.num_states(j))
+            )
+        )
+    )
+
+
+@st.composite
+def base_subsets(draw, h):
+    """A base set: every base state, or the base groundings of a few
+    abstract states, plus some grounded ids and a few ids anywhere in or
+    just past the base, less some grounded ids."""
+    n = h.num_states(0)
+    if draw(st.integers(0, 9)) == 0:
+        return GroundingSet(0, (1 << n) - 1)
+    grounded = grounded_ids(h)
+    abstract = [(j, s) for j in range(1, h.num_levels + 1) for s in range(h.num_states(j))]
+    ids = set()
+    for j, s in draw(st.lists(st.sampled_from(abstract), max_size=3)):
+        ids |= set(h.final_grounding_of(j, s))
+    ids |= draw(st.sets(st.sampled_from(grounded), max_size=6))
+    ids |= draw(st.sets(st.integers(0, n + 1), max_size=2))
+    ids -= draw(st.sets(st.sampled_from(grounded), max_size=2))
+    return GroundingSet.of(0, ids)
+
+
+class TestGroundingIndex:
+    """Matching and localization read each level's `GroundingIndex`; they
+    must give what one test per state on the base groundings gives."""
+
+    def test_index_describes_the_base_groundings(self, taxi_by_layout):
+        h = taxi_by_layout
+        for j in range(1, h.num_levels + 1):
+            index = h.grounding_index[j - 1]
+            everything = GroundingSet.of(j, range(h.num_states(j)))
+            assert GroundingSet(0, index.union) == h.final_ground(j, everything)
+            assert list(index.position) == list(GroundingSet(0, index.union))
+            assert list(index.position.values()) == list(range(len(index.position)))
+            for s in range(h.num_states(j)):
+                ranks = {index.position[x] for x in h.final_grounding_of(j, s)}
+                assert index.masks[s] == sum(1 << r for r in ranks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_candidates_and_localize_equal_the_per_state_loops(self, taxi_by_layout, data):
+        h = taxi_by_layout
+        starts = data.draw(base_subsets(h))
+        goals = data.draw(base_subsets(h))
+        for j in range(h.num_levels + 1):
+            assert outcome(candidate_starts, h, j, starts) == outcome(
+                oracle_candidate_starts, h, j, starts
+            )
+            assert outcome(candidate_goals, h, j, goals) == outcome(
+                oracle_candidate_goals, h, j, goals
+            )
+        base_state = data.draw(
+            st.sampled_from(grounded_ids(h)) | st.integers(0, h.num_states(0) + 1)
+        )
+        for j in range(h.num_levels + 1):
+            ids = data.draw(st.sets(st.integers(0, h.num_states(j) - 1)))
+            candidates = GroundingSet.of(j, ids)
+            assert outcome(_localize, h, j, candidates, base_state) == outcome(
+                oracle_localize, h, j, candidates, base_state
+            )
+
+    def test_sets_as_wide_as_the_base(self, taxi_by_layout):
+        """Ranks are read off the starts until one lies outside the union,
+        and off the goals only inside it: the whole union reads every
+        rank, every base state stops at a NoMatch, and both agree with
+        the oracle."""
+        h = taxi_by_layout
+        everything = GroundingSet(0, (1 << h.num_states(0)) - 1)
+        for j in range(1, h.num_levels + 1):
+            index = h.grounding_index[j - 1]
+            union = GroundingSet(0, index.union)
+            assert index.ranks(union.bits) == (1 << len(index.position)) - 1
+            assert index.ranks(everything.bits) is None
+            for states in (union, everything):
+                assert outcome(candidate_starts, h, j, states) == outcome(
+                    oracle_candidate_starts, h, j, states
+                )
+                assert outcome(candidate_goals, h, j, states) == outcome(
+                    oracle_candidate_goals, h, j, states
+                )
+            every_state = GroundingSet.of(j, range(h.num_states(j)))
+            assert candidate_starts(h, j, union) == every_state
+            assert candidate_goals(h, j, everything) == every_state
+            with pytest.raises(NoMatch):
+                candidate_starts(h, j, everything)
+
+    def test_errors_are_the_oracles(self, taxi_by_layout):
+        """A level-1 set is a LevelMismatch, starts reaching past every
+        grounding a NoMatch, and a base state no candidate grounds a
+        RefinementFault, as one test per state finds."""
+        h = taxi_by_layout
+        grounded = set(grounded_ids(h))
+        stray = next(x for x in range(h.num_states(0)) if x not in grounded)
+        level1 = GroundingSet.of(1, {0})
+        for j in range(1, h.num_levels + 1):
+            every_state = GroundingSet.of(j, range(h.num_states(j)))
+            uncovered = h.final_grounding_of(j, 0) | GroundingSet.single(0, stray)
+            cases = [
+                (candidate_starts, oracle_candidate_starts, (h, j, level1), LevelMismatch),
+                (candidate_goals, oracle_candidate_goals, (h, j, level1), LevelMismatch),
+                (candidate_starts, oracle_candidate_starts, (h, j, uncovered), NoMatch),
+                (_localize, oracle_localize, (h, j, every_state, stray), RefinementFault),
+            ]
+            for f, oracle, args, error in cases:
+                assert outcome(f, *args) is error
+                assert outcome(oracle, *args) is error
+
+    def test_candidate_outside_the_level_grounds_nothing(self, taxi_hierarchy, queries):
+        """A candidate id the level lacks is passed over, not looked up."""
+        h = taxi_hierarchy
+        start = next(iter(queries["Q1"].starts))
+        ghost = GroundingSet.single(2, h.num_states(2))
+        with pytest.raises(RefinementFault):
+            _localize(h, 2, ghost, start)
+        real = candidate_starts(h, 2, queries["Q1"].starts)
+        assert _localize(h, 2, real | ghost, start) == oracle_localize(h, 2, real, start)
 
 
 class TestPlanMatch:
