@@ -48,6 +48,7 @@ from .errors import (
     PartitionExplosion,
     StepBoundExceeded,
     UndefinedPolicy,
+    UnknownName,
 )
 from .symbols import GroundingSet
 
@@ -371,7 +372,12 @@ class AbstractLevel(BaseMDP):
         return self._by_id[part_id]
 
     def grounding_of(self, state: int) -> GroundingSet:
-        return self.groundings[state]
+        """The stored grounding of ``state``, one level down; UnknownName
+        for a state the level lacks."""
+        try:
+            return self.groundings[state]
+        except KeyError:
+            raise UnknownName(f"no state {state} at level {self.level_index}") from None
 
     def resolve_part(self, state: int, action_id: str) -> str | None:
         """Map an action or option id to the part id applicable in

@@ -253,10 +253,16 @@ def execute_option(level, option: Option, start: int, *,
     id. Each policy action is one step of ``level``, so over an abstract
     level a trace visits abstract states and sums abstract rewards.
     Execution fails with StepBoundExceeded after
-    ``default_step_bound(level)`` steps. ``record_stats`` does nothing: it
-    is accepted only so that existing callers keep working, since
-    execution records nothing.
+    ``default_step_bound(level)`` steps, and with LevelMismatch when the
+    option's sets are over another level than ``level``. ``record_stats``
+    does nothing: it is accepted only so that existing callers keep
+    working, since execution records nothing.
     """
+    if option.level_index != level.level_index:
+        raise LevelMismatch(
+            f"option {option.name!r} is over level {option.level_index}, "
+            f"run over level {level.level_index}"
+        )
     visited = [start]
     end, total = _execute_into(level, option, start, visited)
     return ExecutionTrace(start, end, len(visited) - 1, total, tuple(visited))

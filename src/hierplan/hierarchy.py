@@ -9,10 +9,11 @@ at an abstract state only when the state's whole grounding lies in its
 initiation set, and abstract transitions are sound with respect to actual
 option execution.
 
-Hierarchies are immutable; `add_level` returns a new value, and the
-base-level groundings of every state are precomputed, and indexed per
-level for matching and refinement, so that concurrent reads never race a
-lazy cache. Options and abstract rewards are plain
+Hierarchies are immutable; `add_level` returns a new value, and each
+abstract level's base-level groundings are stored once, as its
+`GroundingIndex`, for matching and refinement, so that concurrent reads
+never race a lazy cache. `Hierarchy.level` is the one map from a level
+index to a level. Options and abstract rewards are plain
 data fixed at construction (an empirical reward is the option's mean
 return over its initiation set, computed while partitioning), so
 planning, refinement and validation never change a hierarchy, and
@@ -117,19 +118,16 @@ class GroundingIndex:
 class Hierarchy:
     """Base MDP plus abstract levels M_1..M_n and their option sets.
 
-    Beside each abstract level's base groundings (``base_groundings``),
-    built once, sits their `GroundingIndex` (``grounding_index``), which
-    matching and refinement read so that their tests cost what the
-    level's groundings cost, not what the base's width costs.
+    Each abstract level's base groundings are stored once, as its
+    `GroundingIndex` (``grounding_index``), which matching and refinement
+    read so that their tests cost what the level's groundings cost, not
+    what the base's width costs.
     """
 
     base: BaseMDP
     levels_above: tuple[AbstractLevel, ...] = ()
     option_sets: tuple[tuple[Option, ...], ...] = ()
     reward_mode: RewardMode = RewardMode.UNIFORM_PENALTY
-    base_groundings: tuple[dict[int, GroundingSet], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
     grounding_index: tuple[GroundingIndex, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
@@ -137,7 +135,8 @@ class Hierarchy:
     def __post_init__(self) -> None:
         if len(self.levels_above) != len(self.option_sets):
             raise MalformedInput("one option set per abstract level required")
-        memos: list[dict[int, GroundingSet]] = []
+        below: dict[int, GroundingSet] = {}
+        index: list[GroundingIndex] = []
         for j, level in enumerate(self.levels_above, start=1):
             memo: dict[int, GroundingSet] = {}
             for s in level.space.states:
@@ -148,14 +147,12 @@ class Hierarchy:
                     # ids outside the level below are left for validate()
                     acc = GroundingSet.empty(0)
                     for x in g:
-                        if x in memos[-1]:
-                            acc = acc | memos[-1][x]
+                        if x in below:
+                            acc = acc | below[x]
                     memo[s] = acc
-            memos.append(memo)
-        object.__setattr__(self, "base_groundings", tuple(memos))
-        object.__setattr__(
-            self, "grounding_index", tuple(GroundingIndex.of(m) for m in memos)
-        )
+            index.append(GroundingIndex.of(memo))
+            below = memo
+        object.__setattr__(self, "grounding_index", tuple(index))
 
     @property
     def num_levels(self) -> int:
@@ -163,6 +160,8 @@ class Hierarchy:
         return len(self.levels_above)
 
     def level(self, j: int) -> BaseMDP | AbstractLevel:
+        """Level ``j``; the one check of a level index, LevelOutOfRange
+        outside 0..num_levels."""
         if j == 0:
             return self.base
         if not 1 <= j <= self.num_levels:
@@ -172,31 +171,20 @@ class Hierarchy:
     def num_states(self, j: int) -> int:
         return self.level(j).num_states
 
-    def grounding_of(self, j: int, state: int) -> GroundingSet:
-        """Stored grounding of one level-``j`` state, at level ``j-1``."""
-        if not 1 <= j <= self.num_levels:
-            raise LevelOutOfRange(f"level {j} not in 1..{self.num_levels}")
-        return self.levels_above[j - 1].grounding_of(state)
-
-    def final_grounding_of(self, j: int, state: int) -> GroundingSet:
-        """Base-level grounding of one level-``j`` state (precomputed)."""
-        if not 1 <= j <= self.num_levels:
-            raise LevelOutOfRange(f"level {j} not in 1..{self.num_levels}")
-        return self.base_groundings[j - 1][state]
-
     def final_ground(self, j: int, states: GroundingSet) -> GroundingSet:
         """Grounding composed all the way to the base MDP (identity at
-        level 0)."""
-        if not 0 <= j <= self.num_levels:
-            raise LevelOutOfRange(f"level {j} not in 0..{self.num_levels}")
+        level 0), through each level's own `AbstractLevel.grounding_of`.
+        UnknownName for a state some level lacks."""
+        self.level(j)
         if states.level_index != j:
             raise LevelMismatch(f"expected level {j}, got {states.level_index}")
-        if j == 0:
-            return states
-        out = GroundingSet.empty(0)
-        for s in states:
-            out = out | self.final_grounding_of(j, s)
-        return out
+        for i in range(j, 0, -1):
+            level = self.levels_above[i - 1]
+            out = GroundingSet.empty(i - 1)
+            for s in states:
+                out = out | level.grounding_of(s)
+            states = out
+        return states
 
     # -- construction -------------------------------------------------------
 
@@ -270,7 +258,7 @@ class Hierarchy:
                     out.append(Violation(j, "grounding-level", f"state {s}"))
                 elif any(x >= below.num_states for x in g):
                     out.append(Violation(j, "grounding-range", f"state {s}"))
-                if self.final_grounding_of(j, s).is_empty():
+                if not self.grounding_index[j - 1].masks[s]:
                     out.append(Violation(j, "empty-final-grounding", f"state {s}"))
             for (s, pid), t in level.transition.items():
                 part = level.part(pid)

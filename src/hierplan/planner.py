@@ -38,7 +38,6 @@ from .errors import (
     HierplanError,
     InconsistentRecord,
     LevelMismatch,
-    LevelOutOfRange,
     MalformedInput,
     NoMatch,
     RefinementFault,
@@ -67,10 +66,10 @@ def action_sequence(level, plan: Option, start: int) -> list[str]:
 class InstrumentationRecord:
     """Work accounting for one query.
 
-    ``match_ops[j]`` counts grounding tests performed building the
-    candidate pair at level ``j``: two per state above level 0 (one
-    start-overlap test, one goal-subset test), none at level 0, which
-    matches by identity. ``plan_ops[j]`` counts the predecessor edges
+    ``match_ops[j]`` counts the grounding tests building the candidate
+    pair at level ``j`` is charged: two per state above level 0 (one
+    start-overlap test, one goal-subset test), even when a NoMatch cuts
+    them short, and none at level 0, which matches by identity. ``plan_ops[j]`` counts the predecessor edges
     the plan search at ``j`` examined, one per edge each time a state's
     edges are walked: `findplan` walks them once per settled state,
     `findplan_value_iteration` once per time a state leaves its queue and
@@ -132,10 +131,9 @@ def candidate_starts(h: Hierarchy, j: int, starts: GroundingSet) -> GroundingSet
     read off until one falls outside it, so at most one more than the
     union holds; then each state's test is one small-int test,
     ``mask & q``."""
-    if not 0 <= j <= h.num_levels:
-        raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
+    level = h.level(j)
     if j == 0:
-        if not starts <= GroundingSet(0, (1 << h.num_states(0)) - 1):
+        if not starts <= GroundingSet(0, (1 << level.num_states) - 1):
             raise NoMatch(f"start set not covered at level {j}")
         return starts
     if starts.level_index != 0:
@@ -160,10 +158,9 @@ def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     level's `GroundingIndex` union, at most as many ids as it holds, and
     their ranks give one small-int test per state, ``mask & q == mask``.
     Nothing negates a set as wide as the base."""
-    if not 0 <= j <= h.num_levels:
-        raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
+    level = h.level(j)
     if j == 0:
-        members = (goals & GroundingSet(0, (1 << h.num_states(0)) - 1)).bits
+        members = (goals & GroundingSet(0, (1 << level.num_states) - 1)).bits
     elif goals.level_index != 0:
         raise LevelMismatch(f"level {goals.level_index} vs level 0")
     else:
@@ -435,31 +432,33 @@ def answer_query(
     level is attempted only when its unique maximal candidate pair
     brackets the query; a failed plan attempt at a matching level falls
     through to the next level down. Returns None when even the base MDP
-    has no plan. The instrumentation record accounts for all matching and
-    planning work performed.
+    has no plan, and LevelOutOfRange when ``h`` lacks ``at_level``. The
+    instrumentation record accounts for all matching and planning work
+    performed.
     """
     top = h.num_levels if at_level is None else at_level
-    if not 0 <= top <= h.num_levels:
-        raise LevelOutOfRange(f"level {top} not in 0..{h.num_levels}")
+    h.level(top)
     if plan_mode not in ("reachability", "value-iteration"):
         raise MalformedInput(f"unknown plan mode {plan_mode!r}")
     search = findplan if plan_mode == "reachability" else findplan_value_iteration
     record = InstrumentationRecord(search_top=top)
     clock = time.perf_counter()
     for j in range(top, -1, -1):
-        starts = _match(candidate_starts, h, j, query.starts)
-        goals = _match(candidate_goals, h, j, query.goals)
+        try:
+            pair = candidate_starts(h, j, query.starts), candidate_goals(h, j, query.goals)
+        except NoMatch:
+            pair = None
         # no test at level 0; above it, one per state for each candidate
         record.match_ops[j] = 2 * h.num_states(j) if j else 0
         record.total_ops += record.match_ops[j]
         now = time.perf_counter()
         record.match_seconds += now - clock
         clock = now
-        if starts is None or goals is None:
+        if pair is None:
             continue
         if record.first_match_level is None:
             record.first_match_level = j
-        plan = search(h.level(j), starts, goals, record=record)
+        plan = search(h.level(j), *pair, record=record)
         now = time.perf_counter()
         record.plan_seconds += now - clock
         clock = now
@@ -467,13 +466,6 @@ def answer_query(
             record.solution_level = j
             return PlanAnswer(plan, record)
     return None
-
-
-def _match(candidates, h: Hierarchy, j: int, states: GroundingSet) -> GroundingSet | None:
-    try:
-        return candidates(h, j, states)
-    except NoMatch:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -547,20 +539,23 @@ def refine(h: Hierarchy, option: Option, start: int) -> ExecutionTrace:
     ``start``. The cursor at each level below is localized once, then
     advanced with the level's own transition map (never re-localized),
     which is exactly the no-backtracking refinement the hierarchy's
-    soundness invariants guarantee. The refinement composes option runs
+    soundness invariants guarantee. LevelOutOfRange when the option is
+    over a level ``h`` lacks. The refinement composes option runs
     (`_walk`): a run over a level is made whole, with `execute_option`'s
     checks and step bound, before any of its steps is refined, and every
     base run appends to one trace. So a fault is the one `execute_option`
     raises at the level where it occurs, surfaced as RefinementFault.
     """
     j = option.level_index
+    h.level(j)
+    levels = (h.base, *h.levels_above)
     cursor = [start] * (j + 1)
     cursor[j] = _localize(h, j, option.initiation, start)
     for i in range(j, 1, -1):
-        cursor[i - 1] = _localize(h, i - 1, h.grounding_of(i, cursor[i]), start)
+        cursor[i - 1] = _localize(h, i - 1, levels[i].grounding_of(cursor[i]), start)
     visited = [start]
     try:
-        total = _walk((h.base, *h.levels_above), j, option, cursor, visited, 0.0)
+        total = _walk(levels, j, option, cursor, visited, 0.0)
     except HierplanError as exc:
         raise RefinementFault(str(exc)) from exc
     return ExecutionTrace(

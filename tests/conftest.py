@@ -329,6 +329,28 @@ def oracle_execute(level, option, start):
     return ExecutionTrace(start, state, len(visited) - 1, total, tuple(visited))
 
 
+def base_grounding(h, j, s):
+    """The base grounding of level-``j`` state ``s``, by `final_ground`."""
+    return h.final_ground(j, GroundingSet.single(j, s))
+
+
+def assert_index_describes_the_base_groundings(h):
+    """Each abstract level's `GroundingIndex` is its base groundings as
+    `final_ground` composes them: the union of every state's, each
+    grounded id's rank in ascending order, and each state's mask the
+    ranks of its own."""
+    for j in range(1, h.num_levels + 1):
+        index = h.grounding_index[j - 1]
+        everything = GroundingSet.of(j, range(h.num_states(j)))
+        assert GroundingSet(0, index.union) == h.final_ground(j, everything)
+        assert list(index.position) == list(GroundingSet(0, index.union))
+        assert list(index.position.values()) == list(range(len(index.position)))
+        assert list(index.masks) == list(range(h.num_states(j)))
+        for s in range(h.num_states(j)):
+            ranks = {index.position[x] for x in base_grounding(h, j, s)}
+            assert index.masks[s] == sum(1 << r for r in ranks)
+
+
 def oracle_candidate_starts(h, j, starts):
     """`candidate_starts` as it was written before each level indexed its
     base groundings: one ``.bits`` test per state, covering ``starts``
@@ -339,7 +361,8 @@ def oracle_candidate_starts(h, j, starts):
         members, covered = starts.bits, (1 << h.num_states(0)) - 1
     else:
         members = covered = 0
-        for s, g in h.base_groundings[j - 1].items():
+        for s in range(h.num_states(j)):
+            g = base_grounding(h, j, s)
             if g.bits & starts.bits:
                 members |= 1 << s
                 covered |= g.bits
@@ -350,7 +373,7 @@ def oracle_candidate_starts(h, j, starts):
 
 def oracle_candidate_goals(h, j, goals):
     """`candidate_goals` as it was written before each level indexed its
-    base groundings: one ``.bits`` subset test per state."""
+    base groundings: one subset test per state."""
     if not 0 <= j <= h.num_levels:
         raise LevelOutOfRange(f"level {j} not in 0..{h.num_levels}")
     if j == 0:
@@ -360,8 +383,8 @@ def oracle_candidate_goals(h, j, goals):
     else:
         members = sum(
             1 << s
-            for s, g in h.base_groundings[j - 1].items()
-            if g.bits & goals.bits == g.bits
+            for s in range(h.num_states(j))
+            if base_grounding(h, j, s) <= goals
         )
     if not members:
         raise NoMatch(f"no state grounds inside the goal set at level {j}")
@@ -375,7 +398,7 @@ def oracle_localize(h, j, candidates, base_state):
     if j == 0:
         found = [base_state] if base_state in candidates else []
     else:
-        found = [s for s in candidates if base_state in h.final_grounding_of(j, s)]
+        found = [s for s in candidates if base_state in base_grounding(h, j, s)]
     if not found:
         raise RefinementFault(f"base state {base_state} grounded by no candidate at {j}")
     return found[0]
@@ -393,7 +416,7 @@ def oracle_refine(h, option, start):
     cursor = [start] * (top + 1)
     cursor[top] = oracle_localize(h, top, option.initiation, start)
     for j in range(top, 1, -1):
-        cursor[j - 1] = oracle_localize(h, j - 1, h.grounding_of(j, cursor[j]), start)
+        cursor[j - 1] = oracle_localize(h, j - 1, h.level(j).grounding_of(cursor[j]), start)
     segments = []
 
     def run(j, opt):

@@ -15,6 +15,7 @@ from hierplan.core import member
 from hierplan.errors import (
     HierplanError,
     InapplicableAction,
+    LevelMismatch,
     MalformedInput,
     NotInInitiationSet,
     StepBoundExceeded,
@@ -164,6 +165,18 @@ class TestOptionExecution:
         )
         with pytest.raises(UndefinedPolicy):
             execute_option(taxi_mdp, partial, 0)
+
+    def test_option_over_another_level_raises_level_mismatch(self, taxi_hierarchy):
+        """An option runs only over the level its sets are over: a level-1
+        option over the base, and a base option over level 1, each from a
+        start in its initiation set, are refused before any step."""
+        h = taxi_hierarchy
+        upper, lower = h.option_sets[1][0], h.option_sets[0][0]
+        assert (upper.level_index, lower.level_index) == (1, 0)
+        for level, option, j in ((h.base, upper, 0), (h.level(1), lower, 1)):
+            message = f"option {option.name!r} is over level {option.level_index}, "
+            with pytest.raises(LevelMismatch, match=f"^{message}run over level {j}$"):
+                execute_option(level, option, next(iter(option.initiation)))
 
 
 def outcome(run, level, option, start):

@@ -34,6 +34,7 @@ from hierplan.errors import (
     LevelOutOfRange,
     MalformedInput,
     NoFactoredStructure,
+    UnknownName,
 )
 from hierplan.taxi import (
     DEFAULT_LAYOUT,
@@ -45,6 +46,7 @@ from conftest import (
     GAMMAS,
     OPEN_8X8,
     REWARDS,
+    assert_index_describes_the_base_groundings,
     draw_option_set,
     one_step_preimage_options,
     oracle_refine,
@@ -199,7 +201,12 @@ class TestValidate:
             h, levels_above=(h.level(1), replace(level, groundings=groundings))
         )
         assert Violation(2, "grounding-range", "state 0") in broken.validate()
-        assert broken.final_grounding_of(2, 0) == h.final_grounding_of(2, 0)
+        # the index skips the stray id; composing through it names a state
+        # level 1 lacks
+        assert broken.grounding_index[1].masks[0] == h.grounding_index[1].masks[0]
+        assert broken.grounding_index[1].union == h.grounding_index[1].union
+        with pytest.raises(UnknownName, match=f"no state {h.num_states(1)} at level 1"):
+            broken.final_ground(2, GroundingSet.single(2, 0))
 
     def test_space_of_another_level_reported(self, taxi_hierarchy):
         h = taxi_hierarchy
@@ -242,7 +249,7 @@ class TestValidate:
         h = taxi_hierarchy
         level = h.level(2)
         groundings = dict(level.groundings)
-        groundings[0] = h.final_grounding_of(2, 0)
+        groundings[0] = h.final_ground(2, GroundingSet.single(2, 0))
         assert groundings[0].level_index == 0
         assert any(s == 0 for s, _ in level.transition)
         broken = replace(
@@ -259,7 +266,7 @@ class TestValidate:
         broken = replace(
             h, levels_above=(h.level(1), replace(level, groundings=groundings))
         )
-        assert broken.final_grounding_of(2, 0).is_empty()
+        assert broken.grounding_index[1].masks[0] == 0
         assert Violation(2, "empty-final-grounding", "state 0") in broken.validate()
 
     def test_option_set_count_mismatch_rejected(self, taxi_hierarchy):
@@ -289,7 +296,7 @@ class TestDownwardRefinement:
         h = taxi_hierarchy
         for j in range(1, h.num_levels + 1):
             for s in range(h.num_states(j)):
-                assert not h.final_grounding_of(j, s).is_empty()
+                assert not h.final_ground(j, GroundingSet.single(j, s)).is_empty()
 
 
 class TestSnapshot:
@@ -385,6 +392,7 @@ class TestRandomDomains:
         except HierplanError:
             return
         assert h.validate() == []
+        assert_index_describes_the_base_groundings(h)
         query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
         assert_flat_search_oracle(h, query, transition)
 
@@ -422,6 +430,7 @@ class TestRandomDomains:
         except HierplanError:
             sets.pop()  # the one-level stack is still checked
         assert h.validate() == []
+        assert_index_describes_the_base_groundings(h)
         assert build_hierarchy(mdp, sets, mode).to_json() == h.to_json()
         for j in range(1, h.num_levels + 1):
             level = h.level(j)
@@ -444,6 +453,7 @@ class TestRandomDomains:
         except HierplanError:
             return
         assert h.validate() == []
+        assert_index_describes_the_base_groundings(h)
         assert build_hierarchy(mdp, [spec], mode).to_json() == h.to_json()
         level = h.level(1)
         if level.space.is_factored:
@@ -491,6 +501,7 @@ class TestFactoredStack:
         assert [h.num_states(j) for j in range(3)] == [6, 4, 4]
         assert [h.level(j).construction for j in (1, 2)] == [Construction.FACTORED] * 2
         assert h.validate() == []
+        assert_index_describes_the_base_groundings(h)
         answer = answer_query(
             h, PlanQuery(GroundingSet.of(0, [0]), GroundingSet.of(0, [5]))
         )

@@ -33,6 +33,7 @@ from hierplan.errors import (
     InapplicableAction,
     InconsistentRecord,
     LevelMismatch,
+    LevelOutOfRange,
     MalformedInput,
     NoMatch,
     NotInInitiationSet,
@@ -46,6 +47,8 @@ from hierplan.taxi import DEFAULT_LAYOUT
 from conftest import (
     OPEN_8X8,
     MatchPair,
+    assert_index_describes_the_base_groundings,
+    base_grounding,
     one_step_preimage_options,
     oracle_candidate_goals,
     oracle_candidate_starts,
@@ -132,7 +135,7 @@ class TestCandidates:
         of them are disjoint from a goal at a non-depot cell."""
         h = taxi_hierarchy
         for s in range(h.num_states(1)):
-            assert not h.final_grounding_of(1, s) & queries["Q3"].goals
+            assert not base_grounding(h, 1, s) & queries["Q3"].goals
         with pytest.raises(NoMatch):
             candidate_goals(h, 1, queries["Q3"].goals)
 
@@ -239,7 +242,7 @@ def grounded_ids(h):
     return sorted(
         set().union(
             *(
-                h.final_grounding_of(j, s)
+                base_grounding(h, j, s)
                 for j in range(1, h.num_levels + 1)
                 for s in range(h.num_states(j))
             )
@@ -259,7 +262,7 @@ def base_subsets(draw, h):
     abstract = [(j, s) for j in range(1, h.num_levels + 1) for s in range(h.num_states(j))]
     ids = set()
     for j, s in draw(st.lists(st.sampled_from(abstract), max_size=3)):
-        ids |= set(h.final_grounding_of(j, s))
+        ids |= set(base_grounding(h, j, s))
     ids |= draw(st.sets(st.sampled_from(grounded), max_size=6))
     ids |= draw(st.sets(st.integers(0, n + 1), max_size=2))
     ids -= draw(st.sets(st.sampled_from(grounded), max_size=2))
@@ -271,16 +274,7 @@ class TestGroundingIndex:
     must give what one test per state on the base groundings gives."""
 
     def test_index_describes_the_base_groundings(self, taxi_by_layout):
-        h = taxi_by_layout
-        for j in range(1, h.num_levels + 1):
-            index = h.grounding_index[j - 1]
-            everything = GroundingSet.of(j, range(h.num_states(j)))
-            assert GroundingSet(0, index.union) == h.final_ground(j, everything)
-            assert list(index.position) == list(GroundingSet(0, index.union))
-            assert list(index.position.values()) == list(range(len(index.position)))
-            for s in range(h.num_states(j)):
-                ranks = {index.position[x] for x in h.final_grounding_of(j, s)}
-                assert index.masks[s] == sum(1 << r for r in ranks)
+        assert_index_describes_the_base_groundings(taxi_by_layout)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -340,7 +334,7 @@ class TestGroundingIndex:
         level1 = GroundingSet.of(1, {0})
         for j in range(1, h.num_levels + 1):
             every_state = GroundingSet.of(j, range(h.num_states(j)))
-            uncovered = h.final_grounding_of(j, 0) | GroundingSet.single(0, stray)
+            uncovered = base_grounding(h, j, 0) | GroundingSet.single(0, stray)
             cases = [
                 (candidate_starts, oracle_candidate_starts, (h, j, level1), LevelMismatch),
                 (candidate_goals, oracle_candidate_goals, (h, j, level1), LevelMismatch),
@@ -941,6 +935,21 @@ class TestRefinement:
         with pytest.raises(RefinementFault):
             refine(taxi_hierarchy, answer.plan, stranger)
 
+    @pytest.mark.parametrize("j", [3, -1])
+    def test_option_over_a_missing_level_raises_level_out_of_range(
+        self, taxi_hierarchy, j
+    ):
+        """An option over a level the hierarchy lacks is refused by the
+        level check, not by an index into the hierarchy's tables."""
+        option = Option(
+            name="ghost",
+            initiation=GroundingSet.of(j, {0}),
+            termination=GroundingSet.of(j, {1}),
+            policy={},
+        )
+        with pytest.raises(LevelOutOfRange, match=f"^level {j} not in 0..2$"):
+            refine(taxi_hierarchy, option, 0)
+
     def test_trace_reward_counts_base_steps(self, taxi_hierarchy, queries):
         q = queries["Q1"]
         answer = answer_query(taxi_hierarchy, q)
@@ -1065,7 +1074,7 @@ class TestRefinement:
             policy={blue: "passenger-to-green"},
         )
         assert refine(h, ferry, state_of(h.base, 3, 0, 3, 0)).end in (
-            h.final_grounding_of(2, green)
+            base_grounding(h, 2, green)
         )
         message = f"'passenger-to-green' from state {at_blue}"
         with pytest.raises(RefinementFault, match=message):

@@ -1,4 +1,8 @@
-"""The public surface: what ``hierplan`` exports and nothing it dropped."""
+"""The public surface: what ``hierplan`` exports, nothing it dropped, and
+no import a module never uses."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +44,44 @@ def test_plans_are_options_and_refine_is_the_one_refiner(name):
         (BaseMDP, "predecessor_edges"),
         (GroundingSet, "isdisjoint"),
         (OptionPart, "mask"),
+        (Hierarchy, "base_groundings"),
+        (Hierarchy, "grounding_of"),
+        (Hierarchy, "final_grounding_of"),
+        (hierplan.planner, "_match"),
     ],
 )
 def test_deleted_members_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names ``source`` imports and never reads; a name listed in its
+    ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "from .errors import NoMatch, LevelOutOfRange\n__all__ = ['NoMatch']\n"
+    assert unused_imports(source) == ["LevelOutOfRange"]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in Path(hierplan.__file__).parent.glob("*.py")),
+)
+def test_no_module_imports_a_name_it_never_uses(module):
+    source = (Path(hierplan.__file__).parent / module).read_text(encoding="utf-8")
+    assert unused_imports(source) == []

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hierplan import GroundingSet
-from hierplan.errors import LevelMismatch, LevelOutOfRange
+from hierplan.errors import LevelMismatch, LevelOutOfRange, UnknownName
 
 from conftest import value_of
 
@@ -109,11 +109,23 @@ class TestGroundingOperators:
         with pytest.raises(LevelOutOfRange):
             taxi_hierarchy.final_ground(3, GroundingSet.of(3, {0}))
 
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_unknown_state_is_unknown_name(self, taxi_hierarchy, j):
+        """A state the level lacks is an UnknownName naming it and the
+        level, which is still a KeyError."""
+        level = taxi_hierarchy.level(j)
+        with pytest.raises(UnknownName, match=f"^no state 999 at level {j}$"):
+            level.grounding_of(999)
+        with pytest.raises(KeyError):
+            level.grounding_of(999)
+        with pytest.raises(UnknownName, match=f"^no state 999 at level {j}$"):
+            taxi_hierarchy.final_ground(j, GroundingSet.of(j, {0, 999}))
+
     def test_level1_grounds_to_singletons(self, taxi_hierarchy):
         h = taxi_hierarchy
         space1 = h.level(1).space
         for s in space1.states:
-            g = h.grounding_of(1, s)
+            g = h.level(1).grounding_of(s)
             assert len(g) == 1
             base_state = next(iter(g))
             assert h.base.space.assignment(base_state) == space1.assignment(s)
@@ -129,7 +141,7 @@ class TestGroundingOperators:
         space1 = h.level(1).space
         labels = h.level(2).space.labels
         node = labels.index("passenger-to-blue")
-        g = h.grounding_of(2, node)
+        g = h.level(2).grounding_of(node)
         assert len(g) == 5
         riding = [s for s in g if value_of(space1, s, "in-taxi")]
         outside = [s for s in g if not value_of(space1, s, "in-taxi")]
@@ -179,7 +191,7 @@ class TestGroundingOperators:
         h = taxi_hierarchy
         for s in range(h.num_states(2)):
             one = GroundingSet.single(2, s)
-            assert h.final_ground(2, one) == h.final_ground(1, h.grounding_of(2, s))
+            assert h.final_ground(2, one) == h.final_ground(1, h.level(2).grounding_of(s))
 
     def test_final_ground_monotone(self, taxi_hierarchy):
         h = taxi_hierarchy
@@ -241,7 +253,7 @@ class TestOverlappingGroundings:
         h = self.make_overlapping()
         both = GroundingSet.of(1, {0, 1})
         assert set(h.final_ground(1, both)) == {0, 1, 2, 3}
-        overlap = h.grounding_of(1, 0) & h.grounding_of(1, 1)
+        overlap = h.level(1).grounding_of(0) & h.level(1).grounding_of(1)
         assert set(overlap) == {1, 2}
 
     def test_overlap_not_a_violation(self):
