@@ -42,6 +42,7 @@ from .core import (
 from .errors import (
     InapplicableAction,
     InvalidSeed,
+    LevelMismatch,
     MalformedInput,
     NoFactoredStructure,
     NoSubgoalStructure,
@@ -463,7 +464,12 @@ def build_plan_graph(
 
 
 def require_seeds_within(level, seeds: GroundingSet) -> None:
-    """InvalidSeed when a seed state lies outside ``level``."""
+    """LevelMismatch when the seeds are over another level than
+    ``level``; InvalidSeed when a seed state lies outside it."""
+    if seeds.level_index != level.level_index:
+        raise LevelMismatch(
+            f"seeds are over level {seeds.level_index}, not {level.level_index}"
+        )
     for s in seeds:
         if not 0 <= s < level.num_states:
             raise InvalidSeed(f"seed state {s} outside level {level.level_index}")

@@ -26,12 +26,12 @@ def _build_hierarchy(domain_file: str | None, option_sets: tuple[str, ...],
                      reward_mode: str):
     mode = RewardMode(reward_mode)
     if domain_file is None:
-        return taxi_mod.build_taxi_hierarchy(reward_mode=mode), "taxi"
+        return taxi_mod.build_taxi_hierarchy(reward_mode=mode)
     mdp, named = load_domain(domain_file)
     for name in option_sets:
         if name not in named:
-            raise click.ClickException(f"domain file defines no option set {name!r}")
-    return build_hierarchy(mdp, [named[n] for n in option_sets], mode), "file"
+            raise MalformedInput(f"domain file defines no option set {name!r}")
+    return build_hierarchy(mdp, [named[n] for n in option_sets], mode)
 
 
 def _json_arg(flag: str, text: str) -> dict:
@@ -42,12 +42,6 @@ def _json_arg(flag: str, text: str) -> dict:
     if not isinstance(value, dict):
         raise MalformedInput(f"{flag} is not a JSON object: {text}")
     return value
-
-
-def _expander(kind: str):
-    if kind == "taxi":
-        return lambda mdp, spec: taxi_mod.expand_constraints(mdp, spec)
-    return expand_generic
 
 
 domain_options = [
@@ -88,7 +82,7 @@ def cli() -> None:
 @click.option("--out", type=click.Path(), default=None, help="Snapshot path (default stdout).")
 def build(domain_file, option_sets, reward_mode, out) -> None:
     """Construct the hierarchy, validate it, emit a JSON snapshot."""
-    h, _ = _build_hierarchy(domain_file, option_sets, reward_mode)
+    h = _build_hierarchy(domain_file, option_sets, reward_mode)
     violations = h.validate()
     text = h.to_json()
     if out:
@@ -118,8 +112,8 @@ def build(domain_file, option_sets, reward_mode, out) -> None:
 def plan(domain_file, option_sets, reward_mode, query_file, b_spec, g_spec,
          at_level, mode, refine_from) -> None:
     """Answer a plan query; prints the solution level and plan summary."""
-    h, kind = _build_hierarchy(domain_file, option_sets, reward_mode)
-    expand = _expander(kind)
+    h = _build_hierarchy(domain_file, option_sets, reward_mode)
+    expand = taxi_mod.expand_constraints if domain_file is None else expand_generic
     if query_file is not None:
         query = load_query(h.base, query_file, expand=expand)
     elif b_spec and g_spec:
@@ -128,7 +122,7 @@ def plan(domain_file, option_sets, reward_mode, query_file, b_spec, g_spec,
             expand(h.base, _json_arg("--G", g_spec)),
         )
     else:
-        raise click.ClickException("need --query-file or both --B and --G")
+        raise MalformedInput("need --query-file or both --B and --G")
     answer = answer_query(h, query, at_level=at_level, plan_mode=mode)
     if answer is None:
         click.echo("no plan exists, even at the base level")
@@ -165,8 +159,8 @@ def plan(domain_file, option_sets, reward_mode, query_file, b_spec, g_spec,
 def bench(domain_file, option_sets, reward_mode, reps, out_format, out_file) -> None:
     """Run the three-mode timing comparison over the benchmark queries."""
     if domain_file is not None:
-        raise click.ClickException("bench runs the built-in taxi queries")
-    h, _ = _build_hierarchy(None, (), reward_mode)
+        raise MalformedInput("bench runs the built-in taxi queries")
+    h = _build_hierarchy(None, (), reward_mode)
     queries = taxi_mod.benchmark_queries(h.base)
     rows = run_benchmark(h, queries, repetitions=reps)
     text = rows_to_csv(rows) if out_format == "csv" else rows_to_json(rows)
@@ -187,7 +181,7 @@ def bench(domain_file, option_sets, reward_mode, reps, out_format, out_file) -> 
 def export_pddl_cmd(domain_file, option_sets, reward_mode, level_index, out_dir,
                     init_state, goal_state) -> None:
     """Export one abstract level as a PDDL domain and problem."""
-    h, _ = _build_hierarchy(domain_file, option_sets, reward_mode)
+    h = _build_hierarchy(domain_file, option_sets, reward_mode)
     domain, problem = export_pddl(
         h, level_index, init_state=init_state, goal_state=goal_state
     )

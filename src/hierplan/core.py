@@ -92,7 +92,7 @@ class StateSpace:
         """State id carrying this exact assignment, or None."""
         return self._index.get(assignment)
 
-    def where(self, **constraints: Any) -> GroundingSet:
+    def where(self, /, **constraints: Any) -> GroundingSet:
         """All states whose assignment satisfies every ``var=value`` (or
         ``var=[v1, v2, ...]`` membership) constraint. Each constraint
         filters only the states that passed the ones before it."""

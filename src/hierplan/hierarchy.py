@@ -197,36 +197,27 @@ class Hierarchy:
         top level.
 
         Options are partitioned; if every part is a subgoal (has a
-        terminal state) the new level is a plan graph, otherwise (over a
-        factored space) the factored closure from ``seeds`` is built.
-        Rewards follow the hierarchy's ``reward_mode``. InvalidSeed when a
-        seed lies outside the current top level, whichever way the level
-        is built.
+        terminal state) the new level is a plan graph, otherwise the
+        factored closure from ``seeds`` is built. Over an unfactored level
+        every part is a subgoal, so the closure is only ever built over a
+        factored one. Rewards follow the hierarchy's ``reward_mode``.
+        LevelMismatch when the seeds, or an option (checked before it is
+        simulated), are over another level than the current top;
+        InvalidSeed when a seed lies outside the top level, whichever way
+        the level is built.
         """
         if not options:
             raise EmptyOptionSet("add_level needs at least one option")
         top = self.level(self.num_levels)
-        for o in options:
-            if o.level_index != top.level_index:
-                raise LevelOutOfRange(
-                    f"option {o.name!r} is over level {o.level_index}, "
-                    f"expected {top.level_index}"
-                )
         if seeds is not None:
             require_seeds_within(top, seeds)
         parts = _partition_all(options, top)
         if all(p.terminal_state is not None for p in parts):
             level = build_plan_graph(options, top, _parts=parts)
-        elif top.space.is_factored:
-            if seeds is None:
-                raise NoFactoredStructure(
-                    "factored construction needs closure seed states"
-                )
-            level = build_factored_abstraction(options, top, seeds, _parts=parts)
+        elif seeds is None:
+            raise NoFactoredStructure("factored construction needs closure seed states")
         else:
-            raise NoFactoredStructure(
-                "options are not all subgoal and the lower space is not factored"
-            )
+            level = build_factored_abstraction(options, top, seeds, _parts=parts)
         level = assign_rewards(level, self.reward_mode)
         return Hierarchy(
             base=self.base,

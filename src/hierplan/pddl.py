@@ -32,7 +32,8 @@ def _sanitize(name: str) -> str:
 
 def _initiation_profile(space: StateSpace, part: OptionPart):
     """Per-variable value sets over the initiation states, plus whether
-    the initiation set is exactly their product."""
+    the initiation set is exactly the states of the space inside their
+    product (the space may lack some combinations)."""
     names = space.variable_names()
     seen: dict[str, set] = {n: set() for n in names}
     count = 0
@@ -40,20 +41,9 @@ def _initiation_profile(space: StateSpace, part: OptionPart):
         count += 1
         for n, v in zip(names, space.assignment(s)):
             seen[n].add(v)
-    box = 1
-    for n in names:
-        box *= len(seen[n])
-    # the lower space may not contain every combination, so compare with
-    # the states actually present in the box
-    if box != count:
-        in_box = sum(
-            1
-            for s in space.states
-            if all(v in seen[n] for n, v in zip(names, space.assignment(s)))
-        )
-        exact = in_box == count
-    else:
-        exact = True
+    # the initiation states lie inside the box, so they are all of it
+    # exactly when the box holds no more states than they are
+    exact = len(space.where(**seen)) == count
     return seen, exact
 
 

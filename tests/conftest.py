@@ -27,6 +27,7 @@ from hierplan import (
     StateSpace,
     Variable,
     benchmark_queries,
+    build_hierarchy,
     build_taxi,
     build_taxi_hierarchy,
 )
@@ -540,11 +541,14 @@ FACTORED_VARIABLES = (
 
 @st.composite
 def random_factored_domains(draw):
-    """A factored base MDP and one option set over it: two or three
-    variables of `FACTORED_VARIABLES`, a random nonempty subset of their
-    assignments as states, partial ``a``/``b``/``c`` transitions with
-    drawn rewards and gamma, one to four (initiation, termination) id
-    pairs with no policies, and closure seeds."""
+    """A factored base MDP, a stack of one or two option sets over it and
+    a reward mode. The base has two or three variables of
+    `FACTORED_VARIABLES`, a random nonempty subset of their assignments
+    as states, and partial ``a``/``b``/``c`` transitions with drawn
+    rewards and gamma. The first set has one to four (initiation,
+    termination) id pairs with no policies, and closure seeds. When it
+    builds level 1, a second set over level 1 follows
+    (`level_option_sets`)."""
     variables = tuple(
         draw(st.permutations(FACTORED_VARIABLES))[: draw(st.integers(2, 3))]
     )
@@ -569,23 +573,107 @@ def random_factored_domains(draw):
     )
     ids = st.sets(st.integers(0, n - 1), min_size=1).map(sorted)
     pairs = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=4))
-    spec = OptionSetSpec(
-        tuple(OptionSpec(f"o{i}", a, b) for i, (a, b) in enumerate(pairs)),
-        seeds=draw(ids),
+    sets = [
+        OptionSetSpec(
+            tuple(OptionSpec(f"o{i}", a, b) for i, (a, b) in enumerate(pairs)),
+            seeds=draw(ids),
+        )
+    ]
+    mode = draw(st.sampled_from(RewardMode))
+    try:
+        h = build_hierarchy(mdp, sets, mode)
+    except HierplanError:
+        return mdp, sets, mode
+    sets.append(draw(level_option_sets(h.level(1))))
+    return mdp, sets, mode
+
+
+@st.composite
+def level_option_sets(draw, level):
+    """An option set over abstract ``level`` with closure seeds: one to
+    three `drawn_option_spec` options of (initiation, termination) pairs,
+    and the seeds. Each set is a nonempty id list or, over a factored
+    level, a constraint object holding each variable to a drawn value or
+    leaving it free."""
+    space = level.space
+    sets = st.sets(st.integers(0, space.num_states - 1), min_size=1).map(sorted)
+    if space.is_factored:
+        sets |= st.tuples(
+            *(st.none() | st.sampled_from(v.domain) for v in space.variables)
+        ).map(
+            lambda values: {
+                v.name: x for v, x in zip(space.variables, values) if x is not None
+            }
+        )
+    pairs = draw(st.lists(st.tuples(sets, sets), min_size=1, max_size=3))
+    return OptionSetSpec(
+        tuple(
+            drawn_option_spec(draw, level, f"p{i}", a, b)
+            for i, (a, b) in enumerate(pairs)
+        ),
+        seeds=draw(sets),
     )
-    return mdp, spec, draw(st.sampled_from(RewardMode))
 
 
-def draw_option_set(data, num_states, prefix):
-    """An option set over a level of ``num_states`` states, drawn with
-    hypothesis' ``data``: one to three (initiation, termination) pairs,
-    each set an id list or an ``except`` object naming its complement,
-    and no policies, so the builder plans them."""
+def drawn_option_spec(draw, level, name, initiation, termination):
+    """Option ``name`` over ``level``. Over an abstract level it draws
+    whether to carry a written `drawn_policy`; one with entries starts
+    from the states it names, those it leads into ``termination``. The
+    builder plans every other policy."""
+    if not level.level_index or not draw(st.booleans()):
+        return OptionSpec(name, initiation, termination)
+    policy = drawn_policy(draw, level, termination)
+    return OptionSpec(name, sorted(policy) or initiation, termination, policy)
+
+
+def drawn_policy(draw, level, termination):
+    """A written policy over abstract ``level`` that reaches
+    ``termination`` (an id list, an ``except`` object or a constraint
+    object without one) from every state that can. Each such state
+    outside it names the option of a drawn part that steps to a state
+    one step closer, found by searching the level's transitions
+    backwards. A planned policy names the part itself; the level
+    resolves the option id to that same part, since parts of one option
+    have disjoint initiations."""
+    space = level.space
+    if isinstance(termination, list):
+        closer = set(termination)
+    elif "except" in termination:
+        closer = set(space.states) - set(termination["except"])
+    else:
+        names = space.variable_names()
+        closer = {
+            s
+            for s in space.states
+            if all(space.assignment(s)[names.index(k)] == v for k, v in termination.items())
+        }
+    policy = {}
+    while True:
+        steps: dict[int, list[str]] = {}
+        for (s, part_id), t in level.transition.items():
+            if t in closer and s not in closer:
+                steps.setdefault(s, []).append(part_id)
+        if not steps:
+            return policy
+        for s, part_ids in sorted(steps.items()):
+            policy[s] = level.part(draw(st.sampled_from(part_ids))).option.name
+        closer |= steps.keys()
+
+
+def draw_option_set(data, level, prefix):
+    """An option set over ``level``, drawn with hypothesis' ``data``: one
+    to three `drawn_option_spec` options of (initiation, termination)
+    pairs, each set an id list or an ``except`` object naming its
+    complement."""
+    num_states = level.num_states
     ids = st.sets(st.integers(0, num_states - 1), min_size=1).map(sorted)
     spec = ids | ids.map(
         lambda kept: {"except": [s for s in range(num_states) if s not in kept]}
     )
     pairs = data.draw(st.lists(st.tuples(spec, spec), min_size=1, max_size=3))
     return OptionSetSpec(
-        tuple(OptionSpec(f"{prefix}{i}", a, b) for i, (a, b) in enumerate(pairs))
+        tuple(
+            drawn_option_spec(data.draw, level, f"{prefix}{i}", a, b)
+            for i, (a, b) in enumerate(pairs)
+        )
     )

@@ -28,6 +28,7 @@ from hierplan.errors import (
     InapplicableAction,
     InvalidSeed,
     MalformedInput,
+    NoFactoredStructure,
     NoSubgoalStructure,
     PartitionExplosion,
     StepBoundExceeded,
@@ -517,6 +518,16 @@ class TestFactoredConstruction:
             build_factored_abstraction(
                 [], taxi_mdp, GroundingSet.of(0, {10_000})
             )
+
+    def test_unfactored_level_rejected(self):
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=2),
+            actions=("go",),
+            transition={(0, "go"): 1},
+            reward={(0, "go"): -1.0},
+        )
+        with pytest.raises(NoFactoredStructure, match="^level 0 space is not factored$"):
+            build_factored_abstraction([], mdp, GroundingSet.of(0, {0}))
 
     def test_groundings_are_exact_matches(self, taxi_hierarchy):
         level = taxi_hierarchy.level(1)

@@ -9,6 +9,7 @@ from hierplan import (
     Option,
     PlanQuery,
     StateSpace,
+    Variable,
     execute_option,
 )
 from hierplan.core import member
@@ -280,6 +281,12 @@ class TestWhere:
     def test_no_constraints_is_every_state(self, taxi_mdp):
         assert list(taxi_mdp.space.where()) == list(taxi_mdp.space.states)
 
+    def test_variable_named_self(self):
+        """A domain may name a variable ``self``; it is a constraint like
+        any other, not the method's own argument."""
+        space = StateSpace(0, 2, (Variable("self", (0, 1)),), ((0,), (1,)))
+        assert list(space.where(**{"self": 1})) == [1]
+
     @pytest.mark.parametrize(
         "constraints",
         [{"taxi-x": 9, "colour": 1}, {"taxi-x": [], "colour": 1}, {"colour": 1}],
@@ -305,6 +312,14 @@ class TestMalformedInput:
             lambda: GroundingSet.of(0, [-1]),
             lambda: GroundingSet.of(0, [4, 0, -2, 7]),
             lambda: PlanQuery(GroundingSet.empty(0), GroundingSet.of(0, {1})),
+            lambda: PlanQuery(GroundingSet.of(1, {0}), GroundingSet.of(1, {1})),
+            lambda: Option("o", GroundingSet.of(0, {0}), GroundingSet.of(1, {1}), {}),
+            lambda: StateSpace(0, 2, variables=(Variable("p", (0, 1)),)),
+            lambda: StateSpace(0, 2, assignments=((0,), (1,))),
+            lambda: StateSpace(0, 3, (Variable("p", (0, 1)),), ((0,), (1,))),
+            lambda: StateSpace(0, 2, (Variable("p", (0, 1)),), ((0,), (1, 0))),
+            lambda: StateSpace(0, 2, (Variable("p", (0, 1)),), ((1,), (1,))),
+            lambda: StateSpace(0, 2, labels=("only",)),
         ],
         ids=[
             "no-states",
@@ -315,6 +330,14 @@ class TestMalformedInput:
             "negative-index",
             "negative-index-after-others",
             "empty-starts",
+            "query-over-level-1",
+            "option-mixes-levels",
+            "variables-without-assignments",
+            "assignments-without-variables",
+            "assignment-count",
+            "assignment-arity",
+            "duplicate-assignment",
+            "label-count",
         ],
     )
     def test_rejected_with_typed_error(self, make):

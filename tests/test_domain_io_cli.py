@@ -534,6 +534,24 @@ class TestCLI:
         lines = result.output.splitlines()
         assert lines == ["error: repetitions must be >= 1, got 0"], result.output
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["build", "--domain-file", "{chain}", "--option-set", "x"],
+             "error: domain file defines no option set 'x'"),
+            (["plan", "--B", '{"pass-at": "red"}'],
+             "error: need --query-file or both --B and --G"),
+            (["bench", "--domain-file", "{chain}"],
+             "error: bench runs the built-in taxi queries"),
+        ],
+        ids=["unknown-option-set", "no-query", "bench-domain-file"],
+    )
+    def test_usage_error_prints_one_error_line(self, chain_file, args, message):
+        result = CliRunner().invoke(cli, [a.replace("{chain}", chain_file) for a in args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [message], result.output
+
     def test_export_pddl_writes_files(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(

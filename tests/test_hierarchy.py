@@ -19,6 +19,7 @@ from hierplan import (
     Violation,
     action_sequence,
     answer_query,
+    build_factored_abstraction,
     build_hierarchy,
     build_taxi_hierarchy,
     findplan,
@@ -31,7 +32,7 @@ from hierplan.errors import (
     EmptyOptionSet,
     HierplanError,
     InvalidSeed,
-    LevelOutOfRange,
+    LevelMismatch,
     MalformedInput,
     NoFactoredStructure,
     UnknownName,
@@ -70,8 +71,11 @@ class TestAddLevel:
             Hierarchy(base=taxi_mdp).add_level([])
 
     def test_wrong_level_options_rejected(self, fresh_hierarchy, taxi_mdp):
+        """The partition's own check of an option's level, made before the
+        option is simulated, rejects it."""
         base_options = taxi_options_level1(taxi_mdp)
-        with pytest.raises(LevelOutOfRange):
+        message = "^option 'drive-to-red' is over level 0, not 2$"
+        with pytest.raises(LevelMismatch, match=message):
             fresh_hierarchy.add_level(base_options)  # top level is 2, not 0
 
     def test_factored_construction_needs_seeds(self, taxi_mdp):
@@ -94,6 +98,27 @@ class TestAddLevel:
         )
         with pytest.raises(InvalidSeed, match="seed state 99 outside level 0"):
             Hierarchy(base=mdp).add_level([to_one], seeds=GroundingSet.of(0, [0, 99]))
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["plan-graph", "factored"])
+    def test_seeds_of_another_level_rejected(self, factored):
+        """Seeds over level 1 are not read as level-0 ids, through
+        `add_level` whichever way the level is built, and through
+        `build_factored_abstraction`."""
+        mdp, _ = load_domain({
+            "actions": ["fwd"], "transitions": [[0, "fwd", 1], [1, "fwd", 2]],
+            **({"variables": [["pos", [0, 1]], ["tag", [0, 1]]],
+                "states": [[0, 0], [1, 0], [1, 1]]} if factored else {"num_states": 3}),
+        })
+        to_one = Option(
+            "to-one", GroundingSet.of(0, [0]), GroundingSet.of(0, [1]), {0: "fwd"}
+        )
+        seeds = GroundingSet.of(1, [0])
+        builds = [lambda: Hierarchy(base=mdp).add_level([to_one], seeds=seeds)]
+        if factored:
+            builds.append(lambda: build_factored_abstraction([to_one], mdp, seeds))
+        for build in builds:
+            with pytest.raises(LevelMismatch, match="^seeds are over level 1, not 0$"):
+                build()
 
     def test_add_level_returns_new_value(self, taxi_mdp):
         h0 = Hierarchy(base=taxi_mdp)
@@ -374,6 +399,14 @@ def assert_flat_search_oracle(h, query, transition):
                     assert there in (transition.get((here, a)) for a in mdp.actions)
 
 
+def assert_top_set_refines_as_the_oracle(h):
+    """Each option of ``h``'s top set refines from every base state its
+    initiation grounds as `oracle_refine` composes it."""
+    for option in h.option_sets[-1]:
+        for start in h.final_ground(option.level_index, option.initiation):
+            assert refine(h, option, start) == oracle_refine(h, option, start)
+
+
 class TestRandomDomains:
     @settings(max_examples=200, deadline=None)
     @given(random_domains())
@@ -400,13 +433,15 @@ class TestRandomDomains:
     @given(random_domains(), st.data())
     def test_two_level_spec_stacks(self, domain, data):
         """Two option sets of drawn (initiation, termination) pairs, the
-        second drawn over the level the first builds, stacked by
-        `build_hierarchy` with every policy planned, over drawn rewards
-        and gamma. Each construction
-        raises a typed error, or `validate()` finds no violation, a
-        rebuild gives the same snapshot, every plan-graph level's groundings are
-        the per-state profile widening, and the flat-search oracle holds
-        on the highest stack built."""
+        second drawn over the level the first builds with some policies
+        written out and naming options rather than parts, stacked by
+        `build_hierarchy`, which plans every other policy, over drawn
+        rewards and gamma. Each construction raises a typed error, or
+        `validate()` finds no violation, a rebuild gives the same
+        snapshot, every plan-graph level's groundings are the per-state
+        profile widening, the flat-search oracle holds on the highest
+        stack built, and each option of its top set refines as the oracle
+        composes it."""
         n, transition, mode, starts, goals = domain
         edges = sorted(transition)
         rewards = data.draw(
@@ -419,12 +454,12 @@ class TestRandomDomains:
             reward=dict(zip(edges, rewards)),
             gamma=data.draw(st.sampled_from(GAMMAS)),
         )
-        sets = [draw_option_set(data, n, "o")]
+        sets = [draw_option_set(data, mdp, "o")]
         try:
             h = build_hierarchy(mdp, sets, mode)
         except HierplanError:
             return
-        sets.append(draw_option_set(data, h.num_states(1), "p"))
+        sets.append(draw_option_set(data, h.level(1), "p"))
         try:
             h = build_hierarchy(mdp, sets, mode)
         except HierplanError:
@@ -439,27 +474,46 @@ class TestRandomDomains:
             )
         query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
         assert_flat_search_oracle(h, query, transition)
+        assert_top_set_refines_as_the_oracle(h)
 
     @settings(max_examples=200, deadline=None)
-    @given(random_factored_domains())
-    def test_factored_levels_ground_to_one_state(self, domain):
-        """A factored level is its seeds' closure over lower states: the
-        build raises a typed error, or `validate()` finds no violation, a
-        rebuild gives the same snapshot, and every factored state grounds
-        to exactly one lower state carrying the same assignment."""
-        mdp, spec, mode = domain
+    @given(random_factored_domains(), st.data())
+    def test_factored_levels_ground_to_one_state(self, domain, data):
+        """A factored level is its seeds' closure over lower states. A
+        stack of one or two drawn option sets, the second over level 1
+        with some policies written out and naming options rather than
+        parts, raises a typed error, or `validate()` finds no violation, a
+        rebuild gives the same snapshot, every factored state grounds to
+        exactly one lower state carrying the same assignment, every
+        plan-graph level's groundings are the per-state profile widening,
+        the flat-search oracle holds on a drawn query, and each option of
+        the top set refines as the oracle composes it."""
+        mdp, sets, mode = domain
         try:
-            h = build_hierarchy(mdp, [spec], mode)
+            h = build_hierarchy(mdp, sets, mode)
         except HierplanError:
-            return
+            if len(sets) == 1:
+                return
+            sets = sets[:1]  # the one-level stack is still checked
+            h = build_hierarchy(mdp, sets, mode)
         assert h.validate() == []
         assert_index_describes_the_base_groundings(h)
-        assert build_hierarchy(mdp, [spec], mode).to_json() == h.to_json()
-        level = h.level(1)
-        if level.space.is_factored:
-            for s in level.space.states:
-                (below,) = level.grounding_of(s)
-                assert mdp.space.assignment(below) == level.space.assignment(s)
+        assert build_hierarchy(mdp, sets, mode).to_json() == h.to_json()
+        for j in range(1, h.num_levels + 1):
+            level, below = h.level(j), h.level(j - 1)
+            if level.space.is_factored:
+                for s in level.space.states:
+                    (lower,) = level.grounding_of(s)
+                    assert below.space.assignment(lower) == level.space.assignment(s)
+            else:
+                assert [list(level.grounding_of(s)) for s in level.space.states] == (
+                    oracle_widened_groundings(below, level.parts)
+                )
+        ids = st.sets(st.integers(0, mdp.num_states - 1), min_size=1)
+        starts, goals = (GroundingSet.of(0, data.draw(ids)) for _ in range(2))
+        query = PlanQuery(starts, goals)
+        assert_flat_search_oracle(h, query, mdp.transition)
+        assert_top_set_refines_as_the_oracle(h)
 
 
 def set_variable(name: str, value: int) -> dict:

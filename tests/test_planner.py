@@ -17,6 +17,7 @@ from hierplan import (
     StateSpace,
     action_sequence,
     answer_query,
+    build_hierarchy,
     build_taxi_hierarchy,
     candidate_goals,
     candidate_starts,
@@ -1108,6 +1109,27 @@ def taxi_by_reward_mode(request):
     return build_taxi_hierarchy(reward_mode=request.param)
 
 
+# a line 0-1-2-3: "to-edge" runs from 1 to 0 and from 2 to 3, so it splits
+# into one part per end; "to-middle" runs from 0 to 1 and from 3 to 2
+SPLIT_LINE = {
+    "actions": ["fwd", "back"],
+    "num_states": 4,
+    "transitions": [[0, "fwd", 1], [1, "fwd", 2], [2, "fwd", 3],
+                    [1, "back", 0], [2, "back", 1], [3, "back", 2]],
+    "options": {
+        "level1": [
+            {"name": "to-edge", "initiation": [1, 2], "termination": [0, 3],
+             "policy": {"1": "back", "2": "fwd"}},
+            {"name": "to-middle", "initiation": [0, 3], "termination": [1, 2],
+             "policy": {"0": "fwd", "3": "back"}},
+        ],
+        # level-1 node 2 grounds to base 1 and node 3 to base 2
+        "level2": [{"name": "out", "initiation": [2, 3], "termination": [0, 1],
+                    "policy": {"2": "to-edge", "3": "to-edge"}}],
+    },
+}
+
+
 class TestRefinementOracle:
     """`refine` gives the trace `oracle_refine` composes from whole option
     executions: same start, end, steps, visited states and reward."""
@@ -1163,6 +1185,21 @@ class TestRefinementOracle:
             with pytest.raises(RefinementFault) as want:
                 oracle_refine(h, option, s)
             assert type(got.value.__cause__) is type(want.value.__cause__)
+
+    def test_written_policy_names_a_split_option(self):
+        """A level-2 skill's written policy names the level-1 option
+        ``to-edge``, which splits into a part from base 1 to 0 and one
+        from 2 to 3. Each entry resolves to the part applicable in its
+        state, both in the build and in refinement."""
+        mdp, sets = load_domain(SPLIT_LINE)
+        h = build_hierarchy(mdp, [sets["level1"], sets["level2"]])
+        assert h.validate() == []
+        assert h.level(1).actions == ("to-edge#0", "to-edge#1", "to-middle#0", "to-middle#1")
+        (out,) = h.option_sets[1]
+        for start, end in ((1, 0), (2, 3)):
+            trace = refine(h, out, start)
+            assert trace.visited == (start, end)
+            assert trace == oracle_refine(h, out, start)
 
     @settings(max_examples=200, deadline=None)
     @given(random_domains(), st.integers(1, 2), st.data())

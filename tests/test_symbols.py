@@ -109,6 +109,10 @@ class TestGroundingOperators:
         with pytest.raises(LevelOutOfRange):
             taxi_hierarchy.final_ground(3, GroundingSet.of(3, {0}))
 
+    def test_set_of_another_level_is_level_mismatch(self, taxi_hierarchy):
+        with pytest.raises(LevelMismatch, match="^expected level 2, got 1$"):
+            taxi_hierarchy.final_ground(2, GroundingSet.of(1, {0}))
+
     @pytest.mark.parametrize("j", [1, 2])
     def test_unknown_state_is_unknown_name(self, taxi_hierarchy, j):
         """A state the level lacks is an UnknownName naming it and the
