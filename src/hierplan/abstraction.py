@@ -391,6 +391,23 @@ class AbstractLevel(BaseMDP):
                 return p.part_id
         return None
 
+    def applied_edges(
+        self, option: Option, states: Sequence[int]
+    ) -> tuple[tuple[int, str], ...]:
+        """The edge ``(s, part id)`` ``option``'s policy applies at each
+        state ``s`` of ``states``, the states a run of it over this level
+        leaves. A policy action that is a transition of its state is taken
+        by id; only an option id goes through `resolve_part`."""
+        policy = option.policy
+        transition = self.transition
+        edges = []
+        for s in states:
+            action = policy[s]
+            if (s, action) not in transition:
+                action = self.resolve_part(s, action)
+            edges.append((s, action))
+        return tuple(edges)
+
     def step(self, state: int, action: str) -> tuple[int, float]:
         """Apply an option, by part id or option id, as one abstract step."""
         part_id = self.resolve_part(state, action)

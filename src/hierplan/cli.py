@@ -112,17 +112,17 @@ def build(domain_file, option_sets, reward_mode, out) -> None:
 def plan(domain_file, option_sets, reward_mode, query_file, b_spec, g_spec,
          at_level, mode, refine_from) -> None:
     """Answer a plan query; prints the solution level and plan summary."""
+    if query_file is None and not (b_spec and g_spec):
+        raise MalformedInput("need --query-file or both --B and --G")
     h = _build_hierarchy(domain_file, option_sets, reward_mode)
     expand = taxi_mod.expand_constraints if domain_file is None else expand_generic
     if query_file is not None:
         query = load_query(h.base, query_file, expand=expand)
-    elif b_spec and g_spec:
+    else:
         query = PlanQuery(
             expand(h.base, _json_arg("--B", b_spec)),
             expand(h.base, _json_arg("--G", g_spec)),
         )
-    else:
-        raise MalformedInput("need --query-file or both --B and --G")
     answer = answer_query(h, query, at_level=at_level, plan_mode=mode)
     if answer is None:
         click.echo("no plan exists, even at the base level")

@@ -12,7 +12,12 @@ option execution.
 Hierarchies are immutable; `add_level` returns a new value, and each
 abstract level's base-level groundings are stored once, as its
 `GroundingIndex`, for matching and refinement, so that concurrent reads
-never race a lazy cache. `Hierarchy.level` is the one map from a level
+never race a lazy cache. Beside it each level keeps its lower runs: for
+each edge ``(s, part id)`` and each member ``x`` of ``s``'s grounding, the
+run of the part's option from ``x`` over the level below, or the error
+that run raised. An option run from a given state is always the same run,
+so refinement and `Hierarchy.validate` read these runs instead of
+executing them again. `Hierarchy.level` is the one map from a level
 index to a level. Options and abstract rewards are plain
 data fixed at construction (an empirical reward is the option's mean
 return over its initiation set, computed while partitioning), so
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .abstraction import (
     AbstractLevel,
@@ -39,6 +44,7 @@ from .abstraction import (
 from .core import BaseMDP, Option, execute_option
 from .errors import (
     EmptyOptionSet,
+    HierplanError,
     LevelMismatch,
     LevelOutOfRange,
     MalformedInput,
@@ -114,6 +120,48 @@ class GroundingIndex:
         return out
 
 
+class Run(NamedTuple):
+    """One run of a part's option from one lower state, recorded when the
+    hierarchy is built.
+
+    ``end`` and ``reward`` are the run's end state and summed reward over
+    the level below. Over the base, ``steps`` holds the base states the
+    run enters, in order. Over an abstract level, it holds the edge
+    ``(state, part id)`` the run applies at each state it leaves: the
+    key of the run one level further down.
+    """
+
+    end: int
+    reward: float
+    steps: tuple
+
+
+LowerRuns = dict[tuple[int, str, int], Run | HierplanError]
+
+
+def record_runs(level: AbstractLevel, below: BaseMDP | AbstractLevel) -> LowerRuns:
+    """The run of each edge ``(s, pid)``'s option over ``below`` from each
+    member ``x`` of ``s``'s grounding, keyed ``(s, pid, x)``: the `Run`,
+    or the HierplanError `execute_option` raised, kept without its
+    traceback. Each state's grounding is read once, not once per edge."""
+    members = {s: list(level.grounding_of(s)) for s in level.space.states}
+    runs: LowerRuns = {}
+    for s, pid in level.transition:
+        option = level.part(pid).option
+        for x in members[s]:
+            try:
+                trace = execute_option(below, option, x)
+            except HierplanError as exc:
+                runs[s, pid, x] = exc.with_traceback(None)
+                continue
+            if isinstance(below, AbstractLevel):
+                steps = below.applied_edges(option, trace.visited[:-1])
+            else:
+                steps = trace.visited[1:]
+            runs[s, pid, x] = Run(trace.end, trace.cumulative_reward, steps)
+    return runs
+
+
 @dataclass(frozen=True)
 class Hierarchy:
     """Base MDP plus abstract levels M_1..M_n and their option sets.
@@ -121,7 +169,10 @@ class Hierarchy:
     Each abstract level's base groundings are stored once, as its
     `GroundingIndex` (``grounding_index``), which matching and refinement
     read so that their tests cost what the level's groundings cost, not
-    what the base's width costs.
+    what the base's width costs. Each level's lower runs
+    (``lower_runs``, one `record_runs` table per level) are recorded
+    beside it; refinement below an option's own level and `validate`'s
+    image check read them.
     """
 
     base: BaseMDP
@@ -131,13 +182,18 @@ class Hierarchy:
     grounding_index: tuple[GroundingIndex, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    lower_runs: tuple[LowerRuns, ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self) -> None:
         if len(self.levels_above) != len(self.option_sets):
             raise MalformedInput("one option set per abstract level required")
         below: dict[int, GroundingSet] = {}
         index: list[GroundingIndex] = []
+        runs: list[LowerRuns] = []
         for j, level in enumerate(self.levels_above, start=1):
+            runs.append(record_runs(level, self.level(j - 1)))
             memo: dict[int, GroundingSet] = {}
             for s in level.space.states:
                 g = level.grounding_of(s)
@@ -153,6 +209,7 @@ class Hierarchy:
             index.append(GroundingIndex.of(memo))
             below = memo
         object.__setattr__(self, "grounding_index", tuple(index))
+        object.__setattr__(self, "lower_runs", tuple(runs))
 
     @property
     def num_levels(self) -> int:
@@ -232,22 +289,30 @@ class Hierarchy:
         """Check every structural invariant; empty list means sound.
 
         Sibling groundings may overlap (levels need not partition the
-        level below), so no disjointness is required.
+        level below), so no disjointness is required. The image check
+        reads each edge's lower runs, recorded at construction, rather
+        than executing them: a run that raised is reported as an
+        ``execution`` violation naming the part, the lower state and the
+        error, and so is a grounding member with no recorded run (a level
+        changed in place after the hierarchy was built).
         """
         out: list[Violation] = []
         for j in range(1, self.num_levels + 1):
             level = self.levels_above[j - 1]
             below = self.level(j - 1)
+            runs = self.lower_runs[j - 1]
             if level.space.level_index != j:
                 out.append(Violation(j, "level-index", f"space says {level.space.level_index}"))
+            members: dict[int, list[int]] = {}
             for s in level.space.states:
                 g = level.grounding_of(s)
-                if g.is_empty():
+                members[s] = xs = list(g)
+                if not xs:
                     out.append(Violation(j, "empty-grounding", f"state {s}"))
                     continue
                 if g.level_index != j - 1:
                     out.append(Violation(j, "grounding-level", f"state {s}"))
-                elif any(x >= below.num_states for x in g):
+                elif any(x >= below.num_states for x in xs):
                     out.append(Violation(j, "grounding-range", f"state {s}"))
                 if not self.grounding_index[j - 1].masks[s]:
                     out.append(Violation(j, "empty-final-grounding", f"state {s}"))
@@ -268,17 +333,22 @@ class Hierarchy:
                         )
                     )
                     continue
-                for x in g:
-                    end = execute_option(below, part.option, x).end
-                    if end not in target:
-                        out.append(
-                            Violation(
-                                j,
-                                "image",
-                                f"option {pid} from lower state {x} ends at "
-                                f"{end}, outside grounding of state {t}",
-                            )
-                        )
+                for x in members[s]:
+                    run = runs.get((s, pid, x))
+                    if run is None:
+                        kind = "execution"
+                        detail = "has no run recorded at construction"
+                    elif isinstance(run, HierplanError):
+                        kind = "execution"
+                        detail = f"raised {type(run).__name__}: {run}"
+                    elif run.end not in target:
+                        kind = "image"
+                        detail = f"ends at {run.end}, outside grounding of state {t}"
+                    else:
+                        continue
+                    out.append(
+                        Violation(j, kind, f"part {pid} from lower state {x} {detail}")
+                    )
         return out
 
     # -- serialization ------------------------------------------------------

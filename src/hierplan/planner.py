@@ -19,12 +19,15 @@ A plan is an option over the level it was found at, named ``plan@j``:
 its starts are the initiation set, its goals the termination set.
 `refine` takes it, or any other option of the hierarchy, to base
 actions by composing option runs: the option runs over its own level
-with `execute_option`'s loop, then the option of the part applied at
-each state that run left runs one level down the same way, down to the
-base, whose runs append every state to the one refined trace. Every
-walk of a policy here, `action_sequence`'s too, is that one loop, with
-its checks and its level's step bound, and every fault surfaces as a
-RefinementFault caused by the loop's own error.
+with `execute_option`'s loop, then the run of the part applied at each
+state that run left, one level down, is read from the hierarchy's
+lower runs, and so on down to the base, whose runs append every state
+to the one refined trace. Those runs were made by the same loop when
+the hierarchy was built, so nothing below the option's own level is
+executed at query time. Every walk of a policy here, `action_sequence`'s
+too, is that one loop, with its checks and its level's step bound, and
+every fault surfaces as a RefinementFault caused by the loop's own
+error.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
     NoMatch,
     RefinementFault,
 )
-from .hierarchy import Hierarchy, PlanQuery
+from .hierarchy import Hierarchy, LowerRuns, PlanQuery
 from .symbols import GroundingSet
 
 
@@ -496,38 +499,43 @@ def _localize(h: Hierarchy, j: int, candidates: GroundingSet, base_state: int) -
 
 
 def _walk(
-    levels: tuple,
+    lower_runs: tuple[LowerRuns, ...],
     j: int,
-    option: Option,
+    edges: tuple[tuple[int, str], ...],
     cursor: list[int],
     visited: list[int],
     total: float,
 ) -> float:
-    """Run ``option`` over ``levels[j]`` from ``cursor[j]`` down to base
-    actions, leaving its end in ``cursor[j]``; returns ``total`` plus the
-    reward of each base run, added in order.
+    """Refine each edge ``(s, part id)`` of level ``j`` in ``edges``, in
+    order, from ``cursor[j - 1]``; returns ``total`` plus the reward of
+    each base run, added in order.
 
-    Every level runs `execute_option`'s loop, with its checks and its
-    step bound. At the base that loop appends every state entered to
-    ``visited``. Above it, the whole run over level ``j`` is made first;
-    then, for each state the run left, the option of the part its policy
-    action resolves to there is walked one level down. A planned policy
-    names part ids, each taken by id when it is a transition of the
-    state; only an option id goes through `resolve_part`."""
-    level = levels[j]
-    if j == 0:
-        cursor[0], reward = _execute_into(level, option, cursor[0], visited)
-        return total + reward
-    states = [cursor[j]]
-    cursor[j], _ = _execute_into(level, option, cursor[j], states)
-    policy = option.policy
-    transition = level.transition
-    for s in states[:-1]:
-        action = policy[s]
-        if (s, action) not in transition:
-            action = level.resolve_part(s, action)
-        part = level.part(action)
-        total = _walk(levels, j - 1, part.option, cursor, visited, total)
+    Nothing is executed here: each edge's run over level ``j - 1`` from
+    the cursor is read from the level's lower runs, recorded when the
+    hierarchy was built (`hierarchy.record_runs`), and leaves its end in
+    ``cursor[j - 1]``. Over the base a run's states are appended to
+    ``visited``; above it, the edges the run applies are refined one
+    level down the same way. A recorded error is raised as the
+    RefinementFault ``execute_option``'s loop would cause; a cursor
+    outside the edge's grounding, which only a hierarchy `validate`
+    rejects can produce, is a RefinementFault too."""
+    runs = lower_runs[j - 1]
+    for s, pid in edges:
+        x = cursor[j - 1]
+        run = runs.get((s, pid, x))
+        if run is None:
+            raise RefinementFault(
+                f"level-{j - 1} state {x} is outside the grounding of "
+                f"level-{j} state {s}, so part {pid} has no run from it"
+            )
+        if isinstance(run, HierplanError):
+            raise RefinementFault(str(run)) from run
+        cursor[j - 1], reward, steps = run
+        if j == 1:
+            visited.extend(steps)
+            total += reward
+        else:
+            total = _walk(lower_runs, j - 1, steps, cursor, visited, total)
     return total
 
 
@@ -540,24 +548,30 @@ def refine(h: Hierarchy, option: Option, start: int) -> ExecutionTrace:
     advanced with the level's own transition map (never re-localized),
     which is exactly the no-backtracking refinement the hierarchy's
     soundness invariants guarantee. LevelOutOfRange when the option is
-    over a level ``h`` lacks. The refinement composes option runs
-    (`_walk`): a run over a level is made whole, with `execute_option`'s
-    checks and step bound, before any of its steps is refined, and every
-    base run appends to one trace. So a fault is the one `execute_option`
-    raises at the level where it occurs, surfaced as RefinementFault.
+    over a level ``h`` lacks. The option's run over its own level is made
+    whole with `execute_option`'s loop, with its checks and step bound,
+    before any of its steps is refined. Below that level nothing runs:
+    `_walk` reads each step's lower run from the hierarchy's table, where
+    construction recorded it with the same loop. So a fault is the one
+    `execute_option` raises at the level where it occurs, surfaced as
+    RefinementFault.
     """
     j = option.level_index
-    h.level(j)
-    levels = (h.base, *h.levels_above)
+    level = h.level(j)
     cursor = [start] * (j + 1)
     cursor[j] = _localize(h, j, option.initiation, start)
     for i in range(j, 1, -1):
-        cursor[i - 1] = _localize(h, i - 1, levels[i].grounding_of(cursor[i]), start)
-    visited = [start]
+        cursor[i - 1] = _localize(
+            h, i - 1, h.levels_above[i - 1].grounding_of(cursor[i]), start
+        )
+    states = [cursor[j]]
     try:
-        total = _walk(levels, j, option, cursor, visited, 0.0)
+        _, total = _execute_into(level, option, cursor[j], states)
     except HierplanError as exc:
         raise RefinementFault(str(exc)) from exc
-    return ExecutionTrace(
-        start, visited[-1], len(visited) - 1, total, tuple(visited)
-    )
+    visited = states
+    if j:
+        edges = level.applied_edges(option, states[:-1])
+        visited = [start]
+        total = _walk(h.lower_runs, j, edges, cursor, visited, 0.0)
+    return ExecutionTrace(start, visited[-1], len(visited) - 1, total, tuple(visited))

@@ -541,10 +541,13 @@ class TestCLI:
              "error: domain file defines no option set 'x'"),
             (["plan", "--B", '{"pass-at": "red"}'],
              "error: need --query-file or both --B and --G"),
+            # checked before the hierarchy is built: the file has no set l1
+            (["plan", "--domain-file", "{chain}", "--option-set", "l1"],
+             "error: need --query-file or both --B and --G"),
             (["bench", "--domain-file", "{chain}"],
              "error: bench runs the built-in taxi queries"),
         ],
-        ids=["unknown-option-set", "no-query", "bench-domain-file"],
+        ids=["unknown-option-set", "no-query", "no-query-unbuildable", "bench-domain-file"],
     )
     def test_usage_error_prints_one_error_line(self, chain_file, args, message):
         result = CliRunner().invoke(cli, [a.replace("{chain}", chain_file) for a in args])

@@ -1,7 +1,7 @@
 """Hierarchy assembly, validation, and serialization."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -22,10 +22,14 @@ from hierplan import (
     build_factored_abstraction,
     build_hierarchy,
     build_taxi_hierarchy,
+    candidate_goals,
+    candidate_starts,
+    execute_option,
     findplan,
     findplan_value_iteration,
     flatten_options,
     load_domain,
+    planning_cost,
     refine,
 )
 from hierplan.errors import (
@@ -35,6 +39,7 @@ from hierplan.errors import (
     LevelMismatch,
     MalformedInput,
     NoFactoredStructure,
+    NoMatch,
     UnknownName,
 )
 from hierplan.taxi import (
@@ -294,6 +299,27 @@ class TestValidate:
         assert broken.grounding_index[1].masks[0] == 0
         assert Violation(2, "empty-final-grounding", "state 0") in broken.validate()
 
+    def test_grounding_member_without_a_recorded_run_reported(self, fresh_hierarchy):
+        """A grounding widened in place after construction holds a lower
+        state no run was recorded from: reported, not a KeyError."""
+        h = fresh_hierarchy
+        level = h.level(2)
+        blue = level.space.labels.index("passenger-to-blue")
+        part = level.part("passenger-to-green")
+        original = level.groundings[blue]
+        stray = next(iter(part.initiation - original))
+        level.groundings[blue] = GroundingSet.single(1, stray)
+        try:
+            violations = h.validate()
+        finally:
+            level.groundings[blue] = original
+        assert Violation(
+            2,
+            "execution",
+            f"part passenger-to-green from lower state {stray} has no run "
+            f"recorded at construction",
+        ) in violations
+
     def test_option_set_count_mismatch_rejected(self, taxi_hierarchy):
         h = taxi_hierarchy
         with pytest.raises(MalformedInput, match="one option set per abstract level"):
@@ -377,6 +403,15 @@ def assert_flat_search_oracle(h, query, transition):
     # search, so flat search is the oracle for when an answer exists
     flat_bfs = findplan(mdp, query.starts, query.goals)
     flat_vi = findplan_value_iteration(mdp, query.starts, query.goals)
+    matched = []
+    for j in range(h.num_levels + 1):
+        try:
+            candidate_starts(h, j, query.starts), candidate_goals(h, j, query.goals)
+        except NoMatch:
+            continue
+        matched.append(j)
+    # a match at level j implies a match at every level below it
+    assert matched == list(range(len(matched)))
     for at_level in range(h.num_levels + 1):
         for plan_mode in ("reachability", "value-iteration"):
             answer = answer_query(h, query, at_level=at_level, plan_mode=plan_mode)
@@ -386,6 +421,7 @@ def assert_flat_search_oracle(h, query, transition):
                 assert answer is not None
             if answer is None:
                 continue
+            assert planning_cost(answer.record) == answer.record.total_ops
             level = h.level(answer.level_index)
             for s in answer.plan.initiation:
                 state = s
@@ -399,12 +435,63 @@ def assert_flat_search_oracle(h, query, transition):
                     assert there in (transition.get((here, a)) for a in mdp.actions)
 
 
+def assert_lower_runs_are_execute_options(h):
+    """Each level's lower runs hold exactly one entry per edge ``(s, pid)``
+    and member ``x`` of ``s``'s grounding, and each is `execute_option`'s
+    run of the part's option from ``x`` over the level below: its end,
+    reward and entered base states, or over an abstract level the part
+    `resolve_part` gives at each state it leaves; or its error."""
+    for j in range(1, h.num_levels + 1):
+        level, below = h.level(j), h.level(j - 1)
+        runs = h.lower_runs[j - 1]
+        keys = set()
+        for s, pid in level.transition:
+            option = level.part(pid).option
+            for x in level.grounding_of(s):
+                keys.add((s, pid, x))
+                run = runs[s, pid, x]
+                try:
+                    trace = execute_option(below, option, x)
+                except HierplanError as exc:
+                    assert (type(run), str(run)) == (type(exc), str(exc))
+                    continue
+                assert (run.end, run.reward) == (trace.end, trace.cumulative_reward)
+                if j == 1:
+                    assert run.steps == trace.visited[1:]
+                else:
+                    assert run.steps == tuple(
+                        (t, below.resolve_part(t, option.policy[t]))
+                        for t in trace.visited[:-1]
+                    )
+        assert set(runs) == keys
+
+
 def assert_top_set_refines_as_the_oracle(h):
     """Each option of ``h``'s top set refines from every base state its
     initiation grounds as `oracle_refine` composes it."""
     for option in h.option_sets[-1]:
         for start in h.final_ground(option.level_index, option.initiation):
             assert refine(h, option, start) == oracle_refine(h, option, start)
+
+
+class TestLowerRuns:
+    @pytest.mark.parametrize(
+        "layout", [DEFAULT_LAYOUT, OPEN_8X8], ids=["taxi5", "taxi8-open"]
+    )
+    def test_runs_are_execute_options(self, layout):
+        h = build_taxi_hierarchy(layout)
+        assert_lower_runs_are_execute_options(h)
+        assert [len(runs) for runs in h.lower_runs] == [108, 60]
+
+    def test_runs_are_not_compared_shown_or_serialized(self, taxi_hierarchy):
+        h = taxi_hierarchy
+        field = {f.name: f for f in fields(Hierarchy)}["lower_runs"]
+        assert (field.init, field.compare, field.repr) == (False, False, False)
+        other = replace(h)
+        object.__setattr__(other, "lower_runs", ())
+        assert other == h
+        assert repr(other) == repr(h)
+        assert other.to_json() == h.to_json()
 
 
 class TestRandomDomains:
@@ -426,6 +513,7 @@ class TestRandomDomains:
             return
         assert h.validate() == []
         assert_index_describes_the_base_groundings(h)
+        assert_lower_runs_are_execute_options(h)
         query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
         assert_flat_search_oracle(h, query, transition)
 
@@ -466,6 +554,7 @@ class TestRandomDomains:
             sets.pop()  # the one-level stack is still checked
         assert h.validate() == []
         assert_index_describes_the_base_groundings(h)
+        assert_lower_runs_are_execute_options(h)
         assert build_hierarchy(mdp, sets, mode).to_json() == h.to_json()
         for j in range(1, h.num_levels + 1):
             level = h.level(j)
@@ -498,6 +587,7 @@ class TestRandomDomains:
             h = build_hierarchy(mdp, sets, mode)
         assert h.validate() == []
         assert_index_describes_the_base_groundings(h)
+        assert_lower_runs_are_execute_options(h)
         assert build_hierarchy(mdp, sets, mode).to_json() == h.to_json()
         for j in range(1, h.num_levels + 1):
             level, below = h.level(j), h.level(j - 1)
@@ -556,6 +646,7 @@ class TestFactoredStack:
         assert [h.level(j).construction for j in (1, 2)] == [Construction.FACTORED] * 2
         assert h.validate() == []
         assert_index_describes_the_base_groundings(h)
+        assert_lower_runs_are_execute_options(h)
         answer = answer_query(
             h, PlanQuery(GroundingSet.of(0, [0]), GroundingSet.of(0, [5]))
         )

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hierplan.planner
 from hierplan import (
     BaseMDP,
     GroundingSet,
@@ -15,6 +16,7 @@ from hierplan import (
     PlanQuery,
     RewardMode,
     StateSpace,
+    Violation,
     action_sequence,
     answer_query,
     build_hierarchy,
@@ -1081,6 +1083,42 @@ class TestRefinement:
         with pytest.raises(RefinementFault, match=message):
             refine(broken, ferry, state_of(h.base, 3, 0, 3, 0))
 
+    def test_validate_reports_the_run_that_raises(self, taxi_hierarchy):
+        """The part still applies where its option cannot start, so the run
+        recorded for that lower state is the error, which `validate()`
+        reports instead of raising."""
+        broken, at_blue = green_ferry_not_from_blue(taxi_hierarchy)
+        assert broken.validate() == [
+            Violation(
+                2,
+                "execution",
+                f"part passenger-to-green from lower state {at_blue} raised "
+                f"NotInInitiationSet: option 'passenger-to-green' from state {at_blue}",
+            )
+        ]
+
+    def test_cursor_outside_an_edges_grounding_faults(self, taxi_hierarchy):
+        """Level 2's edge from blue by ``passenger-to-green`` redirected to
+        red: `validate()` reports its image, and refining a tour through
+        it leaves the level-1 cursor with the passenger at green, outside
+        red's grounding, where the next edge has no run."""
+        h = taxi_hierarchy
+        level = h.level(2)
+        blue, red, yellow = (level2_node(h, d) for d in ("blue", "red", "yellow"))
+        transition = {**level.transition, (blue, "passenger-to-green"): red}
+        broken = replace(
+            h, levels_above=(h.level(1), replace(level, transition=transition))
+        )
+        assert {v.kind for v in broken.validate()} == {"image"}
+        tour = Option(
+            "tour",
+            GroundingSet.single(2, blue),
+            GroundingSet.single(2, yellow),
+            {blue: "passenger-to-green", red: "passenger-to-yellow"},
+        )
+        with pytest.raises(RefinementFault, match="outside the grounding of level-2"):
+            refine(broken, tour, state_of(h.base, 3, 0, 3, 0))
+
     def test_abstract_run_is_checked_before_it_is_refined(self, taxi_hierarchy):
         """With two faults, the one in the run over the option's own level
         is reported: ``onward`` applies ``passenger-to-green`` where that
@@ -1141,6 +1179,28 @@ class TestRefinementOracle:
             answer = answer_query(h, q, plan_mode=plan_mode)
             for start in q.starts:
                 assert refine(h, answer.plan, start) == oracle_refine(h, answer.plan, start)
+
+    def test_only_the_options_own_level_is_executed(
+        self, taxi_hierarchy, queries, monkeypatch
+    ):
+        """Below the option's own level, refinement reads the recorded lower
+        runs: `_execute_into` runs once, over the plan's level."""
+        h = taxi_hierarchy
+        answers = [answer_query(h, q) for q in queries.values()]
+        assert {a.level_index for a in answers} == {0, 1, 2}
+        execute = hierplan.planner._execute_into
+        levels = []
+
+        def counted(level, option, start, visited):
+            levels.append(level.level_index)
+            return execute(level, option, start, visited)
+
+        monkeypatch.setattr(hierplan.planner, "_execute_into", counted)
+        for q, answer in zip(queries.values(), answers):
+            for start in q.starts:
+                levels.clear()
+                refine(h, answer.plan, start)
+                assert levels == [answer.level_index]
 
     def test_level2_tours(self, taxi_by_reward_mode):
         """Plans over level 2 that ferry the passenger through every depot
