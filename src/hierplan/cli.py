@@ -26,6 +26,8 @@ def _build_hierarchy(domain_file: str | None, option_sets: tuple[str, ...],
                      reward_mode: str):
     mode = RewardMode(reward_mode)
     if domain_file is None:
+        if option_sets:
+            raise MalformedInput("--option-set needs --domain-file")
         return taxi_mod.build_taxi_hierarchy(reward_mode=mode)
     mdp, named = load_domain(domain_file)
     for name in option_sets:
@@ -160,7 +162,7 @@ def bench(domain_file, option_sets, reward_mode, reps, out_format, out_file) -> 
     """Run the three-mode timing comparison over the benchmark queries."""
     if domain_file is not None:
         raise MalformedInput("bench runs the built-in taxi queries")
-    h = _build_hierarchy(None, (), reward_mode)
+    h = _build_hierarchy(None, option_sets, reward_mode)
     queries = taxi_mod.benchmark_queries(h.base)
     rows = run_benchmark(h, queries, repetitions=reps)
     text = rows_to_csv(rows) if out_format == "csv" else rows_to_json(rows)

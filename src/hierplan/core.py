@@ -191,17 +191,17 @@ class Option:
     during execution from the initiation set before termination.
     Termination is deterministic: execution stops exactly when the
     current state lies in the termination set, so invoking an option from
-    a termination state is a zero-step execution. Both sets are indexed
-    once, at construction, as `GroundingSet.bitstring` strings: a
-    membership test is one string index (`member`), where ``in`` on the
-    set shifts an int as wide as the level.
+    a termination state is a zero-step execution. The termination set,
+    tested once per step, is indexed once, at construction, as a
+    `GroundingSet.bitstring` string, so a step's test is one string index
+    where ``in`` on the set shifts an int as wide as the level. A run
+    tests its start once, by ``in`` on the initiation set.
     """
 
     name: str
     initiation: GroundingSet
     termination: GroundingSet
     policy: Mapping[int, str]
-    _initiation_bits: str = field(init=False, repr=False, compare=False, default="")
     _termination_bits: str = field(init=False, repr=False, compare=False, default="")
 
     def __post_init__(self) -> None:
@@ -209,7 +209,6 @@ class Option:
             raise MalformedInput(f"option {self.name!r} has an empty initiation set")
         if self.initiation.level_index != self.termination.level_index:
             raise MalformedInput(f"option {self.name!r} mixes levels")
-        object.__setattr__(self, "_initiation_bits", self.initiation.bitstring())
         object.__setattr__(self, "_termination_bits", self.termination.bitstring())
 
     @property
@@ -251,8 +250,11 @@ def execute_option(level, option: Option, start: int, *,
     ``level`` is the level the option runs over: the base MDP or an
     abstract level, whose ``step`` takes an option id as well as a part
     id. Each policy action is one step of ``level``, so over an abstract
-    level a trace visits abstract states and sums abstract rewards.
-    Execution fails with StepBoundExceeded after
+    level a trace visits abstract states and sums abstract rewards. The
+    trace is also the record a hierarchy keeps of each abstract edge's run
+    from each member of its grounding (`hierarchy.record_runs`).
+    Execution fails with NotInInitiationSet when ``start`` is outside the
+    option's initiation set, with StepBoundExceeded after
     ``default_step_bound(level)`` steps, and with LevelMismatch when the
     option's sets are over another level than ``level``. ``record_stats``
     does nothing: it is accepted only so that existing callers keep
@@ -275,12 +277,13 @@ def _execute_into(
     state entered to ``visited`` and return the end state and the summed
     reward.
 
-    Each step costs one index into the option's termination string and
-    one read of ``level.transition`` and ``level.reward``, whatever the
-    level's width; ``level.step`` runs only for a key the tables lack (an
-    option id over an abstract level, or an inapplicable action), so the
-    successors, rewards and errors are ``level.step``'s."""
-    if not member(option._initiation_bits, start):
+    The start costs one ``in`` on the initiation set. Each step costs one
+    index into the option's termination string and one read of
+    ``level.transition`` and ``level.reward``, whatever the level's width;
+    ``level.step`` runs only for a key the tables lack (an option id over
+    an abstract level, or an inapplicable action), so the successors,
+    rewards and errors are ``level.step``'s."""
+    if start not in option.initiation:
         raise NotInInitiationSet(f"option {option.name!r} from state {start}")
     bound = default_step_bound(level)
     policy = option.policy
@@ -310,13 +313,6 @@ def _execute_into(
                 f"option {option.name!r} exceeded {bound} steps from state {start}"
             )
     return state, total
-
-
-def member(bitstring: str, state: int) -> bool:
-    """Whether ``state`` is in the set a `GroundingSet.bitstring` string
-    indexes: one string index. A negative id, or one past the string's
-    end, is not a member."""
-    return 0 <= state < len(bitstring) and bitstring[state] == "1"
 
 
 def require_within_level(name: str, level, *sets: GroundingSet) -> None:

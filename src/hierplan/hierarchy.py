@@ -14,22 +14,23 @@ abstract level's base-level groundings are stored once, as its
 `GroundingIndex`, for matching and refinement, so that concurrent reads
 never race a lazy cache. Beside it each level keeps its lower runs: for
 each edge ``(s, part id)`` and each member ``x`` of ``s``'s grounding, the
-run of the part's option from ``x`` over the level below, or the error
-that run raised. An option run from a given state is always the same run,
-so refinement and `Hierarchy.validate` read these runs instead of
-executing them again. `Hierarchy.level` is the one map from a level
-index to a level. Options and abstract rewards are plain
-data fixed at construction (an empirical reward is the option's mean
-return over its initiation set, computed while partitioning), so
-planning, refinement and validation never change a hierarchy, and
-rebuilding from the same option sets gives the same hierarchy.
+`ExecutionTrace` of the part's option run from ``x`` over the level below,
+exactly as `execute_option` returns it, or the error that run raised. An
+option run from a given state is always the same run, so refinement and
+`Hierarchy.validate` read these traces instead of executing them again.
+`Hierarchy.level` is the one map from a level index to a level. Options
+and abstract rewards are plain data fixed at construction (an empirical
+reward is the option's mean return over its initiation set, computed
+while partitioning), so planning, refinement and validation never change
+a hierarchy, and rebuilding from the same option sets gives the same
+hierarchy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .abstraction import (
     AbstractLevel,
@@ -41,7 +42,7 @@ from .abstraction import (
     part_reward,
     require_seeds_within,
 )
-from .core import BaseMDP, Option, execute_option
+from .core import BaseMDP, ExecutionTrace, Option, execute_option
 from .errors import (
     EmptyOptionSet,
     HierplanError,
@@ -120,45 +121,23 @@ class GroundingIndex:
         return out
 
 
-class Run(NamedTuple):
-    """One run of a part's option from one lower state, recorded when the
-    hierarchy is built.
-
-    ``end`` and ``reward`` are the run's end state and summed reward over
-    the level below. Over the base, ``steps`` holds the base states the
-    run enters, in order. Over an abstract level, it holds the edge
-    ``(state, part id)`` the run applies at each state it leaves: the
-    key of the run one level further down.
-    """
-
-    end: int
-    reward: float
-    steps: tuple
-
-
-LowerRuns = dict[tuple[int, str, int], Run | HierplanError]
+LowerRuns = dict[tuple[int, str, int], ExecutionTrace | HierplanError]
 
 
 def record_runs(level: AbstractLevel, below: BaseMDP | AbstractLevel) -> LowerRuns:
     """The run of each edge ``(s, pid)``'s option over ``below`` from each
-    member ``x`` of ``s``'s grounding, keyed ``(s, pid, x)``: the `Run`,
-    or the HierplanError `execute_option` raised, kept without its
-    traceback. Each state's grounding is read once, not once per edge."""
+    member ``x`` of ``s``'s grounding, keyed ``(s, pid, x)``: what
+    `execute_option` returns, or the HierplanError it raised, kept without
+    its traceback. Each state's grounding is read once, not once per edge."""
     members = {s: list(level.grounding_of(s)) for s in level.space.states}
     runs: LowerRuns = {}
     for s, pid in level.transition:
         option = level.part(pid).option
         for x in members[s]:
             try:
-                trace = execute_option(below, option, x)
+                runs[s, pid, x] = execute_option(below, option, x)
             except HierplanError as exc:
                 runs[s, pid, x] = exc.with_traceback(None)
-                continue
-            if isinstance(below, AbstractLevel):
-                steps = below.applied_edges(option, trace.visited[:-1])
-            else:
-                steps = trace.visited[1:]
-            runs[s, pid, x] = Run(trace.end, trace.cumulative_reward, steps)
     return runs
 
 

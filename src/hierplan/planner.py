@@ -22,12 +22,12 @@ actions by composing option runs: the option runs over its own level
 with `execute_option`'s loop, then the run of the part applied at each
 state that run left, one level down, is read from the hierarchy's
 lower runs, and so on down to the base, whose runs append every state
-to the one refined trace. Those runs were made by the same loop when
-the hierarchy was built, so nothing below the option's own level is
-executed at query time. Every walk of a policy here, `action_sequence`'s
-too, is that one loop, with its checks and its level's step bound, and
-every fault surfaces as a RefinementFault caused by the loop's own
-error.
+to the one refined trace. Each lower run is the `ExecutionTrace`
+`execute_option` returned when the hierarchy was built, so nothing below
+the option's own level is executed at query time. Every walk of a policy
+here, `action_sequence`'s too, is that one loop, with its checks and its
+level's step bound, and every fault surfaces as a RefinementFault caused
+by the loop's own error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .core import ExecutionTrace, Option, _execute_into, require_within_level
 from .errors import (
@@ -45,7 +46,7 @@ from .errors import (
     NoMatch,
     RefinementFault,
 )
-from .hierarchy import Hierarchy, LowerRuns, PlanQuery
+from .hierarchy import Hierarchy, PlanQuery
 from .symbols import GroundingSet
 
 
@@ -498,29 +499,25 @@ def _localize(h: Hierarchy, j: int, candidates: GroundingSet, base_state: int) -
     )
 
 
-def _walk(
-    lower_runs: tuple[LowerRuns, ...],
-    j: int,
-    edges: tuple[tuple[int, str], ...],
-    cursor: list[int],
-    visited: list[int],
-    total: float,
-) -> float:
-    """Refine each edge ``(s, part id)`` of level ``j`` in ``edges``, in
-    order, from ``cursor[j - 1]``; returns ``total`` plus the reward of
-    each base run, added in order.
+def _walk(h: Hierarchy, j: int, option: Option, states: Sequence[int],
+          cursor: list[int], visited: list[int], total: float) -> float:
+    """Refine a run of ``option`` over level ``j`` from the states it
+    leaves, ``states``, in order, from ``cursor[j - 1]``; returns
+    ``total`` plus the reward of each base run, added in order.
 
-    Nothing is executed here: each edge's run over level ``j - 1`` from
-    the cursor is read from the level's lower runs, recorded when the
-    hierarchy was built (`hierarchy.record_runs`), and leaves its end in
-    ``cursor[j - 1]``. Over the base a run's states are appended to
-    ``visited``; above it, the edges the run applies are refined one
-    level down the same way. A recorded error is raised as the
-    RefinementFault ``execute_option``'s loop would cause; a cursor
-    outside the edge's grounding, which only a hierarchy `validate`
+    Nothing is executed here: the edge ``(s, part id)`` the option applies
+    at each state (`AbstractLevel.applied_edges`) names the lower run,
+    recorded from the cursor when the hierarchy was built
+    (`hierarchy.record_runs`) as `execute_option`'s trace, whose end moves
+    ``cursor[j - 1]``. Over the base a run's entered states are appended
+    to ``visited``; above it, the part's option is refined one level down
+    the same way from the states its run leaves. A recorded error is
+    raised as the RefinementFault ``execute_option``'s loop would cause; a
+    cursor outside the edge's grounding, which only a hierarchy `validate`
     rejects can produce, is a RefinementFault too."""
-    runs = lower_runs[j - 1]
-    for s, pid in edges:
+    level = h.levels_above[j - 1]
+    runs = h.lower_runs[j - 1]
+    for s, pid in level.applied_edges(option, states):
         x = cursor[j - 1]
         run = runs.get((s, pid, x))
         if run is None:
@@ -530,12 +527,14 @@ def _walk(
             )
         if isinstance(run, HierplanError):
             raise RefinementFault(str(run)) from run
-        cursor[j - 1], reward, steps = run
+        cursor[j - 1] = run.end
         if j == 1:
-            visited.extend(steps)
-            total += reward
+            visited.extend(run.visited[1:])
+            total += run.cumulative_reward
         else:
-            total = _walk(lower_runs, j - 1, steps, cursor, visited, total)
+            total = _walk(
+                h, j - 1, level.part(pid).option, run.visited[:-1], cursor, visited, total
+            )
     return total
 
 
@@ -551,10 +550,11 @@ def refine(h: Hierarchy, option: Option, start: int) -> ExecutionTrace:
     over a level ``h`` lacks. The option's run over its own level is made
     whole with `execute_option`'s loop, with its checks and step bound,
     before any of its steps is refined. Below that level nothing runs:
-    `_walk` reads each step's lower run from the hierarchy's table, where
-    construction recorded it with the same loop. So a fault is the one
+    the states the run leaves go straight to `_walk`, which reads each
+    step's lower run from the hierarchy's table, where construction
+    recorded `execute_option`'s trace. So a fault is the one
     `execute_option` raises at the level where it occurs, surfaced as
-    RefinementFault.
+    RefinementFault. At level 0 the option's own run is the trace.
     """
     j = option.level_index
     level = h.level(j)
@@ -571,7 +571,6 @@ def refine(h: Hierarchy, option: Option, start: int) -> ExecutionTrace:
         raise RefinementFault(str(exc)) from exc
     visited = states
     if j:
-        edges = level.applied_edges(option, states[:-1])
         visited = [start]
-        total = _walk(h.lower_runs, j, edges, cursor, visited, 0.0)
+        total = _walk(h, j, option, states[:-1], cursor, visited, 0.0)
     return ExecutionTrace(start, visited[-1], len(visited) - 1, total, tuple(visited))

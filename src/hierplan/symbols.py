@@ -101,7 +101,8 @@ class GroundingSet:
         """Membership as ``"1"``/``"0"`` characters, index 0 first, padded
         with ``"0"`` to at least ``width``. Indexing it tests membership
         with one string index whatever the set's width, where ``in``
-        shifts the whole int; `core.Option` builds one per set, once."""
+        shifts the whole int; `core.Option` builds one for its
+        termination set, once."""
         return bin(self.bits)[:1:-1].ljust(width, "0")
 
     def __iter__(self) -> Iterator[int]:

@@ -12,7 +12,6 @@ from hierplan import (
     Variable,
     execute_option,
 )
-from hierplan.core import member
 from hierplan.errors import (
     HierplanError,
     InapplicableAction,
@@ -189,8 +188,9 @@ def outcome(run, level, option, start):
 
 
 class TestMembershipStrings:
-    """Options test membership by indexing a string built once per set;
-    the answers, traces and errors are those of ``in`` on the sets."""
+    """Options test termination by indexing a string built once, and a
+    start by ``in`` on the initiation set; the answers, traces and errors
+    are those of ``in`` on both sets."""
 
     @given(
         st.sets(st.integers(0, 3000), min_size=1),
@@ -200,17 +200,20 @@ class TestMembershipStrings:
         option = Option(
             "o", GroundingSet.of(0, initiation), GroundingSet.of(0, termination), {}
         )
-        for g, bits in (
-            (option.initiation, option._initiation_bits),
-            (option.termination, option._termination_bits),
-        ):
-            for i in range(-2, g.bits.bit_length() + 3):
-                assert member(bits, i) == (i in g)
+        g, bits = option.termination, option._termination_bits
+        for i in range(-2, g.bits.bit_length() + 3):
+            # a negative id, or one past the string's end, is no member
+            assert (0 <= i < len(bits) and bits[i] == "1") == (i in g)
+        level = BaseMDP(StateSpace(0, 1), (), {}, {})
+        for start in (-1, max(initiation) + 1):
+            with pytest.raises(NotInInitiationSet):
+                execute_option(level, option, start)
 
     def test_strings_take_no_part_in_equality(self):
         a = Option("o", GroundingSet.of(0, {1}), GroundingSet.of(0, {2}), {1: "x"})
         assert a == Option("o", GroundingSet.of(0, {1}), GroundingSet.of(0, {2}), {1: "x"})
-        assert "_initiation_bits" not in repr(a)
+        assert "_termination_bits" not in repr(a)
+        assert not hasattr(a, "_initiation_bits")
 
     def test_every_start_matches_the_in_loop(self, taxi_hierarchy):
         """Every option of both sets, from every state of its level, gives

@@ -2,10 +2,12 @@
 
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from hierplan import (
     GroundingSet,
@@ -14,12 +16,14 @@ from hierplan import (
     answer_query,
     build_hierarchy,
     build_taxi_hierarchy,
+    export_pddl,
     load_domain,
     load_query,
+    refine,
 )
 from hierplan.cli import cli
 from hierplan.domain_io import OptionSetSpec, OptionSpec, expand_generic
-from hierplan.errors import MalformedInput, UnknownName
+from hierplan.errors import HierplanError, MalformedInput, UnknownName
 from hierplan.taxi import DEFAULT_LAYOUT
 
 from conftest import OPEN_8X8, taxi_domain
@@ -555,6 +559,26 @@ class TestCLI:
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [message], result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["build"],
+            ["plan", "--B", '{"pass-at": "blue"}', "--G", '{"pass-at": "red"}'],
+            ["bench", "--reps", "1"],
+            ["export-pddl", "--level", "1"],
+        ],
+        ids=["build", "plan", "bench", "export-pddl"],
+    )
+    def test_option_set_without_domain_file_prints_one_error_line(self, args):
+        """The built-in taxi has no named option sets, so naming one is an
+        error, not an option silently ignored."""
+        result = CliRunner().invoke(cli, args + ["--option-set", "l1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "error: --option-set needs --domain-file"
+        ], result.output
+
     def test_export_pddl_writes_files(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(
@@ -759,3 +783,117 @@ class TestCLI:
         lines = result.output.splitlines()
         assert len(lines) == 1, result.output
         assert lines[0].startswith(message.format(path=path)), result.output
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz: one JSON node of a domain or query file replaced by a bad value
+# ---------------------------------------------------------------------------
+
+CHAIN_QUERY = {"B": {"pos": [0, 1]}, "G": {"states": [3]}}
+
+FUZZ_DOCUMENTS = {"chain": CHAIN_DOMAIN, "stacked": STACKED_CHAIN, "query": CHAIN_QUERY}
+
+# JSON values of every type, ids inside and outside the chain, and
+# constraint objects naming a state, a variable or an except set
+BAD_VALUES = [
+    None, True, False, 0, -1, 1, 3, 99, 2.5, "", "x", "fwd",
+    [], [0], [-1], [99], [[0]], ["x"], [0, "fwd", 1],
+    {}, {"pos": 9}, {"states": [99]}, {"except": 5}, {"x": 1},
+]
+
+
+def json_paths(node, path=()):
+    """The path of ``node`` and of every node inside it, keys and indices."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_paths(child, path + (key,))
+
+
+FUZZ_CASES = [
+    (doc, path) for doc, document in FUZZ_DOCUMENTS.items() for path in json_paths(document)
+]
+
+
+def replaced(document, path, value):
+    """A copy of ``document`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(document))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def typed(f, *args, **kwargs):
+    """``f``'s result, or None when it raises a HierplanError; any other
+    exception fails the test."""
+    try:
+        return f(*args, **kwargs)
+    except HierplanError:
+        return None
+
+
+def run_library(domain, query):
+    """Load, build, validate, serialize, export every abstract level, then
+    answer the query in both plan modes and refine each answer from every
+    start. Each step may raise only a HierplanError; one that does skips
+    the steps that need its result. Returns the hierarchy and the query,
+    each None when it could not be made."""
+    loaded = typed(load_domain, domain)
+    if loaded is None:
+        return None, None
+    mdp, named = loaded
+    h = typed(build_hierarchy, mdp, list(named.values()))
+    q = typed(load_query, mdp, query)
+    if h is None:
+        return None, q
+    typed(h.validate)
+    typed(h.to_json)
+    for j in range(1, h.num_levels + 1):
+        typed(export_pddl, h, j)
+    for mode in ("reachability", "value-iteration"):
+        answer = q and typed(answer_query, h, q, plan_mode=mode)
+        for s in q.starts if answer else ():
+            typed(refine, h, answer.plan, s)
+    return h, q
+
+
+def assert_cli_reports(args, failed: bool) -> None:
+    """The CLI ends without a traceback; when it reports an error, or the
+    library could not make what it reads (``failed``), it exits 1 with one
+    error line."""
+    result = CliRunner().invoke(cli, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        result.output
+    )
+    lines = result.output.splitlines()
+    if failed or any(line.startswith("error: ") for line in lines):
+        assert result.exit_code == 1, result.output
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+
+
+class TestLoaderFuzz:
+    # the three files hold 128 nodes, so 24 bad values give 3,072 cases,
+    # each a few milliseconds; 300 examples keep this test near a second
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_CASES), st.sampled_from(BAD_VALUES))
+    def test_bad_node_raises_only_typed_errors(self, case, value):
+        doc, path = case
+        mutated = replaced(FUZZ_DOCUMENTS[doc], path, value)
+        original = STACKED_CHAIN if doc == "query" else FUZZ_DOCUMENTS[doc]
+        domain, query = (original, mutated) if doc == "query" else (mutated, CHAIN_QUERY)
+        h, q = run_library(domain, query)
+        sets = [a for name in original["options"] for a in ("--option-set", name)]
+        with tempfile.TemporaryDirectory() as tmp:
+            domain_file, query_file = Path(tmp, "domain.json"), Path(tmp, "query.json")
+            domain_file.write_text(json.dumps(domain))
+            query_file.write_text(json.dumps(query))
+            if doc == "query":
+                args = ["plan", "--query-file", str(query_file)]
+            else:
+                args = ["build", "--out", str(Path(tmp, "snapshot.json"))]
+            args += ["--domain-file", str(domain_file), *sets]
+            assert_cli_reports(args, q is None if doc == "query" else h is None)

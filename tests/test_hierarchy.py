@@ -437,10 +437,9 @@ def assert_flat_search_oracle(h, query, transition):
 
 def assert_lower_runs_are_execute_options(h):
     """Each level's lower runs hold exactly one entry per edge ``(s, pid)``
-    and member ``x`` of ``s``'s grounding, and each is `execute_option`'s
-    run of the part's option from ``x`` over the level below: its end,
-    reward and entered base states, or over an abstract level the part
-    `resolve_part` gives at each state it leaves; or its error."""
+    and member ``x`` of ``s``'s grounding, and each is the whole trace
+    `execute_option` returns for the part's option from ``x`` over the
+    level below, or its error."""
     for j in range(1, h.num_levels + 1):
         level, below = h.level(j), h.level(j - 1)
         runs = h.lower_runs[j - 1]
@@ -455,14 +454,7 @@ def assert_lower_runs_are_execute_options(h):
                 except HierplanError as exc:
                     assert (type(run), str(run)) == (type(exc), str(exc))
                     continue
-                assert (run.end, run.reward) == (trace.end, trace.cumulative_reward)
-                if j == 1:
-                    assert run.steps == trace.visited[1:]
-                else:
-                    assert run.steps == tuple(
-                        (t, below.resolve_part(t, option.policy[t]))
-                        for t in trace.visited[:-1]
-                    )
+                assert run == trace
         assert set(runs) == keys
 
 
