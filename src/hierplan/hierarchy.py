@@ -10,20 +10,20 @@ initiation set, and abstract transitions are sound with respect to actual
 option execution.
 
 Hierarchies are immutable; `add_level` returns a new value, and each
-abstract level's base-level groundings are stored once, as its
-`GroundingIndex`, for matching and refinement, so that concurrent reads
-never race a lazy cache. Beside it each level keeps its lower runs: for
-each edge ``(s, part id)`` and each member ``x`` of ``s``'s grounding, the
-`ExecutionTrace` of the part's option run from ``x`` over the level below,
-exactly as `execute_option` returns it, or the error that run raised. An
-option run from a given state is always the same run, so refinement and
-`Hierarchy.validate` read these traces instead of executing them again.
-`Hierarchy.level` is the one map from a level index to a level. Options
-and abstract rewards are plain data fixed at construction (an empirical
-reward is the option's mean return over its initiation set, computed
-while partitioning), so planning, refinement and validation never change
-a hierarchy, and rebuilding from the same option sets gives the same
-hierarchy.
+abstract level's base groundings are stored once, as its `GroundingIndex`
+ranked over level 1's union, so that a query's sets are ranked once for
+every level and concurrent reads never race a lazy cache. Beside it each
+level keeps its lower runs: for each edge ``(s, part id)`` and each member
+``x`` of ``s``'s grounding, the `ExecutionTrace` of the part's option run
+from ``x`` over the level below, exactly as `execute_option` returns it,
+or the error that run raised. An option run from a given state is always
+the same run, so refinement and `Hierarchy.validate` read these traces
+instead of executing them again. `Hierarchy.level` is the one map from a
+level index to a level. Options and abstract rewards are plain data fixed
+at construction (an empirical reward is the option's mean return over its
+initiation set, computed while partitioning), so planning, refinement and
+validation never change a hierarchy, and rebuilding from the same option
+sets gives the same hierarchy.
 """
 
 from __future__ import annotations
@@ -83,26 +83,46 @@ class Violation:
 class GroundingIndex:
     """One abstract level's base groundings, indexed for matching.
 
-    ``union`` is the bitmask of every base state some grounding holds,
-    ``position`` maps each of those base ids to its rank among them in
-    ascending order, and ``masks[s]`` is state ``s``'s base grounding as
-    a mask over those ranks. The union is as narrow as the level, not the
-    base (20 ids at taxi12, whose base is 20,880 wide), so a test against
-    a state's mask is a small-int operation.
+    Every level ranks base ids over level 1's union, which holds the
+    groundings above it too: ``union`` is its bitmask and ``position``
+    maps each id to its ascending rank. ``masks[s]`` is state ``s``'s
+    base grounding over those ranks, ``owners[r]`` the states whose
+    grounding holds rank ``r``, ``cover`` the OR of the masks and
+    ``empty`` the states grounding nothing. The union is as narrow as
+    level 1 (20 ids at taxi12, whose base is 20,880 wide).
     """
 
     union: int
     position: dict[int, int]
     masks: dict[int, int]
+    owners: tuple[int, ...]
+    cover: int
+    empty: int
 
     @classmethod
-    def of(cls, groundings: dict[int, GroundingSet]) -> GroundingIndex:
-        union = 0
-        for g in groundings.values():
-            union |= g.bits
-        position = {x: i for i, x in enumerate(GroundingSet(0, union))}
+    def of(
+        cls, groundings: dict[int, GroundingSet], level1: GroundingIndex | None = None
+    ) -> GroundingIndex:
+        """Ranked over ``level1``'s union, or over its own when None."""
+        if level1 is None:
+            union = 0
+            for g in groundings.values():
+                union |= g.bits
+            position = {x: i for i, x in enumerate(GroundingSet(0, union))}
+        else:
+            union, position = level1.union, level1.position
         masks = {s: _mask_of(position[x] for x in g) for s, g in groundings.items()}
-        return cls(union, position, masks)
+        owners = [0] * len(position)
+        cover = empty = 0
+        for s, m in masks.items():
+            cover |= m
+            if not m:
+                empty |= 1 << s
+            while m:
+                low = m & -m
+                owners[low.bit_length() - 1] |= 1 << s
+                m ^= low
+        return cls(union, position, masks, tuple(owners), cover, empty)
 
     def ranks(self, bits: int) -> int | None:
         """The mask of the ranks of the members of ``bits``, or None at
@@ -185,7 +205,7 @@ class Hierarchy:
                         if x in below:
                             acc = acc | below[x]
                     memo[s] = acc
-            index.append(GroundingIndex.of(memo))
+            index.append(GroundingIndex.of(memo, index[0] if index else None))
             below = memo
         object.__setattr__(self, "grounding_index", tuple(index))
         object.__setattr__(self, "lower_runs", tuple(runs))

@@ -4,12 +4,12 @@ The search runs top-down. At each level the unique maximal candidate
 pair is built: starts are every state whose base grounding meets the
 query's start set (valid only when the union covers it), goals are every
 state whose base grounding lies inside the query's goal set. At level 0
-that is the query's own sets; above it, each state's precomputed base
-grounding is tested once per candidate, through the level's
-`GroundingIndex`: the query's ids inside the union of the level's
-groundings become a small mask of their ranks, and each state's test is
-one small-int test of its mask against it. When both candidates exist the
-level is planned with multi-start any-goal backward reachability; a match
+that is the query's own sets. Above it, matching works from the query's
+side: every level's `GroundingIndex` ranks base ids over level 1's union,
+so the query's sets are ranked once each, and a candidate is the OR of
+the owners of those ranks. The goals are tested first, and a level whose
+goals fail gets no start test. When both candidates exist the level is
+planned with multi-start any-goal backward reachability; a match
 whose plan attempt fails falls through to the next lower level. Work is
 metered in grounding tests per level (matching) and edge examinations
 (planning), and the record of a successful run reproduces the
@@ -72,15 +72,16 @@ class InstrumentationRecord:
 
     ``match_ops[j]`` counts the grounding tests building the candidate
     pair at level ``j`` is charged: two per state above level 0 (one
-    start-overlap test, one goal-subset test), even when a NoMatch cuts
-    them short, and none at level 0, which matches by identity. ``plan_ops[j]`` counts the predecessor edges
-    the plan search at ``j`` examined, one per edge each time a state's
-    edges are walked: `findplan` walks them once per settled state,
+    start-overlap test, one goal-subset test), even when a level's goals
+    fail and its starts go untested, and none at level 0, which matches
+    by identity. ``plan_ops[j]`` counts the predecessor edges the plan
+    search at ``j`` examined, one per edge each time a state's edges are
+    walked: `findplan` walks them once per settled state,
     `findplan_value_iteration` once per time a state leaves its queue and
-    once per state it finds holding a stale label.
-    ``first_match_level`` and ``solution_level`` are the highest
-    matching level and the level the returned plan lives at. Wall-clock
-    time is split exhaustively between the matching and planning phases.
+    once per state it finds holding a stale label. ``first_match_level``
+    and ``solution_level`` are the highest matching level and the level
+    the returned plan lives at. Wall-clock time is split exhaustively
+    between the matching and planning phases.
     """
 
     search_top: int
@@ -122,6 +123,46 @@ def planning_cost(record: InstrumentationRecord) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _owned(owners: tuple[int, ...], ranks: int) -> int:
+    """The OR of ``owners[r]`` over the ranks ``r`` set in ``ranks``."""
+    out = 0
+    while ranks:
+        low = ranks & -ranks
+        out |= owners[low.bit_length() - 1]
+        ranks ^= low
+    return out
+
+
+def _start_members(h: Hierarchy, j: int, starts: GroundingSet, q: int | None) -> int | None:
+    """Level ``j``'s start candidate as a mask, None when the starts are
+    not covered. Above level 0, ``q`` is their ranks (None when one lies
+    outside level 1's union), which must lie inside the level's cover."""
+    if j == 0:
+        return None if starts.bits >> h.num_states(0) else starts.bits
+    index = h.grounding_index[j - 1]
+    if q is None or q & index.cover != q:
+        return None
+    return _owned(index.owners, q)
+
+
+def _goal_members(h: Hierarchy, j: int, goals: GroundingSet, q: int) -> int:
+    """Level ``j``'s goal candidate as a mask. Above level 0, ``q`` is the
+    ranks of the goals inside level 1's union: the states with an empty
+    grounding, plus each owner of one of them whose mask lies inside."""
+    if j == 0:
+        return goals.bits & ((1 << h.num_states(0)) - 1)
+    index = h.grounding_index[j - 1]
+    hit = _owned(index.owners, q & index.cover)
+    members = index.empty
+    while hit:
+        low = hit & -hit
+        m = index.masks[low.bit_length() - 1]
+        if m & q == m:
+            members |= low
+        hit ^= low
+    return members
+
+
 def candidate_starts(h: Hierarchy, j: int, starts: GroundingSet) -> GroundingSet:
     """Maximal start candidate at level ``j``: every state whose base
     grounding meets ``starts``. Valid only if the union of those
@@ -129,27 +170,16 @@ def candidate_starts(h: Hierarchy, j: int, starts: GroundingSet) -> GroundingSet
     this level and NoMatch is raised. Level 0 matches by identity, with
     no test.
 
-    Above it, the starts are covered exactly when each lies in the
-    level's `GroundingIndex` union, since a start there lies in some
-    grounding, which then meets ``starts``. Their ranks in the union are
-    read off until one falls outside it, so at most one more than the
-    union holds; then each state's test is one small-int test,
-    ``mask & q``."""
-    level = h.level(j)
-    if j == 0:
-        if not starts <= GroundingSet(0, (1 << level.num_states) - 1):
-            raise NoMatch(f"start set not covered at level {j}")
-        return starts
+    Above it, the starts are covered when their ranks in level 1's union
+    lie in the level's `GroundingIndex` ``cover``; the candidate is the OR
+    of their ``owners``. `answer_query` calls the same helper."""
+    h.level(j)
     if starts.level_index != 0:
         raise LevelMismatch(f"level {starts.level_index} vs level 0")
-    index = h.grounding_index[j - 1]
-    q = index.ranks(starts.bits)
-    if q is None:
+    q = h.grounding_index[0].ranks(starts.bits) if j else None
+    members = _start_members(h, j, starts, q)
+    if members is None:
         raise NoMatch(f"start set not covered at level {j}")
-    members = 0
-    for s, m in index.masks.items():
-        if m & q:
-            members |= 1 << s
     return GroundingSet(j, members)
 
 
@@ -158,22 +188,16 @@ def candidate_goals(h: Hierarchy, j: int, goals: GroundingSet) -> GroundingSet:
     grounding lies inside ``goals``. NoMatch when there is none. Level 0
     keeps the goals that are base states, with no test.
 
-    Above it, one AND as wide as the base keeps the goals inside the
-    level's `GroundingIndex` union, at most as many ids as it holds, and
-    their ranks give one small-int test per state, ``mask & q == mask``.
-    Nothing negates a set as wide as the base."""
-    level = h.level(j)
-    if j == 0:
-        members = (goals & GroundingSet(0, (1 << level.num_states) - 1)).bits
-    elif goals.level_index != 0:
+    Above it, one AND as wide as the base keeps the goals inside level
+    1's union; their ranks name the ``owners`` to test, one small-int test
+    each, ``mask & q == mask``. Nothing negates a set as wide as the base.
+    `answer_query` calls the same helper."""
+    h.level(j)
+    if goals.level_index != 0:
         raise LevelMismatch(f"level {goals.level_index} vs level 0")
-    else:
-        index = h.grounding_index[j - 1]
-        q = index.ranks(goals.bits & index.union)
-        members = 0
-        for s, m in index.masks.items():
-            if m & q == m:
-                members |= 1 << s
+    level1 = h.grounding_index[0] if j else None
+    q = level1.ranks(goals.bits & level1.union) if j else 0
+    members = _goal_members(h, j, goals, q)
     if not members:
         raise NoMatch(f"no state grounds inside the goal set at level {j}")
     return GroundingSet(j, members)
@@ -402,8 +426,8 @@ def findplan_value_iteration(
     plan = Option(f"plan@{j}", starts, goals, policy)
     try:
         for s in starts:
-            action_sequence(level, plan, s)
-    except RefinementFault:
+            _execute_into(level, plan, s, [s])
+    except HierplanError:
         return None
     return plan
 
@@ -434,11 +458,12 @@ def answer_query(
 
     Levels are tried from the top (or from ``at_level``) downwards. A
     level is attempted only when its unique maximal candidate pair
-    brackets the query; a failed plan attempt at a matching level falls
-    through to the next level down. Returns None when even the base MDP
-    has no plan, and LevelOutOfRange when ``h`` lacks ``at_level``. The
-    instrumentation record accounts for all matching and planning work
-    performed.
+    brackets the query: its goals are matched first, and its starts only
+    when they match, by the helpers the candidate functions call. A
+    failed plan attempt at a matching level falls through to the next
+    level down. Returns None when even the base MDP has no plan, and
+    LevelOutOfRange when ``h`` lacks ``at_level``. The instrumentation
+    record accounts for all matching and planning work performed.
     """
     top = h.num_levels if at_level is None else at_level
     h.level(top)
@@ -447,21 +472,28 @@ def answer_query(
     search = findplan if plan_mode == "reachability" else findplan_value_iteration
     record = InstrumentationRecord(search_top=top)
     clock = time.perf_counter()
+    # ranks over level 1's union, the goals once, the starts once (-1: not yet)
+    level1 = h.grounding_index[0] if top else None
+    goal_q = level1.ranks(query.goals.bits & level1.union) if top else 0
+    start_q = -1
     for j in range(top, -1, -1):
-        try:
-            pair = candidate_starts(h, j, query.starts), candidate_goals(h, j, query.goals)
-        except NoMatch:
-            pair = None
+        start_members = None
+        goal_members = _goal_members(h, j, query.goals, goal_q)
+        if goal_members:
+            if j and start_q == -1:
+                start_q = level1.ranks(query.starts.bits)
+            start_members = _start_members(h, j, query.starts, start_q)
         # no test at level 0; above it, one per state for each candidate
         record.match_ops[j] = 2 * h.num_states(j) if j else 0
         record.total_ops += record.match_ops[j]
         now = time.perf_counter()
         record.match_seconds += now - clock
         clock = now
-        if pair is None:
+        if start_members is None:
             continue
         if record.first_match_level is None:
             record.first_match_level = j
+        pair = GroundingSet(j, start_members), GroundingSet(j, goal_members)
         plan = search(h.level(j), *pair, record=record)
         now = time.perf_counter()
         record.plan_seconds += now - clock
@@ -479,9 +511,9 @@ def answer_query(
 
 def _localize(h: Hierarchy, j: int, candidates: GroundingSet, base_state: int) -> int:
     """The lowest candidate level-``j`` state grounding ``base_state``:
-    above level 0, the base state's rank in the level's `GroundingIndex`
-    is looked up once, then each candidate's mask is tested for its bit.
-    A candidate the level lacks grounds nothing."""
+    above level 0, the owners of the base state's rank in the level's
+    `GroundingIndex`, ANDed with the candidates, then the lowest bit read.
+    A candidate the level lacks owns nothing."""
     if j == 0:
         if base_state in candidates:
             return base_state
@@ -489,11 +521,9 @@ def _localize(h: Hierarchy, j: int, candidates: GroundingSet, base_state: int) -
         index = h.grounding_index[j - 1]
         rank = index.position.get(base_state)
         if rank is not None:
-            bit = 1 << rank
-            masks = index.masks
-            for s in candidates:
-                if masks.get(s, 0) & bit:
-                    return s
+            hits = index.owners[rank] & candidates.bits
+            if hits:
+                return (hits & -hits).bit_length() - 1
     raise RefinementFault(
         f"base state {base_state} not grounded by any candidate at level {j}"
     )

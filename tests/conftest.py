@@ -337,19 +337,31 @@ def base_grounding(h, j, s):
 
 def assert_index_describes_the_base_groundings(h):
     """Each abstract level's `GroundingIndex` is its base groundings as
-    `final_ground` composes them: the union of every state's, each
-    grounded id's rank in ascending order, and each state's mask the
-    ranks of its own."""
+    `final_ground` composes them, ranked over level 1's: the union of
+    every level-1 state's, each grounded id's rank in ascending order, and
+    each state's mask the ranks of its own. ``owners`` is the transpose of
+    the masks, ``cover`` their OR, and ``empty`` the states whose mask is
+    0."""
     for j in range(1, h.num_levels + 1):
         index = h.grounding_index[j - 1]
-        everything = GroundingSet.of(j, range(h.num_states(j)))
-        assert GroundingSet(0, index.union) == h.final_ground(j, everything)
+        level1 = h.grounding_index[0]
+        everything = GroundingSet.of(1, range(h.num_states(1)))
+        assert GroundingSet(0, index.union) == h.final_ground(1, everything)
+        assert index.position == level1.position
         assert list(index.position) == list(GroundingSet(0, index.union))
         assert list(index.position.values()) == list(range(len(index.position)))
         assert list(index.masks) == list(range(h.num_states(j)))
         for s in range(h.num_states(j)):
             ranks = {index.position[x] for x in base_grounding(h, j, s)}
             assert index.masks[s] == sum(1 << r for r in ranks)
+        assert len(index.owners) == len(index.position)
+        for r, owners in enumerate(index.owners):
+            assert owners == sum(1 << s for s, m in index.masks.items() if m >> r & 1)
+        cover = 0
+        for m in index.masks.values():
+            cover |= m
+        assert index.cover == cover
+        assert index.empty == sum(1 << s for s, m in index.masks.items() if not m)
 
 
 def oracle_candidate_starts(h, j, starts):

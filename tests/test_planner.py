@@ -3,6 +3,7 @@ refinement, and cost instrumentation."""
 
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +45,7 @@ from hierplan.errors import (
     StepBoundExceeded,
     UndefinedPolicy,
 )
+from hierplan.hierarchy import GroundingIndex
 from hierplan.planner import InstrumentationRecord, _localize
 from hierplan.taxi import DEFAULT_LAYOUT
 
@@ -65,6 +67,7 @@ from conftest import (
 )
 
 PLAN_MODES = ("reachability", "value-iteration")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def level2_node(h, depot):
@@ -304,15 +307,15 @@ class TestGroundingIndex:
 
     def test_sets_as_wide_as_the_base(self, taxi_by_layout):
         """Ranks are read off the starts until one lies outside the union,
-        and off the goals only inside it: the whole union reads every
-        rank, every base state stops at a NoMatch, and both agree with
-        the oracle."""
+        and off the goals only inside it: a level's whole union reads
+        exactly its ``cover``, every base state stops at a NoMatch, and
+        both agree with the oracle."""
         h = taxi_by_layout
         everything = GroundingSet(0, (1 << h.num_states(0)) - 1)
         for j in range(1, h.num_levels + 1):
             index = h.grounding_index[j - 1]
-            union = GroundingSet(0, index.union)
-            assert index.ranks(union.bits) == (1 << len(index.position)) - 1
+            union = h.final_ground(j, GroundingSet.of(j, range(h.num_states(j))))
+            assert index.ranks(union.bits) == index.cover
             assert index.ranks(everything.bits) is None
             for states in (union, everything):
                 assert outcome(candidate_starts, h, j, states) == outcome(
@@ -357,6 +360,129 @@ class TestGroundingIndex:
             _localize(h, 2, ghost, start)
         real = candidate_starts(h, 2, queries["Q1"].starts)
         assert _localize(h, 2, real | ghost, start) == oracle_localize(h, 2, real, start)
+
+
+def oracle_pair(h, j, query):
+    """Both oracle candidates at level ``j``, or None when either has no
+    match."""
+    try:
+        return (
+            oracle_candidate_starts(h, j, query.starts),
+            oracle_candidate_goals(h, j, query.goals),
+        )
+    except NoMatch:
+        return None
+
+
+def assert_answers_are_the_oracles(h, query, pair=oracle_pair):
+    """From every ``at_level`` in both plan modes, an answer's plan starts
+    and ends on the oracle candidates of its level (``pair``), and its
+    first match is the highest level at or under ``at_level`` where both
+    oracles match."""
+    for at_level in range(h.num_levels + 1):
+        pairs = [pair(h, j, query) for j in range(at_level + 1)]
+        for mode in PLAN_MODES:
+            answer = answer_query(h, query, at_level, mode)
+            if answer is None:
+                continue
+            plan = answer.plan
+            assert (plan.initiation, plan.termination) == pairs[answer.level_index]
+            first = max(j for j, p in enumerate(pairs) if p is not None)
+            assert answer.record.first_match_level == first
+
+
+class TestAnswerPath:
+    """`answer_query` matches through the same helpers as the public
+    candidate functions, from the query's side: it must answer with the
+    oracles' candidates and rank each query's sets at most once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_domains(), st.integers(1, 2), st.data())
+    def test_answers_equal_the_oracles(self, domain, num_levels, data):
+        n, transition, mode, _, _ = domain
+        mdp = BaseMDP(
+            space=StateSpace(level_index=0, num_states=n),
+            actions=("a", "b"),
+            transition=transition,
+            reward=dict.fromkeys(transition, -1.0),
+        )
+        h = Hierarchy(base=mdp, reward_mode=mode)
+        try:
+            for _ in range(num_levels):
+                h = h.add_level(one_step_preimage_options(h.level(h.num_levels)))
+        except HierplanError:
+            if h.num_levels == 0:
+                return
+        starts = data.draw(st.sets(st.integers(0, n + 1), min_size=1))
+        goals = data.draw(st.sets(st.integers(0, n + 1), min_size=1))
+        query = PlanQuery(GroundingSet.of(0, starts), GroundingSet.of(0, goals))
+        assert_answers_are_the_oracles(h, query)
+
+    def test_empty_grounding_stays_a_goal_candidate(self, taxi_hierarchy, queries):
+        """A level-2 state grounded only in an id level 1 lacks grounds
+        nothing, so it lies inside every goal set and meets no start set.
+        `final_ground` cannot compose its grounding, so the level-2 oracle
+        tests the other states on the intact hierarchy."""
+        h = taxi_hierarchy
+        level = h.level(2)
+        groundings = dict(level.groundings)
+        groundings[0] = GroundingSet.single(1, h.num_states(1))
+        broken = replace(
+            h, levels_above=(h.level(1), replace(level, groundings=groundings))
+        )
+        assert broken.grounding_index[1].empty == 1
+
+        def pair(_, j, query):
+            if j < 2:
+                return oracle_pair(h, j, query)
+            ground = {s: base_grounding(h, 2, s) for s in range(1, h.num_states(2))}
+            meets = [s for s, g in ground.items() if g & query.starts]
+            covered = GroundingSet.empty(0)
+            for s in meets:
+                covered = covered | ground[s]
+            if not query.starts <= covered:
+                return None
+            inside = [s for s, g in ground.items() if g <= query.goals]
+            return GroundingSet.of(2, meets), GroundingSet.of(2, [0, *inside])
+
+        for q in queries.values():
+            assert 0 in candidate_goals(broken, 2, q.goals)
+            assert 0 in answer_query(broken, q).plan.termination
+            assert_answers_are_the_oracles(broken, q, pair)
+
+    @pytest.mark.parametrize(
+        "workload", ["taxi5-abstract", "taxi12-build", "taxi8-fallthrough"]
+    )
+    def test_one_rank_pass_per_set(self, workload, monkeypatch):
+        """Over one benchmark stream, each query's goals are ranked once
+        and its starts at most once, and not at all when no abstract
+        level's goals match."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from streams import WORKLOADS, layout_for, make_stream
+
+        w = WORKLOADS[workload]
+        layout = layout_for(w.grid)
+        h = build_taxi_hierarchy(layout)
+        stream = make_stream(h.base, layout, w, 7)
+        ranks = GroundingIndex.ranks
+        calls = []
+
+        def counted(index, bits):
+            calls.append(bits)
+            return ranks(index, bits)
+
+        monkeypatch.setattr(GroundingIndex, "ranks", counted)
+        for sq in stream:
+            calls.clear()
+            answer = answer_query(h, sq.query, plan_mode=sq.plan_mode)
+            assert answer.level_index == sq.level
+            goals_match = any(
+                outcome(oracle_candidate_goals, h, j, sq.query.goals) is not NoMatch
+                for j in range(1, h.num_levels + 1)
+            )
+            assert len(calls) <= 2
+            if not goals_match:
+                assert len(calls) == 1
 
 
 class TestPlanMatch:
