@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     Assignment,
@@ -391,23 +391,6 @@ class AbstractLevel(BaseMDP):
                 return p.part_id
         return None
 
-    def applied_edges(
-        self, option: Option, states: Sequence[int]
-    ) -> tuple[tuple[int, str], ...]:
-        """The edge ``(s, part id)`` ``option``'s policy applies at each
-        state ``s`` of ``states``, the states a run of it over this level
-        leaves. A policy action that is a transition of its state is taken
-        by id; only an option id goes through `resolve_part`."""
-        policy = option.policy
-        transition = self.transition
-        edges = []
-        for s in states:
-            action = policy[s]
-            if (s, action) not in transition:
-                action = self.resolve_part(s, action)
-            edges.append((s, action))
-        return tuple(edges)
-
     def step(self, state: int, action: str) -> tuple[int, float]:
         """Apply an option, by part id or option id, as one abstract step."""
         part_id = self.resolve_part(state, action)
@@ -487,8 +470,13 @@ def require_seeds_within(level, seeds: GroundingSet) -> None:
         raise LevelMismatch(
             f"seeds are over level {seeds.level_index}, not {level.level_index}"
         )
-    for s in seeds:
-        if not 0 <= s < level.num_states:
+    require_seed_ids(level, seeds)
+
+
+def require_seed_ids(level, ids: Iterable[int]) -> None:
+    """InvalidSeed at the first of ``ids`` past ``level``'s states."""
+    for s in ids:
+        if s >= level.num_states:
             raise InvalidSeed(f"seed state {s} outside level {level.level_index}")
 
 

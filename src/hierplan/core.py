@@ -324,9 +324,13 @@ def require_within_level(name: str, level, *sets: GroundingSet) -> None:
             raise LevelMismatch(
                 f"option {name!r} is over level {g.level_index}, not {level.level_index}"
             )
-    width = max(g.bits.bit_length() for g in sets)
-    if width > level.num_states:
+    require_ids_within(name, level, max(g.bits.bit_length() for g in sets) - 1)
+
+
+def require_ids_within(name: str, level, highest: int) -> None:
+    """MalformedInput when option ``name``'s highest state id is outside ``level``."""
+    if highest >= level.num_states:
         raise MalformedInput(
-            f"option {name!r} names state {width - 1}, "
+            f"option {name!r} names state {highest}, "
             f"outside level {level.space.level_index}'s {level.num_states} states"
         )

@@ -23,8 +23,9 @@ Domain file::
     }
 
 Each option set runs over the level the sets before it build. A set is
-a constraint object or a list of that level's state ids. `plan_option`
-plans the policy of an option that gives none.
+a constraint object or a list of that level's state ids; every id list
+names states of its level. `plan_option` plans the policy of an option
+that gives none. Rewards are finite.
 
 Query file: ``{"B": {"pos": [0, 1]}, "G": {"states": [2]}}``.
 
@@ -37,12 +38,13 @@ The taxi domain additionally understands ``taxi-at`` / ``pass-at`` /
 from __future__ import annotations
 
 import json
+import math
 from os import PathLike
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .abstraction import RewardMode
-from .core import BaseMDP, Option, StateSpace, Variable
+from .abstraction import RewardMode, require_seed_ids
+from .core import BaseMDP, Option, StateSpace, Variable, require_ids_within
 from .errors import MalformedInput
 from .hierarchy import Hierarchy, PlanQuery
 from .planner import plan_option
@@ -165,6 +167,8 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, OptionSetSpec]]:
             ) from None
         if (s, a) in transition:
             raise MalformedInput(f"transition ({s}, {a!r}) given twice")
+        if not math.isfinite(r):
+            raise MalformedInput(f"transition ({s}, {a!r}) has reward {r}, not finite")
         transition[(s, a)] = t
         reward[(s, a)] = r
     mdp = BaseMDP(
@@ -254,6 +258,9 @@ def resolve_options(level, spec: OptionSetSpec) -> list[Option]:
     given without a policy."""
     options = []
     for o in spec.options:
+        # checked before a bare id list becomes a set as wide as its highest id
+        listed = [x for s in (o.initiation, o.termination) if isinstance(s, list) for x in s]
+        require_ids_within(o.name, level, max(listed, default=-1))
         sets = expand_generic(level, o.initiation), expand_generic(level, o.termination)
         options.append(
             plan_option(o.name, level, *sets) if o.policy is None
@@ -273,6 +280,8 @@ def build_hierarchy(
     h = Hierarchy(base=base, reward_mode=reward_mode)
     for spec in sets:
         top = h.level(h.num_levels)
+        if isinstance(spec.seeds, list):  # checked before it becomes a set, likewise
+            require_seed_ids(top, sorted(spec.seeds))
         seeds = None if spec.seeds is None else expand_generic(top, spec.seeds)
         h = h.add_level(resolve_options(top, spec), seeds=seeds)
     return h

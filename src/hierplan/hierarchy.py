@@ -11,16 +11,17 @@ option execution.
 
 Hierarchies are immutable; `add_level` returns a new value, and each
 abstract level's base groundings are stored once, as its `GroundingIndex`
-ranked over level 1's union, so that a query's sets are ranked once for
-every level and concurrent reads never race a lazy cache. Beside it each
-level keeps its lower runs: for each edge ``(s, part id)`` and each member
-``x`` of ``s``'s grounding, the `ExecutionTrace` of the part's option run
-from ``x`` over the level below, exactly as `execute_option` returns it,
-or the error that run raised. An option run from a given state is always
-the same run, so refinement and `Hierarchy.validate` read these traces
-instead of executing them again. `Hierarchy.level` is the one map from a
-level index to a level. Options and abstract rewards are plain data fixed
-at construction (an empirical reward is the option's mean return over its
+ranked over level 1's union and composed from the index below it, so that
+a query's sets are ranked once for every level and concurrent reads never
+race a lazy cache. Beside it each level keeps its lower runs: for each
+edge ``(s, part id)`` and each member ``x`` of ``s``'s grounding, the
+`ExecutionTrace` of the part's option run from ``x`` over the level
+below, exactly as `execute_option` returns it, or the error that run
+raised. An option run from a given state is always the same run, so
+refinement and `Hierarchy.validate` read these traces instead of
+executing them again. `Hierarchy.level` is the one map from a level index
+to a level. Options and abstract rewards are plain data fixed at
+construction (an empirical reward is the option's mean return over its
 initiation set, computed while partitioning), so planning, refinement and
 validation never change a hierarchy, and rebuilding from the same option
 sets gives the same hierarchy.
@@ -51,7 +52,7 @@ from .errors import (
     MalformedInput,
     NoFactoredStructure,
 )
-from .symbols import GroundingSet, _mask_of
+from .symbols import GroundingSet
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,12 @@ class GroundingIndex:
     Every level ranks base ids over level 1's union, which holds the
     groundings above it too: ``union`` is its bitmask and ``position``
     maps each id to its ascending rank. ``masks[s]`` is state ``s``'s
-    base grounding over those ranks, ``owners[r]`` the states whose
-    grounding holds rank ``r``, ``cover`` the OR of the masks and
-    ``empty`` the states grounding nothing. The union is as narrow as
-    level 1 (20 ids at taxi12, whose base is 20,880 wide).
+    base grounding over those ranks, at level ``j > 1`` the OR of level
+    ``j - 1``'s masks over its grounding, so no base-wide set is built.
+    ``owners[r]`` are the states whose grounding holds rank ``r``,
+    ``cover`` the OR of the masks and ``empty`` the states grounding
+    nothing. The union is as narrow as level 1 (20 ids at taxi12, whose
+    base is 20,880 wide).
     """
 
     union: int
@@ -100,21 +103,26 @@ class GroundingIndex:
     empty: int
 
     @classmethod
-    def of(
-        cls, groundings: dict[int, GroundingSet], level1: GroundingIndex | None = None
-    ) -> GroundingIndex:
-        """Ranked over ``level1``'s union, or over its own when None."""
-        if level1 is None:
+    def of(cls, level: AbstractLevel, below: GroundingIndex | None) -> GroundingIndex:
+        """``level``'s index: level 1's (``below`` None) ranks its own union;
+        above it a mask ORs ``below``'s masks over the grounding's members."""
+        groundings = {s: level.grounding_of(s) for s in level.space.states}
+        if below is None:
             union = 0
             for g in groundings.values():
                 union |= g.bits
             position = {x: i for i, x in enumerate(GroundingSet(0, union))}
+            lower = {x: 1 << i for x, i in position.items()}
         else:
-            union, position = level1.union, level1.position
-        masks = {s: _mask_of(position[x] for x in g) for s, g in groundings.items()}
+            union, position, lower = below.union, below.position, below.masks
+        masks: dict[int, int] = {}
         owners = [0] * len(position)
         cover = empty = 0
-        for s, m in masks.items():
+        for s, g in groundings.items():
+            m = 0
+            for x in g:  # a member the level below lacks adds nothing
+                m |= lower.get(x, 0)
+            masks[s] = m
             cover |= m
             if not m:
                 empty |= 1 << s
@@ -188,25 +196,11 @@ class Hierarchy:
     def __post_init__(self) -> None:
         if len(self.levels_above) != len(self.option_sets):
             raise MalformedInput("one option set per abstract level required")
-        below: dict[int, GroundingSet] = {}
         index: list[GroundingIndex] = []
         runs: list[LowerRuns] = []
         for j, level in enumerate(self.levels_above, start=1):
             runs.append(record_runs(level, self.level(j - 1)))
-            memo: dict[int, GroundingSet] = {}
-            for s in level.space.states:
-                g = level.grounding_of(s)
-                if j == 1:
-                    memo[s] = g
-                else:
-                    # ids outside the level below are left for validate()
-                    acc = GroundingSet.empty(0)
-                    for x in g:
-                        if x in below:
-                            acc = acc | below[x]
-                    memo[s] = acc
-            index.append(GroundingIndex.of(memo, index[0] if index else None))
-            below = memo
+            index.append(GroundingIndex.of(level, index[-1] if index else None))
         object.__setattr__(self, "grounding_index", tuple(index))
         object.__setattr__(self, "lower_runs", tuple(runs))
 

@@ -350,7 +350,7 @@ def findplan_value_iteration(
     count, queue count and waiting and stale flags are held in lists of
     length ``num_states``, an edge's reward is read by the predecessor
     table's own key, and ties read the level's action-rank table, built
-    once per level.
+    once per level. A goal is a state labelled with 0 steps.
     """
     j = _require_level(level, starts, goals)
     rank = level._action_rank
@@ -358,13 +358,12 @@ def findplan_value_iteration(
     reward = level.reward
     gamma = level.gamma
     n = len(preds)  # the level's states, and each state's queue budget
-    # per state: its label (value, steps; steps -1 while unlabelled), how
-    # often it was queued, and whether it waits in the queue now
+    # per state: its label (value, steps; steps -1 while unlabelled, 0 at
+    # a goal), how often it was queued, and whether it waits in the queue now
     value = [0.0] * n
     steps = [-1] * n
     times_queued = [0] * n
     waiting = [False] * n
-    is_goal = [False] * n
     is_stale = [False] * n
     stale: list[int] = []
     policy: dict[int, str] = {}
@@ -372,7 +371,7 @@ def findplan_value_iteration(
     queue = deque(g for g in goals if g < n)
     for g in queue:
         steps[g] = 0
-        waiting[g] = is_goal[g] = True
+        waiting[g] = True
     ops = 0
     while queue:
         t = queue.popleft()
@@ -383,11 +382,11 @@ def findplan_value_iteration(
         k = steps[t] + 1
         for edge in edges:
             s = edge[0]
-            if is_goal[s]:
+            old = steps[s]
+            if old == 0:  # a goal
                 continue
             v = reward[edge] + offered
-            old = steps[s]
-            if old >= 0:
+            if old > 0:
                 if abs(v - value[s]) <= 1e-12:
                     if k > old:
                         continue
@@ -415,7 +414,7 @@ def findplan_value_iteration(
         edges = preds[stale.pop()]
         ops += len(edges)
         for s, _ in edges:
-            if not (is_stale[s] or is_goal[s]):
+            if not (is_stale[s] or steps[s] == 0):
                 is_stale[s] = True
                 stale.append(s)
     _charge(record, j, ops)
@@ -536,18 +535,23 @@ def _walk(h: Hierarchy, j: int, option: Option, states: Sequence[int],
     ``total`` plus the reward of each base run, added in order.
 
     Nothing is executed here: the edge ``(s, part id)`` the option applies
-    at each state (`AbstractLevel.applied_edges`) names the lower run,
-    recorded from the cursor when the hierarchy was built
-    (`hierarchy.record_runs`) as `execute_option`'s trace, whose end moves
-    ``cursor[j - 1]``. Over the base a run's entered states are appended
-    to ``visited``; above it, the part's option is refined one level down
-    the same way from the states its run leaves. A recorded error is
-    raised as the RefinementFault ``execute_option``'s loop would cause; a
-    cursor outside the edge's grounding, which only a hierarchy `validate`
-    rejects can produce, is a RefinementFault too."""
+    at each state (its policy action, or the part `resolve_part` finds for
+    an option id) names the lower run, recorded from the cursor when the
+    hierarchy was built (`hierarchy.record_runs`) as `execute_option`'s
+    trace, whose end moves ``cursor[j - 1]``. Over the base a run's
+    entered states are appended to ``visited``; above it, the part's
+    option is refined one level down the same way from the states its run
+    leaves. A recorded error is raised as the RefinementFault
+    ``execute_option``'s loop would cause; a cursor outside the edge's
+    grounding, which only a hierarchy `validate` rejects can produce, is a
+    RefinementFault too."""
     level = h.levels_above[j - 1]
     runs = h.lower_runs[j - 1]
-    for s, pid in level.applied_edges(option, states):
+    policy, transition = option.policy, level.transition
+    for s in states:
+        pid = policy[s]
+        if (s, pid) not in transition:
+            pid = level.resolve_part(s, pid)
         x = cursor[j - 1]
         run = runs.get((s, pid, x))
         if run is None:

@@ -208,6 +208,15 @@ class TestDomainIO:
                 {**CHAIN_DOMAIN, "states": [[0], [1.0], [2], [3]]},
                 "state 1 gives 'pos' the value 1.0, outside its domain [0, 1, 2, 3]",
             ),
+            # a reward that is no number would reach every plan's value
+            (
+                {**CHAIN_DOMAIN, "transitions": [[0, "fwd", 1], [1, "fwd", 2, float("nan")]]},
+                "transition (1, 'fwd') has reward nan, not finite",
+            ),
+            (
+                {**CHAIN_DOMAIN, "transitions": [[0, "fwd", 1, float("-inf")]]},
+                "transition (0, 'fwd') has reward -inf, not finite",
+            ),
         ],
     )
     def test_malformed_domain_rejected(self, domain, message):
@@ -684,12 +693,21 @@ class TestCLI:
             ({"options": {"l1": {"seeds": [0, 99], "options": [
                 {"name": "to-one", "initiation": [0], "termination": [1]}]}}}, {},
              "error: seed state 99 outside level 0"),
+            # ids as high as these are checked before a set that wide is built
+            ({}, {"initiation": [0, 10 ** 12]},
+             "error: option 'to-one' names state 1000000000000, outside level 0's 3 states"),
+            ({"options": {"l1": {"seeds": [10 ** 12], "options": [
+                {"name": "to-one", "initiation": [0], "termination": [1]}]}}}, {},
+             "error: seed state 1000000000000 outside level 0"),
+            ({"transitions": [[0, "fwd", 1, float("nan")]]}, {},
+             "error: transition (0, 'fwd') has reward nan, not finite"),
         ],
         ids=["target-outside", "short-entry", "empty-initiation", "num-states-text",
              "initiation-text", "policy-key-text", "factored-states-flat",
              "options-list", "option-set-number", "option-entry-number",
              "transitions-number", "option-state-outside",
-             "factored-option-state-outside", "seed-outside"],
+             "factored-option-state-outside", "seed-outside", "option-state-huge",
+             "seed-huge", "reward-nan"],
     )
     def test_bad_domain_input_prints_one_error_line(
         self, tmp_path, domain_patch, option_patch, message
@@ -794,10 +812,12 @@ CHAIN_QUERY = {"B": {"pos": [0, 1]}, "G": {"states": [3]}}
 FUZZ_DOCUMENTS = {"chain": CHAIN_DOMAIN, "stacked": STACKED_CHAIN, "query": CHAIN_QUERY}
 
 # JSON values of every type, ids inside and outside the chain, and
-# constraint objects naming a state, a variable or an except set
+# constraint objects naming a state, a variable or an except set. A huge
+# id comes only inside a list: bare, in place of ``num_states``, it would
+# allocate a predecessor list per state and exhaust memory.
 BAD_VALUES = [
     None, True, False, 0, -1, 1, 3, 99, 2.5, "", "x", "fwd",
-    [], [0], [-1], [99], [[0]], ["x"], [0, "fwd", 1],
+    [], [0], [-1], [99], [10 ** 12], [[0]], ["x"], [0, "fwd", 1],
     {}, {"pos": 9}, {"states": [99]}, {"except": 5}, {"x": 1},
 ]
 
@@ -876,7 +896,7 @@ def assert_cli_reports(args, failed: bool) -> None:
 
 
 class TestLoaderFuzz:
-    # the three files hold 128 nodes, so 24 bad values give 3,072 cases,
+    # the three files hold 128 nodes, so 25 bad values give 3,200 cases,
     # each a few milliseconds; 300 examples keep this test near a second
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(FUZZ_CASES), st.sampled_from(BAD_VALUES))

@@ -8,7 +8,7 @@ import pytest
 
 import hierplan
 import hierplan.planner
-from hierplan import BaseMDP, GroundingSet, Hierarchy, OptionPart, StateSpace
+from hierplan import AbstractLevel, BaseMDP, GroundingSet, Hierarchy, OptionPart, StateSpace
 
 
 def test_every_exported_name_resolves():
@@ -48,6 +48,7 @@ def test_plans_are_options_and_refine_is_the_one_refiner(name):
         (Hierarchy, "grounding_of"),
         (Hierarchy, "final_grounding_of"),
         (hierplan.planner, "_match"),
+        (AbstractLevel, "applied_edges"),
     ],
 )
 def test_deleted_members_are_gone(owner, name):
