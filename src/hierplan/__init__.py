@@ -11,8 +11,8 @@ from .abstraction import (
     Construction,
     OptionPart,
     RewardMode,
-    assign_rewards,
     build_factored_abstraction,
+    build_level,
     build_plan_graph,
     compute_effect_set,
     partition_option,
@@ -75,9 +75,9 @@ __all__ = [
     "Violation",
     "action_sequence",
     "answer_query",
-    "assign_rewards",
     "build_factored_abstraction",
     "build_hierarchy",
+    "build_level",
     "build_plan_graph",
     "build_taxi",
     "build_taxi_hierarchy",

@@ -6,8 +6,9 @@ Each option is partitioned into parts, and a part is its data: the
 the part ends with while every other variable stays unchanged, and, when
 those pairs name every variable of the level, the one ``terminal_state``
 all its starts reach. A part with a terminal state is a subgoal; over an
-unfactored level there are no variables, so every part is one. The next
-level is built in one of two ways:
+unfactored level there are no variables, so every part is one.
+`build_level` partitions each option once and builds the next level,
+its rewards included, in one of two ways:
 
 * every part is a subgoal: a plan graph, one abstract state per part,
   with an edge ``i -> j`` whenever part ``i``'s terminal state lies in
@@ -28,7 +29,7 @@ copies one lower state's assignment and grounds to that state alone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -40,6 +41,7 @@ from .core import (
     require_within_level,
 )
 from .errors import (
+    EmptyOptionSet,
     InapplicableAction,
     InvalidSeed,
     LevelMismatch,
@@ -399,70 +401,6 @@ class AbstractLevel(BaseMDP):
         return super().step(state, part_id)
 
 
-def _partition_all(options: Sequence[Option], level) -> list[OptionPart]:
-    parts: list[OptionPart] = []
-    for o in options:
-        parts.extend(partition_option(o, level))
-    return parts
-
-
-def build_plan_graph(
-    options: Sequence[Option],
-    level,
-    _parts: Sequence[OptionPart] | None = None,
-) -> AbstractLevel:
-    """Abstract level whose states are the subgoal parts of ``options``.
-
-    Node ``i`` reaches node ``j`` by part ``j`` exactly when part ``i``'s
-    terminal state lies in part ``j``'s initiation set. A node grounds to
-    every lower state whose initiation profile (its membership in each
-    part's initiation set) is its terminal state's.
-    """
-    parts = list(_parts) if _parts is not None else _partition_all(options, level)
-    bad = [p.part_id for p in parts if p.terminal_state is None]
-    if bad:
-        raise NoSubgoalStructure(
-            f"parts without a fixed terminal state: {', '.join(bad)}"
-        )
-    lvl = level.space.level_index
-
-    # profile-based widening: all lower states whose membership pattern
-    # across every part initiation matches the effect set's containment
-    # pattern, read per state by zipping one membership string per part
-    inits = [p.initiation for p in parts]
-    n = level.num_states
-    by_profile: dict[tuple[str, ...], list[int]] = {}
-    for s, profile in enumerate(zip(*(i.bitstring(n) for i in inits))):
-        by_profile.setdefault(profile, []).append(s)
-    widened = [
-        GroundingSet.of(
-            lvl, by_profile.get(tuple("01"[p.terminal_state in i] for i in inits), ())
-        )
-        for p in parts
-    ]
-
-    transition: dict[tuple[int, str], int] = {}
-    for i, pi in enumerate(parts):
-        for j, pj in enumerate(parts):
-            if pi.terminal_state in pj.initiation:
-                transition[(i, pj.part_id)] = j
-
-    space = StateSpace(
-        level_index=lvl + 1,
-        num_states=len(parts),
-        labels=tuple(p.part_id for p in parts),
-    )
-    return AbstractLevel(
-        space=space,
-        actions=tuple(p.part_id for p in parts),
-        transition=transition,
-        reward=dict.fromkeys(transition, -1.0),
-        parts=tuple(parts),
-        groundings=dict(enumerate(widened)),
-        gamma=level.gamma,
-    )
-
-
 def require_seeds_within(level, seeds: GroundingSet) -> None:
     """LevelMismatch when the seeds are over another level than
     ``level``; InvalidSeed when a seed state lies outside it."""
@@ -480,14 +418,59 @@ def require_seed_ids(level, ids: Iterable[int]) -> None:
             raise InvalidSeed(f"seed state {s} outside level {level.level_index}")
 
 
-def build_factored_abstraction(
+def build_level(
     options: Sequence[Option],
     level,
-    seed_states: GroundingSet,
-    _parts: Sequence[OptionPart] | None = None,
+    seeds: GroundingSet | None,
+    reward_mode: RewardMode,
+) -> AbstractLevel:
+    """The abstract level ``options`` give over ``level``, each option
+    partitioned once: the plan graph when every part is a subgoal (always
+    over an unfactored level), otherwise the factored closure of
+    ``seeds``. Each edge is rewarded by its part's `part_reward`.
+
+    EmptyOptionSet for no options. LevelMismatch when the seeds, or an
+    option (checked before it is simulated), are over another level than
+    ``level``; InvalidSeed when a seed lies outside it, whichever way the
+    level is built; NoFactoredStructure when the closure needs seeds and
+    none are given.
+    """
+    if not options:
+        raise EmptyOptionSet("add_level needs at least one option")
+    if seeds is not None:
+        require_seeds_within(level, seeds)
+    parts = [p for o in options for p in partition_option(o, level)]
+    if all(p.terminal_state is not None for p in parts):
+        return _assemble(parts, level, None, reward_mode)
+    if seeds is None:
+        raise NoFactoredStructure("factored construction needs closure seed states")
+    return _assemble(parts, level, seeds, reward_mode)
+
+
+def build_plan_graph(options: Sequence[Option], level) -> AbstractLevel:
+    """Abstract level whose states are the subgoal parts of ``options``,
+    every edge rewarded -1.
+
+    Node ``i`` reaches node ``j`` by part ``j`` exactly when part ``i``'s
+    terminal state lies in part ``j``'s initiation set. A node grounds to
+    every lower state whose initiation profile (its membership in each
+    part's initiation set) is its terminal state's.
+    """
+    parts = [p for o in options for p in partition_option(o, level)]
+    bad = [p.part_id for p in parts if p.terminal_state is None]
+    if bad:
+        raise NoSubgoalStructure(
+            f"parts without a fixed terminal state: {', '.join(bad)}"
+        )
+    return _assemble(parts, level, None, RewardMode.UNIFORM_PENALTY)
+
+
+def build_factored_abstraction(
+    options: Sequence[Option], level, seed_states: GroundingSet
 ) -> AbstractLevel:
     """Abstract level over the lower space's variables: the closure of
-    the seed states, in ascending order, over lower states.
+    the seed states, in ascending order, over lower states, every edge
+    rewarded -1.
 
     A part applies to a state of its initiation set and leads to the
     lower state whose assignment is that state's with the part's effect
@@ -498,55 +481,82 @@ def build_factored_abstraction(
     if not space.is_factored:
         raise NoFactoredStructure(f"level {space.level_index} space is not factored")
     require_seeds_within(level, seed_states)
-    parts = list(_parts) if _parts is not None else _partition_all(options, level)
+    parts = [p for o in options for p in partition_option(o, level)]
+    return _assemble(parts, level, seed_states, RewardMode.UNIFORM_PENALTY)
 
-    names = space.variable_names()
+
+def _assemble(
+    parts: list[OptionPart], level, seeds: GroundingSet | None, mode: RewardMode
+) -> AbstractLevel:
+    """The level ``parts`` give over ``level``, as `build_plan_graph`
+    (``seeds`` None) or `build_factored_abstraction` describe it, with
+    each edge rewarded by its part's `part_reward` under ``mode``."""
+    space: StateSpace = level.space
     lvl = space.level_index
-
-    def apply_part(asg: Assignment, part: OptionPart) -> Assignment:
-        out = list(asg)
-        for var, value in part.effect_values:
-            out[names.index(var)] = value
-        return tuple(out)
-
-    # a part applies only at its own starts, where its effect values give
-    # the terminal state the start reaches, so the closure stays in the space
-    order = {s: i for i, s in enumerate(sorted(seed_states))}
-    queue = list(order)
     transition: dict[tuple[int, str], int] = {}
-    # walked by index, reaching the states appended while it runs;
-    # popping the front would copy the rest of the queue each time
-    for s in queue:
-        for part in parts:
-            if s not in part.initiation:
-                continue
-            nxt = space.state_of(apply_part(space.assignment(s), part))
-            if nxt not in order:
-                order[nxt] = len(order)
-                queue.append(nxt)
-            transition[(order[s], part.part_id)] = order[nxt]
+    if seeds is None:
+        # profile-based widening: all lower states whose membership pattern
+        # across every part initiation matches the effect set's containment
+        # pattern, read per state by zipping one membership string per part
+        inits = [p.initiation for p in parts]
+        n = level.num_states
+        by_profile: dict[tuple[str, ...], list[int]] = {}
+        for s, profile in enumerate(zip(*(i.bitstring(n) for i in inits))):
+            by_profile.setdefault(profile, []).append(s)
+        widened = [
+            GroundingSet.of(
+                lvl, by_profile.get(tuple("01"[p.terminal_state in i] for i in inits), ())
+            )
+            for p in parts
+        ]
+        groundings = dict(enumerate(widened))
+        for i, pi in enumerate(parts):
+            for j, pj in enumerate(parts):
+                if pi.terminal_state in pj.initiation:
+                    transition[(i, pj.part_id)] = j
+        new_space = StateSpace(
+            level_index=lvl + 1,
+            num_states=len(parts),
+            labels=tuple(p.part_id for p in parts),
+        )
+    else:
+        names = space.variable_names()
 
-    new_space = StateSpace(
-        level_index=lvl + 1,
-        num_states=len(order),
-        variables=space.variables,
-        assignments=tuple(space.assignment(s) for s in order),
-    )
-    groundings = {i: GroundingSet.single(lvl, s) for s, i in order.items()}
+        def apply_part(asg: Assignment, part: OptionPart) -> Assignment:
+            out = list(asg)
+            for var, value in part.effect_values:
+                out[names.index(var)] = value
+            return tuple(out)
+
+        # a part applies only at its own starts, where its effect values give
+        # the terminal state the start reaches, so the closure stays in the space
+        order = {s: i for i, s in enumerate(sorted(seeds))}
+        queue = list(order)
+        # walked by index, reaching the states appended while it runs;
+        # popping the front would copy the rest of the queue each time
+        for s in queue:
+            for part in parts:
+                if s not in part.initiation:
+                    continue
+                nxt = space.state_of(apply_part(space.assignment(s), part))
+                if nxt not in order:
+                    order[nxt] = len(order)
+                    queue.append(nxt)
+                transition[(order[s], part.part_id)] = order[nxt]
+        new_space = StateSpace(
+            level_index=lvl + 1,
+            num_states=len(order),
+            variables=space.variables,
+            assignments=tuple(space.assignment(s) for s in order),
+        )
+        groundings = {i: GroundingSet.single(lvl, s) for s, i in order.items()}
+    reward = {p.part_id: part_reward(p, mode) for p in parts}
     return AbstractLevel(
         space=new_space,
         actions=tuple(p.part_id for p in parts),
         transition=transition,
-        reward=dict.fromkeys(transition, -1.0),
+        reward={key: reward[key[1]] for key in transition},
         parts=tuple(parts),
         groundings=groundings,
         gamma=level.gamma,
-    )
-
-
-def assign_rewards(level: AbstractLevel, mode: RewardMode) -> AbstractLevel:
-    """Set the reward of every transition by its part's `part_reward`."""
-    reward = {p.part_id: part_reward(p, mode) for p in level.parts}
-    return replace(
-        level, reward={key: reward[key[1]] for key in level.transition}
     )

@@ -9,7 +9,8 @@ Domain file::
       "actions": ["fwd", "back"],
       "variables": [["pos", [0, 1, 2]]],      // optional (factored)
       "states": [[0], [1], [2]],              // assignments, if factored
-      "num_states": 3,                        // instead of variables/states
+      "num_states": 3,                        // instead of variables/states;
+                                              // at most MAX_STATES
       "labels": ["s0", "s1", "s2"],           // optional
       "transitions": [[0, "fwd", 1], [1, "fwd", 2, -1.0]],   // reward
                                                              // defaults -1
@@ -43,12 +44,16 @@ from os import PathLike
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .abstraction import RewardMode, require_seed_ids
+from .abstraction import RewardMode, build_level, require_seed_ids
 from .core import BaseMDP, Option, StateSpace, Variable, require_ids_within
 from .errors import MalformedInput
 from .hierarchy import Hierarchy, PlanQuery
 from .planner import plan_option
 from .symbols import GroundingSet
+
+# the most states ``num_states`` may declare: 50 times the 12x12 taxi's
+# 20,880, checked before any table with one entry per state is made
+MAX_STATES = 2 ** 20
 
 
 class OptionSpec(NamedTuple):
@@ -115,7 +120,7 @@ def _parse(data: dict, key: str, what: str, convert):
         raise MalformedInput(f"{what} has no {key!r} key") from None
     try:
         return convert(value)
-    except (AttributeError, TypeError, ValueError):
+    except (AttributeError, TypeError, ValueError, OverflowError):
         raise MalformedInput(f"{what} has a malformed {key!r}: {value!r}") from None
 
 
@@ -150,18 +155,17 @@ def load_domain(source) -> tuple[BaseMDP, dict[str, OptionSetSpec]]:
         )
         _require_in_domains(space)
     else:
-        space = StateSpace(
-            level_index=0,
-            num_states=_parse(data, "num_states", "domain", int),
-            labels=labels,
-        )
+        n = _parse(data, "num_states", "domain", int)
+        if n > MAX_STATES:
+            raise MalformedInput(f"domain has {n} states, more than {MAX_STATES}")
+        space = StateSpace(level_index=0, num_states=n, labels=labels)
     transition: dict[tuple[int, str], int] = {}
     reward: dict[tuple[int, str], float] = {}
     for entry in _parse(data, "transitions", "domain", list):
         try:
             s, a, t = int(entry[0]), _string(entry[1]), int(entry[2])
             r = float(entry[3]) if len(entry) > 3 else -1.0
-        except (IndexError, KeyError, TypeError, ValueError):
+        except (IndexError, KeyError, TypeError, ValueError, OverflowError):
             raise MalformedInput(
                 f"transition {entry!r} is not [state, action, state(, reward)]"
             ) from None
@@ -275,16 +279,19 @@ def build_hierarchy(
     reward_mode: RewardMode = RewardMode.UNIFORM_PENALTY,
 ) -> Hierarchy:
     """The hierarchy over ``base`` with one level per option set, built
-    bottom-up: each set's options and seeds are resolved against the
-    level the sets before it built."""
-    h = Hierarchy(base=base, reward_mode=reward_mode)
+    bottom-up by `build_level`: each set's options and seeds are resolved
+    against the level the sets before it built. One `Hierarchy` is made,
+    at the end, so each level's lower runs are recorded once."""
+    levels, option_sets = [base], []
     for spec in sets:
-        top = h.level(h.num_levels)
+        top = levels[-1]
         if isinstance(spec.seeds, list):  # checked before it becomes a set, likewise
             require_seed_ids(top, sorted(spec.seeds))
         seeds = None if spec.seeds is None else expand_generic(top, spec.seeds)
-        h = h.add_level(resolve_options(top, spec), seeds=seeds)
-    return h
+        options = tuple(resolve_options(top, spec))
+        levels.append(build_level(options, top, seeds, reward_mode))
+        option_sets.append(options)
+    return Hierarchy(base, tuple(levels[1:]), tuple(option_sets), reward_mode)
 
 
 def load_query(mdp: BaseMDP, source, expand=expand_generic) -> PlanQuery:

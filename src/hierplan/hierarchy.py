@@ -1,30 +1,34 @@
 """Assembly and validation of multi-level abstraction hierarchies.
 
 A hierarchy is a base MDP plus a stack of abstract levels, each built
-from a caller-supplied option set over the level below. Construction
-alternates with whatever skill-acquisition process produces the option
-sets; this module only enforces the structural contract: every abstract
-state grounds (non-emptily) into the level below, an option is applicable
-at an abstract state only when the state's whole grounding lies in its
-initiation set, and abstract transitions are sound with respect to actual
-option execution.
+from a caller-supplied option set over the level below by
+`abstraction.build_level`, which partitions, builds and rewards the
+level in one pass. Construction alternates with whatever
+skill-acquisition process produces the option sets; this module only
+enforces the structural contract: each option set names its level's
+options in part order, every abstract state grounds (non-emptily) into
+the level below, an option is applicable at an abstract state only when
+the state's whole grounding lies in its initiation set, and abstract
+transitions are sound with respect to actual option execution.
 
-Hierarchies are immutable; `add_level` returns a new value, and each
-abstract level's base groundings are stored once, as its `GroundingIndex`
-ranked over level 1's union and composed from the index below it, so that
-a query's sets are ranked once for every level and concurrent reads never
-race a lazy cache. Beside it each level keeps its lower runs: for each
-edge ``(s, part id)`` and each member ``x`` of ``s``'s grounding, the
-`ExecutionTrace` of the part's option run from ``x`` over the level
-below, exactly as `execute_option` returns it, or the error that run
-raised. An option run from a given state is always the same run, so
-refinement and `Hierarchy.validate` read these traces instead of
-executing them again. `Hierarchy.level` is the one map from a level index
-to a level. Options and abstract rewards are plain data fixed at
-construction (an empirical reward is the option's mean return over its
-initiation set, computed while partitioning), so planning, refinement and
-validation never change a hierarchy, and rebuilding from the same option
-sets gives the same hierarchy.
+Hierarchies are immutable; `add_level` returns a new value (a chain of
+calls records the earlier levels' tables again, which
+`domain_io.build_hierarchy` avoids by making one value at the end), and
+each abstract level's base groundings are stored once, as its
+`GroundingIndex` ranked over level 1's union and composed from the index
+below it, so that a query's sets are ranked once for every level and
+concurrent reads never race a lazy cache. Beside it each level keeps its
+lower runs: for each edge ``(s, part id)`` and each member ``x`` of
+``s``'s grounding, the `ExecutionTrace` of the part's option run from
+``x`` over the level below, exactly as `execute_option` returns it, or
+the error that run raised. An option run from a given state is always
+the same run, so refinement and `Hierarchy.validate` read these traces
+instead of executing them again. `Hierarchy.level` is the one map from a
+level index to a level. Options and abstract rewards are plain data
+fixed at construction (an empirical reward is the option's mean return
+over its initiation set, computed while partitioning), so planning,
+refinement and validation never change a hierarchy, and rebuilding from
+the same option sets gives the same hierarchy.
 """
 
 from __future__ import annotations
@@ -33,25 +37,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .abstraction import (
-    AbstractLevel,
-    RewardMode,
-    _partition_all,
-    assign_rewards,
-    build_factored_abstraction,
-    build_plan_graph,
-    part_reward,
-    require_seeds_within,
-)
+from .abstraction import AbstractLevel, RewardMode, build_level, part_reward
 from .core import BaseMDP, ExecutionTrace, Option, execute_option
-from .errors import (
-    EmptyOptionSet,
-    HierplanError,
-    LevelMismatch,
-    LevelOutOfRange,
-    MalformedInput,
-    NoFactoredStructure,
-)
+from .errors import HierplanError, LevelMismatch, LevelOutOfRange, MalformedInput
 from .symbols import GroundingSet
 
 
@@ -196,6 +184,14 @@ class Hierarchy:
     def __post_init__(self) -> None:
         if len(self.levels_above) != len(self.option_sets):
             raise MalformedInput("one option set per abstract level required")
+        for j, options in enumerate(self.option_sets, start=1):
+            level = self.levels_above[j - 1]
+            names = [o.name for o in options]
+            built = list(dict.fromkeys(p.option.name for p in level.parts))
+            if names != built:
+                raise MalformedInput(
+                    f"option set {j} names {names}, not level {j}'s options {built}"
+                )
         index: list[GroundingIndex] = []
         runs: list[LowerRuns] = []
         for j, level in enumerate(self.levels_above, start=1):
@@ -243,32 +239,12 @@ class Hierarchy:
         options: Sequence[Option],
         seeds: GroundingSet | None = None,
     ) -> Hierarchy:
-        """Build the next abstract level from ``options`` over the current
-        top level.
-
-        Options are partitioned; if every part is a subgoal (has a
-        terminal state) the new level is a plan graph, otherwise the
-        factored closure from ``seeds`` is built. Over an unfactored level
-        every part is a subgoal, so the closure is only ever built over a
-        factored one. Rewards follow the hierarchy's ``reward_mode``.
-        LevelMismatch when the seeds, or an option (checked before it is
-        simulated), are over another level than the current top;
-        InvalidSeed when a seed lies outside the top level, whichever way
-        the level is built.
-        """
-        if not options:
-            raise EmptyOptionSet("add_level needs at least one option")
-        top = self.level(self.num_levels)
-        if seeds is not None:
-            require_seeds_within(top, seeds)
-        parts = _partition_all(options, top)
-        if all(p.terminal_state is not None for p in parts):
-            level = build_plan_graph(options, top, _parts=parts)
-        elif seeds is None:
-            raise NoFactoredStructure("factored construction needs closure seed states")
-        else:
-            level = build_factored_abstraction(options, top, seeds, _parts=parts)
-        level = assign_rewards(level, self.reward_mode)
+        """This hierarchy with one more level on top: the one `build_level`
+        builds from ``options`` over the current top level (a factored
+        closure grows from ``seeds``), rewarded by the hierarchy's
+        ``reward_mode``. Raises what `build_level` raises. The new value
+        records the earlier levels' tables again."""
+        level = build_level(options, self.level(self.num_levels), seeds, self.reward_mode)
         return Hierarchy(
             base=self.base,
             levels_above=self.levels_above + (level,),

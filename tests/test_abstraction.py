@@ -17,8 +17,8 @@ from hierplan import (
     RewardMode,
     StateSpace,
     Variable,
-    assign_rewards,
     build_factored_abstraction,
+    build_level,
     build_plan_graph,
     compute_effect_set,
     execute_option,
@@ -638,8 +638,11 @@ class TestAbstractLevelTables:
 
 
 class TestRewardAssignment:
-    def test_uniform_penalty(self, taxi_hierarchy):
-        level = assign_rewards(taxi_hierarchy.level(1), RewardMode.UNIFORM_PENALTY)
+    def test_uniform_penalty(self, taxi_mdp):
+        level = build_level(
+            taxi_options_level1(taxi_mdp), taxi_mdp, depot_seed_states(taxi_mdp),
+            RewardMode.UNIFORM_PENALTY,
+        )
         assert set(level.reward.values()) == {-1.0}
 
     def test_empirical_mean_is_arithmetic_mean(self, taxi_mdp):
@@ -654,10 +657,9 @@ class TestRewardAssignment:
         )
         parts = partition_option(two_starts, taxi_mdp)
         assert [p.mean_return for p in parts] == [(-7.0 + -1.0) / 2]
-        level = build_factored_abstraction(
-            [two_starts], taxi_mdp, GroundingSet.of(0, {a, b}), _parts=parts
+        level = build_level(
+            [two_starts], taxi_mdp, GroundingSet.of(0, {a, b}), RewardMode.EMPIRICAL_MEAN
         )
-        level = assign_rewards(level, RewardMode.EMPIRICAL_MEAN)
         assert set(level.reward.values()) == {-4.0}
 
     def test_empirical_hierarchy_rewards_are_negative_means(self):

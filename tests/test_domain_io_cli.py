@@ -22,8 +22,9 @@ from hierplan import (
     refine,
 )
 from hierplan.cli import cli
-from hierplan.domain_io import OptionSetSpec, OptionSpec, expand_generic
+from hierplan.domain_io import MAX_STATES, OptionSetSpec, OptionSpec, expand_generic
 from hierplan.errors import HierplanError, MalformedInput, UnknownName
+from hierplan.hierarchy import Hierarchy, Violation
 from hierplan.taxi import DEFAULT_LAYOUT
 
 from conftest import OPEN_8X8, taxi_domain
@@ -216,6 +217,24 @@ class TestDomainIO:
             (
                 {**CHAIN_DOMAIN, "transitions": [[0, "fwd", 1, float("-inf")]]},
                 "transition (0, 'fwd') has reward -inf, not finite",
+            ),
+            # a state count too large for the per-state tables, rejected
+            # before any of them is made, and counts no int can hold
+            (
+                {"actions": ["fwd"], "num_states": 10 ** 12, "transitions": [[0, "fwd", 1]]},
+                f"domain has 1000000000000 states, more than {MAX_STATES}",
+            ),
+            (
+                {"actions": ["fwd"], "num_states": MAX_STATES + 1, "transitions": []},
+                f"domain has {MAX_STATES + 1} states, more than {MAX_STATES}",
+            ),
+            (
+                {"actions": ["fwd"], "num_states": float("inf"), "transitions": []},
+                "domain has a malformed 'num_states': inf",
+            ),
+            (
+                {"actions": ["fwd"], "num_states": 3, "transitions": [[float("inf"), "fwd", 1]]},
+                "transition [inf, 'fwd', 1] is not [state, action, state(, reward)]",
             ),
         ],
     )
@@ -701,13 +720,15 @@ class TestCLI:
              "error: seed state 1000000000000 outside level 0"),
             ({"transitions": [[0, "fwd", 1, float("nan")]]}, {},
              "error: transition (0, 'fwd') has reward nan, not finite"),
+            ({"num_states": 10 ** 12}, {},
+             f"error: domain has 1000000000000 states, more than {MAX_STATES}"),
         ],
         ids=["target-outside", "short-entry", "empty-initiation", "num-states-text",
              "initiation-text", "policy-key-text", "factored-states-flat",
              "options-list", "option-set-number", "option-entry-number",
              "transitions-number", "option-state-outside",
              "factored-option-state-outside", "seed-outside", "option-state-huge",
-             "seed-huge", "reward-nan"],
+             "seed-huge", "reward-nan", "num-states-huge"],
     )
     def test_bad_domain_input_prints_one_error_line(
         self, tmp_path, domain_patch, option_patch, message
@@ -777,6 +798,31 @@ class TestCLI:
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
 
+    def test_domain_file_not_json_prints_one_error_line(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"actions": ["fwd"],')
+        result = CliRunner().invoke(cli, ["build", "--domain-file", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1, result.output
+        assert lines[0].startswith(f"error: {path} is not valid JSON: "), result.output
+
+    def test_build_prints_each_violation_and_exits_one(self, monkeypatch):
+        found = [
+            Violation(1, "image", "part p from lower state 3 ends at 4"),
+            Violation(2, "empty-grounding", "state 0"),
+        ]
+        monkeypatch.setattr(Hierarchy, "validate", lambda self: found)
+        result = CliRunner().invoke(cli, ["build"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [
+            "[level 1] image: part p from lower state 3 ends at 4",
+            "[level 2] empty-grounding: state 0",
+        ]
+        assert json.loads(result.stdout)["num_levels"] == 2
+
     @pytest.mark.parametrize(
         "domain, message",
         [
@@ -811,12 +857,11 @@ CHAIN_QUERY = {"B": {"pos": [0, 1]}, "G": {"states": [3]}}
 
 FUZZ_DOCUMENTS = {"chain": CHAIN_DOMAIN, "stacked": STACKED_CHAIN, "query": CHAIN_QUERY}
 
-# JSON values of every type, ids inside and outside the chain, and
-# constraint objects naming a state, a variable or an except set. A huge
-# id comes only inside a list: bare, in place of ``num_states``, it would
-# allocate a predecessor list per state and exhaust memory.
+# JSON values of every type, ids inside and outside the chain, huge ids
+# bare and in a list, and constraint objects naming a state, a variable
+# or an except set
 BAD_VALUES = [
-    None, True, False, 0, -1, 1, 3, 99, 2.5, "", "x", "fwd",
+    None, True, False, 0, -1, 1, 3, 99, 10 ** 12, 2.5, "", "x", "fwd",
     [], [0], [-1], [99], [10 ** 12], [[0]], ["x"], [0, "fwd", 1],
     {}, {"pos": 9}, {"states": [99]}, {"except": 5}, {"x": 1},
 ]
@@ -896,7 +941,7 @@ def assert_cli_reports(args, failed: bool) -> None:
 
 
 class TestLoaderFuzz:
-    # the three files hold 128 nodes, so 25 bad values give 3,200 cases,
+    # the three files hold 128 nodes, so 26 bad values give 3,328 cases,
     # each a few milliseconds; 300 examples keep this test near a second
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(FUZZ_CASES), st.sampled_from(BAD_VALUES))

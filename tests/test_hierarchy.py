@@ -1,13 +1,16 @@
 """Hierarchy assembly, validation, and serialization."""
 
 import json
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hierplan.hierarchy
 from hierplan import (
+    AbstractLevel,
     BaseMDP,
     Construction,
     GroundingSet,
@@ -155,6 +158,38 @@ class TestAddLevel:
             (to_base[s], to_base[t]) for (s, _), t in level.transitions.items()
         }
         assert abstract_edges == base_edges
+
+
+class TestBuildOnce:
+    def test_each_level_is_built_and_recorded_once(self, monkeypatch):
+        """`build_hierarchy` builds each level once, rewards included, and
+        makes one `Hierarchy`, whose tables equal a fresh one's."""
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        index_of = hierplan.hierarchy.GroundingIndex.of.__func__
+        monkeypatch.setattr(
+            hierplan.hierarchy, "record_runs",
+            counted("record_runs", hierplan.hierarchy.record_runs),
+        )
+        monkeypatch.setattr(
+            hierplan.hierarchy.GroundingIndex, "of",
+            classmethod(counted("GroundingIndex.of", index_of)),
+        )
+        monkeypatch.setattr(
+            AbstractLevel, "__post_init__",
+            counted("AbstractLevel", AbstractLevel.__post_init__),
+        )
+        h = build_taxi_hierarchy()
+        assert calls == {"record_runs": 2, "GroundingIndex.of": 2, "AbstractLevel": 2}
+        fresh = Hierarchy(h.base, h.levels_above, h.option_sets, h.reward_mode)
+        assert h.lower_runs == fresh.lower_runs
+        assert h.grounding_index == fresh.grounding_index
 
 
 class TestRebuild:
@@ -324,6 +359,21 @@ class TestValidate:
         h = taxi_hierarchy
         with pytest.raises(MalformedInput, match="one option set per abstract level"):
             replace(h, option_sets=h.option_sets[:1])
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda sets: (sets[1], sets[0]), lambda sets: (sets[0][:-1], sets[1])],
+        ids=["swapped", "option-missing"],
+    )
+    def test_option_sets_of_other_levels_rejected(self, taxi_hierarchy, change):
+        """Each set must name its level's options in part order, so an
+        error names the cause here and not later, in `flatten_options`."""
+        h = taxi_hierarchy
+        names = [o.name for o in h.option_sets[0]]
+        pattern = r"^option set 1 names .*, not level 1's options "
+        with pytest.raises(MalformedInput, match=pattern) as got:
+            replace(h, option_sets=change(h.option_sets))
+        assert str(got.value).endswith(f"not level 1's options {names}")
 
 
 class TestDownwardRefinement:

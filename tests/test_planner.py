@@ -1505,6 +1505,22 @@ class TestInstrumentation:
         with pytest.raises(InconsistentRecord):
             planning_cost(missing)
 
+    def test_plan_cost_outside_the_match_span_rejected(self):
+        """Level 2 was only matched, so a plan cost there is no part of
+        the query's cost."""
+        stray = InstrumentationRecord(
+            search_top=2,
+            match_ops={2: 8, 1: 40},
+            plan_ops={2: 5, 1: 3},
+            first_match_level=1,
+            solution_level=1,
+            total_ops=51,
+        )
+        with pytest.raises(
+            InconsistentRecord, match=r"^plan cost recorded outside match span: \{2\}$"
+        ):
+            planning_cost(stray)
+
 
 class TestStructuralProperties:
     def test_match_implies_match_below(self, taxi_hierarchy, queries):

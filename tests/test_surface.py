@@ -2,11 +2,14 @@
 no import a module never uses."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import hierplan
+import hierplan.abstraction
+import hierplan.hierarchy
 import hierplan.planner
 from hierplan import AbstractLevel, BaseMDP, GroundingSet, Hierarchy, OptionPart, StateSpace
 
@@ -49,10 +52,31 @@ def test_plans_are_options_and_refine_is_the_one_refiner(name):
         (Hierarchy, "final_grounding_of"),
         (hierplan.planner, "_match"),
         (AbstractLevel, "applied_edges"),
+        (hierplan.abstraction, "assign_rewards"),
     ],
 )
 def test_deleted_members_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize(
+    "builder", [hierplan.build_plan_graph, hierplan.build_factored_abstraction]
+)
+def test_builders_partition_their_own_options(builder):
+    """`build_level` partitions once; the two builders take no parts."""
+    assert "_parts" not in inspect.signature(builder).parameters
+
+
+def test_hierarchy_imports_no_private_name_of_abstraction():
+    source = Path(hierplan.hierarchy.__file__).read_text(encoding="utf-8")
+    names = [
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "abstraction"
+        for a in node.names
+    ]
+    assert "build_level" in names
+    assert [n for n in names if n.startswith("_")] == []
 
 
 def unused_imports(source: str) -> list[str]:
